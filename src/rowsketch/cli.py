@@ -75,6 +75,8 @@ def _write_vector_tsv(path: str, x: np.ndarray) -> None:
 
 
 def cmd_scores(args) -> int:
+    if args.fast and not args.wrt:
+        raise MatrixFormatError("--fast requires --wrt")
     A = read_matrix_market(args.matrix)
     cfg = _config(args)
     if args.wrt:

@@ -2,11 +2,17 @@
 
 For a small reference matrix B, tau^B_i(A) = ||B (B'B)^+ a_i||^2.  Instead
 of applying the full projector per row, we apply a seeded Gaussian sketch
-G with k = ceil(jl_rows_constant / theta) rows: the k x d matrix
-M = (1/sqrt(k)) G B (B'B)^+ costs k factor-backed solves to build, and
-||M a_i||^2 estimates each score within a d^theta distortion.  Raw sketched
-norms are multiplied by d^theta so the two-sided distortion turns into a
-one-sided overestimate at the configured confidence.
+with k = ceil(jl_rows_constant / theta) rows.  With B = U diag(sigma) V' of
+rank r, G B (B'B)^+ = (G U) diag(1/sigma) V' for a k x n_B Gaussian G, and
+G U is itself a k x r standard Gaussian Z.  So the k x d matrix
+M = (1/sqrt(k)) Z diag(1/sigma) V' is drawn in d-space, at the cost of
+k x r draws and no pass over B, with the same distribution as the sketch
+drawn over B's rows (the JL leverage estimator of Drineas et al.,
+arXiv:1109.3843).  ||M a_i||^2 estimates each score within a d^theta
+distortion.  Rows are scored through the min(k, d) x d triangular factor R
+of M, since ||R a_i|| = ||M a_i||: O(min(k, d) nnz(a_i)) per row.  Raw
+sketched norms are multiplied by d^theta so the two-sided distortion turns
+into a one-sided overestimate at the configured confidence.
 
 Rows with components in ker(B) are flagged infinite by dotting against a
 few random kernel-projected probe vectors.
@@ -70,18 +76,18 @@ def gaussian_sketch(k: int, n: int, cfg: SketchConfig, salt=()) -> GaussianSketc
 
 def build_projector_sketch(B: SparseRowMatrix, theta: float, cfg: SketchConfig,
                            salt=(), factor: PseudoinverseFactor | None = None) -> np.ndarray:
-    """M = (1/sqrt(k)) G B (B'B)^+ as a dense k x d block.
+    """M = (1/sqrt(k)) Z diag(1/sigma) V' as a dense k x d block.
 
-    Costs one solve against the Gram factor per sketch row; applying M to a
-    row then costs O(k nnz(a_i)).  E ||M a_i||^2 equals tau^B_i exactly.
+    Z is a k x rank(B) Gaussian and B = U diag(sigma) V', so M has the
+    distribution of (1/sqrt(k)) G B (B'B)^+ for a k x n_B Gaussian G, and
+    E ||M a_i||^2 equals tau^B_i exactly.  Counted as k solves against the
+    Gram factor.  At rank 0, M is a k x d zero block.
     """
     k = sketch_rows(theta, cfg)
     f = factor if factor is not None else factor_gram(B)
-    G = gaussian_sketch(k, B.n_rows, cfg, salt=salt).entries
-    GB = (B.to_scipy().T @ G.T).T  # k x d
+    Z = gaussian_sketch(k, f.rank, cfg, salt=salt).entries
     instrument.count_solves(k)
-    M = f.pinv_apply(GB.T).T / np.sqrt(k)
-    return M
+    return (Z / f.singular_values) @ f.right_singular_vectors.T / np.sqrt(k)
 
 
 def kernel_probe(B: SparseRowMatrix, t_probes: int, cfg: SketchConfig, salt=(),
@@ -107,8 +113,8 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
 
     Returns d^theta * ||M a_i||^2 per row (the safety factor making the
     estimate one-sided), and flags a row infinite when any probe dot
-    exceeds ktol * ||a_i|| * ||z_t||.  One factorization plus k + t_probes
-    solves per call.
+    exceeds ktol * ||a_i|| * ||z_t||.  One factorization per call, counted
+    with k + t_probes solves.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
@@ -116,7 +122,8 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     M = build_projector_sketch(B, theta, cfg, salt=salt, factor=f)
     kp = kernel_probe(B, cfg.kernel_probes, cfg, salt=salt, factor=f)
     safety = max(A.n_cols, 2) ** theta
-    sketched = A.dot_dense(M.T)  # n x k
+    R = np.linalg.qr(M, mode="r")  # min(k, d) x d with ||R a|| = ||M a||
+    sketched = A.dot_dense(R.T)  # n x min(k, d)
     vals = safety * np.einsum("ij,ij->i", sketched, sketched)
     norms = np.sqrt(A.row_norms_sq())
     dots = np.abs(A.dot_dense(kp.probes.T))  # n x t

@@ -195,7 +195,8 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
                 converged = True
                 break
 
-    state.refresh()
+    if not converged:  # a converged run's drift check just refactored these weights
+        state.refresh()
     achieved = state.tau.copy()
     cert = ReweightCertificate(
         target=u.copy(),

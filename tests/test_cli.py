@@ -58,6 +58,12 @@ class TestScores:
         assert main(["scores", str(tmp_path / "nope.mtx")]) == 2
         assert "rowsketch:" in capsys.readouterr().err
 
+    def test_fast_without_reference_exits_2(self, tmp_path, identity_mtx, capsys):
+        out = tmp_path / "scores.tsv"
+        assert main(["scores", identity_mtx, "--fast", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "rowsketch: --fast requires --wrt\n"
+        assert not out.exists()
+
 
 class TestSketchAndVerify:
     def test_sketch_writes_sample_and_report(self, tmp_path, random_mtx):

@@ -46,10 +46,28 @@ class TestProjectorSketch:
         cfg = SketchConfig(seed=9)
         M = build_projector_sketch(B, theta, cfg)
         k = sketch_rows(theta, cfg)
-        G = fastlev.gaussian_sketch(k, 20, cfg).entries
-        dense_b = B.to_dense()
-        oracle = (G @ dense_b @ np.linalg.pinv(dense_b.T @ dense_b)) / np.sqrt(k)
+        _, sigma, vh = np.linalg.svd(B.to_dense(), full_matrices=False)
+        Z = fastlev.gaussian_sketch(k, sigma.size, cfg).entries
+        oracle = (Z @ np.diag(1.0 / sigma) @ vh) / np.sqrt(k)
         np.testing.assert_allclose(M, oracle, atol=1e-8)
+
+    def test_draw_is_k_by_rank_not_k_by_rows(self, monkeypatch):
+        # the Gaussian lives in d-space: one estimate against a 5000-row B
+        # draws at most k * d entries, never k * n_B
+        shapes = []
+        real = fastlev.gaussian_sketch
+
+        def recording(k, n, cfg, salt=()):
+            shapes.append((k, n))
+            return real(k, n, cfg, salt=salt)
+
+        monkeypatch.setattr(fastlev, "gaussian_sketch", recording)
+        B = gaussian_matrix(5000, 6, 4)
+        cfg = SketchConfig(seed=1)
+        approx_generalized_leverage(B, B, 0.5, cfg)
+        k = sketch_rows(0.5, cfg)
+        assert len(shapes) == 1
+        assert shapes[0][0] * shapes[0][1] <= k * 6
 
     def test_row_count_formula(self):
         cfg = SketchConfig(jl_rows_constant=64.0)
@@ -143,6 +161,26 @@ class TestApproxGeneralized:
             ok += bool(np.all(est.values <= cap * exact + 1e-12)
                        and np.all(est.values >= exact - 1e-8))
         assert ok >= 95
+
+    @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "k-below-d"])
+    def test_equals_safety_times_projector_sketch_norms(self, case, rng):
+        # d^theta ||M a_i||^2 with M straight from build_projector_sketch
+        d, theta = 8, 0.5
+        cfg = SketchConfig(seed=6, jl_rows_constant=2.0 if case == "k-below-d" else 64.0)
+        A = gaussian_matrix(300, d, 12)
+        B = A
+        if case == "rank-deficient":
+            B = SparseRowMatrix.from_dense(rng.standard_normal((40, d - 3))
+                                           @ rng.standard_normal((d - 3, d)))
+            A = SparseRowMatrix.from_dense(A.to_dense() @ np.linalg.pinv(B.to_dense())
+                                           @ B.to_dense())
+        M = build_projector_sketch(B, theta, cfg)
+        assert (M.shape[0] < d) == (case == "k-below-d")
+        sk = A.to_dense() @ M.T
+        direct = d ** theta * np.einsum("ij,ij->i", sk, sk)
+        est = approx_generalized_leverage(A, B, theta, cfg)
+        assert not est.has_infinite
+        np.testing.assert_allclose(est.values, direct, rtol=1e-12)
 
     def test_instrumentation_counts(self):
         # one factorization plus k + t_probes solves per call
