@@ -19,7 +19,8 @@ from .fastlev import approx_generalized_leverage
 from .leverage import (ScoreVector, exact_leverage_scores,
                        generalized_leverage_scores, read_scores, write_scores)
 from .matrix import (MatrixFormatError, SparseRowMatrix, materialize,
-                     read_matrix_market, read_sample, write_sample)
+                     read_indexed_column, read_matrix_market, read_sample,
+                     write_sample)
 from .pipelines import (GenericSchemeParams, NonConvergenceError,
                         generic_scheme, input_sparsity_sketch,
                         precondition_solve, refinement_sampling,
@@ -49,22 +50,6 @@ def _config(args, **overrides) -> SketchConfig:
             fields[name] = getattr(args, name)
     fields.update(overrides)
     return SketchConfig(**fields)
-
-
-def _read_vector_tsv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "row_index\tvalue":
-        raise MatrixFormatError("expected header 'row_index\\tvalue'", path, 1)
-    vals = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split("\t")
-        if len(parts) != 2 or int(parts[0]) != len(vals):
-            raise MatrixFormatError("expected consecutive 'row_index<TAB>value'", path, lineno)
-        vals.append(float(parts[1]))
-    return np.asarray(vals)
 
 
 def _write_vector_tsv(path: str, x: np.ndarray) -> None:
@@ -183,7 +168,7 @@ def cmd_reweight(args) -> int:
 
 def cmd_solve(args) -> int:
     A = read_matrix_market(args.matrix)
-    b = _read_vector_tsv(args.rhs)
+    b = read_indexed_column(args.rhs, "value")
     cfg = _config(args)
     sketch = repeated_halving(A, cfg)
     result = precondition_solve(A, b, sketch, tol=args.tol, max_iters=args.max_iters)

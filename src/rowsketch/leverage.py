@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instrument
-from .matrix import MatrixFormatError, SparseRowMatrix
+from .matrix import MatrixFormatError, SparseRowMatrix, read_ascii_lines
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,7 @@ def write_scores(path, s: ScoreVector) -> None:
 
 def read_scores(path) -> ScoreVector:
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_ascii_lines(path)
     if not lines or lines[0] != SCORE_HEADER:
         raise MatrixFormatError(f"expected header {SCORE_HEADER!r}", path, 1)
     vals, flags = [], []

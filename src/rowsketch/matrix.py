@@ -9,6 +9,7 @@ dense d x d work is cheap; n-length dense vectors must fit in memory.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,13 +246,93 @@ def read_matrix_market(path) -> SparseRowMatrix:
     ``integer``) field and ``general`` symmetry.  Duplicate coordinate
     entries are summed; explicit zeros are dropped.  Parse failures raise
     :class:`MatrixFormatError` with the offending line number.
+
+    Entries go through numpy's C reader; a file it does not take cleanly is
+    parsed again by the line scanner, which decides what the file means and
+    locates every failure.
     """
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MatrixFormatError("empty file", path, 1)
-    header = lines[0].split()
+    fast = _read_matrix_market_fast(path)
+    return fast if fast is not None else _scan_matrix_market(path)
+
+
+# Well-formed input is printable ASCII, tabs and line ends.  On such text
+# numpy's reader and ``str.split``/``str.splitlines`` cut lines and fields
+# alike.  On other text they differ: numpy separates fields at form feed,
+# vertical tab and \x1c-\x1f, and ``str.splitlines`` ends a line at most of
+# these.  So the fast paths leave any other byte to the scanners.
+_PLAIN_BYTES = bytes([9, 10, 13, *range(0x20, 0x7F)])
+
+
+def _plain_text(path: str) -> bool:
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return False
+    return True
+
+
+def _load_body(fh, dtype, delimiter=None) -> np.ndarray:
+    """The rest of the open text handle ``fh`` through ``np.loadtxt``.
+
+    ``comments=None``: the default ``'#'`` would drop text the scanners
+    reject.  Warnings are errors because on numpy 1.x ``loadtxt`` truncates
+    ``1.5`` in an integer field with only a DeprecationWarning, and it warns
+    on input without rows; either must send the file to the scanner.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+
+
+_COORDINATE_ENTRY = np.dtype([("i", "<i8"), ("j", "<i8"), ("v", "<f8")])
+
+
+def _read_matrix_market_fast(path: str) -> SparseRowMatrix | None:
+    """The matrix if numpy reads exactly the declared, in-range, finite
+    entries; None leaves the file to :func:`_scan_matrix_market`."""
+    if not _plain_text(path):
+        return None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            fmt = _mm_header(fh.readline().split(), path)
+            for line in fh:
+                if line.strip() and not line.lstrip().startswith("%"):
+                    break
+            else:
+                return None
+            dims = _mm_size(line.split(), fmt, path, None)
+            if min(dims) <= 0:
+                return None
+            body = _load_body(fh, _COORDINATE_ENTRY if fmt == "coordinate" else np.float64)
+    except (ValueError, Warning):
+        return None
+    if fmt == "coordinate":
+        n_rows, n_cols, nnz = dims
+        i, j, v = body["i"], body["j"], body["v"]
+        if (body.shape != (nnz,) or i.min() < 1 or i.max() > n_rows
+                or j.min() < 1 or j.max() > n_cols or not np.isfinite(v).all()):
+            return None
+        return SparseRowMatrix.from_coo(n_rows, n_cols, i - 1, j - 1, v)
+    n_rows, n_cols = dims
+    if body.shape != (n_rows * n_cols,) or not np.isfinite(body).all():
+        return None
+    return SparseRowMatrix.from_dense(body.reshape(n_cols, n_rows).T)
+
+
+def read_ascii_lines(path: str) -> list[str]:
+    """The lines of an ASCII text file; a non-ASCII byte is an error at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("ascii") + "x").splitlines())
+        raise MatrixFormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", path, line) from None
+
+
+def _mm_header(header: list[str], path: str) -> str:
+    """The format named by the tokens of the header line."""
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
         raise MatrixFormatError("expected '%%MatrixMarket matrix <format> <field> <symmetry>' header", path, 1)
     fmt, field, symmetry = header[2].lower(), header[3].lower(), header[4].lower()
@@ -263,6 +344,32 @@ def read_matrix_market(path) -> SparseRowMatrix:
         raise MatrixFormatError(f"unknown field {field!r}", path, 1)
     if symmetry != "general":
         raise MatrixFormatError(f"unsupported symmetry {symmetry!r} (only 'general')", path, 1)
+    return fmt
+
+
+_SIZE_LINE = {"coordinate": "rows cols nnz", "array": "rows cols"}
+
+
+def _mm_size(toks: list[str], fmt: str, path: str, lineno: int | None) -> tuple[int, ...]:
+    """``(rows, cols, nnz)`` or ``(rows, cols)`` from the tokens of the size line."""
+    if len(toks) != len(_SIZE_LINE[fmt].split()):
+        raise MatrixFormatError(f"{fmt} size line must be '{_SIZE_LINE[fmt]}'", path, lineno)
+    try:
+        return tuple(int(t) for t in toks)
+    except ValueError:
+        raise MatrixFormatError("bad size line", path, lineno) from None
+
+
+def _scan_matrix_market(path: str) -> SparseRowMatrix:
+    """The reference parser: line by line, every failure located.
+
+    It defines what :func:`read_matrix_market` accepts; the fast path must
+    return exactly what this returns, or defer to it.
+    """
+    lines = read_ascii_lines(path)
+    if not lines:
+        raise MatrixFormatError("empty file", path, 1)
+    fmt = _mm_header(lines[0].split(), path)
 
     def parse_real(tok: str, lineno: int) -> float:
         try:
@@ -278,16 +385,11 @@ def read_matrix_market(path) -> SparseRowMatrix:
     if not body:
         raise MatrixFormatError("missing size line", path, len(lines))
     size_lineno, size_line = body[0]
-    toks = size_line.split()
+    dims = _mm_size(size_line.split(), fmt, path, size_lineno)
+    entries = body[1:]
 
     if fmt == "coordinate":
-        if len(toks) != 3:
-            raise MatrixFormatError("coordinate size line must be 'rows cols nnz'", path, size_lineno)
-        try:
-            n_rows, n_cols, nnz = (int(t) for t in toks)
-        except ValueError:
-            raise MatrixFormatError("bad size line", path, size_lineno) from None
-        entries = body[1:]
+        n_rows, n_cols, nnz = dims
         if len(entries) != nnz:
             raise MatrixFormatError(f"expected {nnz} entries, found {len(entries)}", path, size_lineno)
         rows = np.empty(nnz, dtype=np.int64)
@@ -308,13 +410,7 @@ def read_matrix_market(path) -> SparseRowMatrix:
         return SparseRowMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
 
     # array format: dense column-major listing
-    if len(toks) != 2:
-        raise MatrixFormatError("array size line must be 'rows cols'", path, size_lineno)
-    try:
-        n_rows, n_cols = (int(t) for t in toks)
-    except ValueError:
-        raise MatrixFormatError("bad size line", path, size_lineno) from None
-    entries = body[1:]
+    n_rows, n_cols = dims
     if len(entries) != n_rows * n_cols:
         raise MatrixFormatError(f"expected {n_rows * n_cols} values, found {len(entries)}", path, size_lineno)
     dense = np.empty((n_rows, n_cols))
@@ -337,8 +433,57 @@ def write_matrix_market(path, A: SparseRowMatrix) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sample TSV I/O: header then "row_index<TAB>weight" lines
+# TSV I/O: header lines, then "row_index<TAB>value" lines
 # ---------------------------------------------------------------------------
+
+_INDEXED_ENTRY = np.dtype([("i", "<i8"), ("v", "<f8")])
+
+
+def _read_tsv_fast(path: str, n_header: int):
+    """``(header lines, indices, values)`` of an index/value TSV read by
+    numpy, or None to leave the file to its scanner.  Files with any
+    non-finite value go to the scanner too."""
+    if not _plain_text(path):
+        return None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            head = [fh.readline().rstrip("\n") for _ in range(n_header)]
+            body = _load_body(fh, _INDEXED_ENTRY, "\t")
+    except (ValueError, Warning):
+        return None
+    if not np.isfinite(body["v"]).all():
+        return None
+    return head, body["i"].copy(), body["v"].copy()
+
+
+def read_indexed_column(path, column: str) -> np.ndarray:
+    """Values of a TSV with header ``row_index<TAB><column>`` whose row
+    indices run 0, 1, 2, ... in order; blank lines are skipped."""
+    path = str(path)
+    header = f"row_index\t{column}"
+    fast = _read_tsv_fast(path, 1)
+    if fast is not None and fast[0] == [header] and np.array_equal(fast[1], np.arange(fast[1].size)):
+        return fast[2]
+    lines = read_ascii_lines(path)
+    if not lines or lines[0] != header:
+        raise MatrixFormatError(f"expected header {header!r}", path, 1)
+    vals = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        if not ln.strip():
+            continue
+        parts = ln.split("\t")
+        try:
+            consecutive = len(parts) == 2 and int(parts[0]) == len(vals)
+        except ValueError:
+            consecutive = False
+        if not consecutive:
+            raise MatrixFormatError(f"expected consecutive 'row_index<TAB>{column}'", path, lineno)
+        try:
+            vals.append(float(parts[1]))
+        except ValueError:
+            raise MatrixFormatError(f"bad {column} {parts[1]!r}", path, lineno) from None
+    return np.asarray(vals, dtype=np.float64)
+
 
 SAMPLE_HEADER = "row_index\tweight"
 
@@ -353,8 +498,8 @@ def write_sample(path, S: WeightedRowSample) -> None:
 
 def read_sample(path) -> WeightedRowSample:
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    fast = _read_tsv_fast(path, 2)
+    lines = fast[0] if fast is not None else read_ascii_lines(path)
     if not lines or not lines[0].startswith("# parent_rows="):
         raise MatrixFormatError("missing '# parent_rows=' line", path, 1)
     try:
@@ -363,18 +508,21 @@ def read_sample(path) -> WeightedRowSample:
         raise MatrixFormatError("bad parent_rows value", path, 1) from None
     if len(lines) < 2 or lines[1] != SAMPLE_HEADER:
         raise MatrixFormatError(f"expected header {SAMPLE_HEADER!r}", path, 2)
-    idx, wts = [], []
-    for lineno, ln in enumerate(lines[2:], start=3):
-        if not ln.strip():
-            continue
-        parts = ln.split("\t")
-        if len(parts) != 2:
-            raise MatrixFormatError("expected 'row_index<TAB>weight'", path, lineno)
-        try:
-            idx.append(int(parts[0]))
-            wts.append(float(parts[1]))
-        except ValueError:
-            raise MatrixFormatError("bad entry", path, lineno) from None
+    if fast is not None:
+        idx, wts = fast[1], fast[2]
+    else:
+        idx, wts = [], []
+        for lineno, ln in enumerate(lines[2:], start=3):
+            if not ln.strip():
+                continue
+            parts = ln.split("\t")
+            if len(parts) != 2:
+                raise MatrixFormatError("expected 'row_index<TAB>weight'", path, lineno)
+            try:
+                idx.append(int(parts[0]))
+                wts.append(float(parts[1]))
+            except ValueError:
+                raise MatrixFormatError("bad entry", path, lineno) from None
     out = WeightedRowSample(parent, np.asarray(idx, dtype=np.int64), np.asarray(wts))
     out.validate()
     return out

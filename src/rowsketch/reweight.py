@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leverage import ScoreVector, exact_leverage_scores, factor_gram
-from .matrix import MatrixFormatError, SparseRowMatrix, gram, scale_rows
+from .matrix import SparseRowMatrix, gram, read_indexed_column, scale_rows
 
 
 @dataclass(frozen=True)
@@ -254,19 +254,6 @@ def write_weights(path, W: Reweighting) -> None:
 
 
 def read_weights(path) -> Reweighting:
-    path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != WEIGHT_HEADER:
-        raise MatrixFormatError(f"expected header {WEIGHT_HEADER!r}", path, 1)
-    vals = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split("\t")
-        if len(parts) != 2 or int(parts[0]) != len(vals):
-            raise MatrixFormatError("expected consecutive 'row_index<TAB>weight'", path, lineno)
-        vals.append(float(parts[1]))
-    out = Reweighting(np.asarray(vals))
+    out = Reweighting(read_indexed_column(path, "weight"))
     out.validate()
     return out

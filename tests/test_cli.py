@@ -58,6 +58,13 @@ class TestScores:
         assert main(["scores", str(tmp_path / "nope.mtx")]) == 2
         assert "rowsketch:" in capsys.readouterr().err
 
+    def test_non_ascii_byte_exits_2_with_location(self, tmp_path, capsys):
+        p = tmp_path / "bad.mtx"
+        p.write_bytes("%%MatrixMarket matrix coordinate real general\n"
+                      "% café\n1 1 1\n1 1 1\n".encode("utf-8"))
+        assert main(["scores", str(p)]) == 2
+        assert capsys.readouterr().err == f"rowsketch: {p}:2: non-ASCII byte 0xc3\n"
+
     def test_fast_without_reference_exits_2(self, tmp_path, identity_mtx, capsys):
         out = tmp_path / "scores.tsv"
         assert main(["scores", identity_mtx, "--fast", "-o", str(out)]) == 2

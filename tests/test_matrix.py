@@ -1,5 +1,7 @@
 """Matrix storage, Matrix Market parsing, sample materialization, TSV I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.io
@@ -7,6 +9,8 @@ import scipy.io
 from rowsketch import (MatrixFormatError, SparseRowMatrix, WeightedRowSample,
                        gram, materialize, read_matrix_market, read_sample,
                        scale_rows, write_matrix_market, write_sample)
+from rowsketch import matrix
+from rowsketch.matrix import read_indexed_column
 
 from conftest import gaussian_matrix
 
@@ -105,6 +109,199 @@ class TestMatrixMarket:
         write_matrix_market(p, A)
         np.testing.assert_allclose(read_matrix_market(p).to_dense(),
                                    scipy.io.mmread(str(p)).toarray(), rtol=0, atol=0)
+
+
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+ARRAY = "%%MatrixMarket matrix array real general\n"
+
+# (id, file text, whether numpy's reader should take it); text is written as
+# latin-1 so that non-ASCII bytes can be planted
+MM_CORPUS = [
+    ("well-formed", COORD + "% c\n3 2 4\n1 1 1.5\n1 2 -2\n2 1 3e-3\n3 2 4\n", True),
+    ("duplicates-and-zero", COORD + "2 2 4\n1 1 2.0\n1 1 3.0\n2 2 0\n2 1 -1\n", True),
+    ("extra-token", COORD + "1 1 1\n1 1 1.5 7\n", False),
+    ("missing-token", COORD + "1 1 1\n1 1\n", False),
+    ("nan", COORD + "1 1 1\n1 1 nan\n", False),
+    ("inf", COORD + "1 1 1\n1 1 inf\n", False),
+    ("minus-infinity", COORD + "1 1 1\n1 1 -Infinity\n", False),
+    ("overflow", COORD + "1 1 1\n1 1 1e400\n", False),
+    ("hex", COORD + "1 1 1\n1 1 0x10\n", False),
+    ("underscore", COORD + "1 1 1\n1 1 1_0\n", False),
+    ("fortran-exponent", COORD + "1 1 1\n1 1 1.5D0\n", False),
+    ("float-index", COORD + "2 2 1\n1.5 1 1\n", False),
+    ("zero-index", COORD + "2 2 1\n0 1 1\n", False),
+    ("negative-index", COORD + "2 2 1\n1 -1 1\n", False),
+    ("index-out-of-range", COORD + "2 2 2\n1 1 1\n3 1 1\n", False),
+    ("23-digit-index", COORD + "2 2 1\n12345678901234567890123 1 1\n", False),
+    ("too-few-entries", COORD + "2 2 3\n1 1 1\n2 2 2\n", False),
+    ("too-many-entries", COORD + "2 2 1\n1 1 1\n2 2 2\n", False),
+    ("trailing-hash", COORD + "1 1 1\n1 1 1 # x\n", False),
+    ("trailing-percent", COORD + "1 1 1\n1 1 1 % x\n", False),
+    ("blank-lines-in-body", COORD + "2 2 2\n1 1 1\n\n2 2 2\n\n", True),
+    ("whitespace-lines-in-body", COORD + "2 2 2\n1 1 1\n   \n\t\n2 2 2\n", True),
+    ("percent-line-in-body", COORD + "2 2 2\n1 1 1\n% between\n2 2 2\n", False),
+    ("hash-line-in-body", COORD + "2 2 2\n1 1 1\n#c\n2 2 2\n", False),
+    ("crlf", COORD.replace("\n", "\r\n") + "2 2 2\r\n1 1 1\r\n2 2 2\r\n", True),
+    ("lone-cr", COORD.replace("\n", "\r") + "2 2 2\r1 1 1\r2 2 2\r", True),
+    ("tabs", COORD + "2\t2\t2\n\t1\t1\t1\n2 \t2\t 2\n", True),
+    ("no-final-newline", COORD + "2 2 2\n1 1 1\n2 2 2", True),
+    ("upper-case-header", "%%MatrixMarket MATRIX COORDINATE REAL GENERAL\n1 1 1\n1 1 1\n", True),
+    ("plus-signs", COORD + "2 2 2\n+1 +2 +1.5\n2 1 +2e+2\n", True),
+    ("integer-field", "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 7\n2 2 -3\n", True),
+    ("nnz-zero", COORD + "3 2 0\n", False),
+    ("nnz-zero-with-entry", COORD + "3 2 0\n1 1 1\n", False),
+    ("form-feed", COORD + "1 1 1\n1 1\f1\n", False),
+    ("vertical-tab-line-end", COORD + "1 1 1\n1 1 1\v\n", False),
+    ("separator-char", COORD + "1 1 1\n1 1\x1c1\n", False),
+    ("nul", COORD + "1 1 1\n1 1 1\x00\n", False),
+    ("non-ascii-comment", COORD + "% caf\xc3\xa9\n1 1 1\n1 1 1\n", False),
+    ("non-ascii-entry", COORD + "1 1 1\n1 1 1\xa0\n", False),
+    ("empty-file", "", False),
+    ("bad-header", "%%MatrixMarket tensor coordinate real general\n1 1 1\n1 1 1\n", False),
+    ("pattern-field", "%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n", False),
+    ("symmetric", "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 1\n", False),
+    ("missing-size-line", COORD + "% only a comment\n", False),
+    ("short-size-line", COORD + "2 2\n1 1 1\n", False),
+    ("bad-size-line", COORD + "a b c\n", False),
+    ("negative-rows", COORD + "-1 2 1\n1 1 1\n", False),
+    ("array", ARRAY + "% c\n2 3\n1\n2\n0\n4\n5.5\n-6\n", True),
+    ("array-single", ARRAY + "1 1\n3\n", True),
+    ("array-too-few", ARRAY + "2 2\n1\n2\n3\n", False),
+    ("array-too-many", ARRAY + "2 1\n1\n2\n3\n", False),
+    ("array-two-per-line", ARRAY + "2 2\n1 2\n3 4\n", False),
+    ("array-nan", ARRAY + "2 1\n1\nnan\n", False),
+    ("array-bad-value", ARRAY + "2 1\n1\nx\n", False),
+    ("array-negative-dims", ARRAY + "-1 -2\n1\n2\n", False),
+    ("array-empty", ARRAY + "0 3\n", False),
+]
+
+
+def _outcome(fn, path):
+    """Byte images of what ``fn(path)`` returns, or the exception's type,
+    text and line."""
+    try:
+        out = fn(path)
+    except Exception as exc:  # noqa: BLE001 -- every failure is compared
+        return ("raised", type(exc), str(exc), getattr(exc, "line", None))
+    if isinstance(out, SparseRowMatrix):
+        return ("matrix", out.shape, out.row_offsets.tobytes(), out.col_indices.tobytes(), out.values.tobytes())
+    if isinstance(out, WeightedRowSample):
+        return ("sample", out.parent_rows, out.row_indices.tobytes(), out.weights.tobytes())
+    return ("values", out.dtype, out.tobytes())
+
+
+class TestReaderMatchesScanner:
+    """The public reader must return exactly what the line scanner returns."""
+
+    @pytest.mark.parametrize("text,fast", [c[1:] for c in MM_CORPUS], ids=[c[0] for c in MM_CORPUS])
+    def test_matrix_market_corpus(self, tmp_path, text, fast):
+        p = tmp_path / "c.mtx"
+        p.write_bytes(text.encode("latin-1"))
+        assert _outcome(read_matrix_market, p) == _outcome(matrix._scan_matrix_market, str(p))
+        assert (matrix._read_matrix_market_fast(str(p)) is not None) == fast
+
+    @pytest.mark.parametrize("digits", [17, 25])
+    def test_values_round_trip_bit_exact(self, tmp_path, digits):
+        rng = np.random.default_rng(digits)
+        n = 20_000
+        vals = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1024, n))
+        vals *= rng.choice([-1.0, 1.0], n)
+        toks = [f"{v:.{digits}g}" for v in vals]
+        p = tmp_path / "r.mtx"
+        p.write_text(COORD + f"{n} 1 {n}\n" + "".join(f"{i + 1} 1 {t}\n" for i, t in enumerate(toks)))
+        A = matrix._read_matrix_market_fast(str(p))
+        assert A is not None
+        expected = np.array([float(t) for t in toks])
+        assert A.values.tobytes() == expected.tobytes()
+        assert _outcome(read_matrix_market, p) == _outcome(matrix._scan_matrix_market, str(p))
+
+    def test_no_rows_reads_without_warnings(self, tmp_path):
+        mtx, tsv = tmp_path / "z.mtx", tmp_path / "z.tsv"
+        mtx.write_text(COORD + "4 3 0\n")
+        write_sample(tsv, WeightedRowSample(5, np.empty(0, dtype=np.int64), np.empty(0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_matrix_market(mtx).shape == (4, 3)
+            assert len(read_sample(tsv)) == 0
+
+    def test_loadtxt_warning_sends_file_to_scanner(self, tmp_path, monkeypatch):
+        # numpy 1.x truncates a float in an integer field and only warns
+        p = tmp_path / "w.mtx"
+        p.write_text(COORD + "2 2 1\n1.5 1 1\n")
+
+        def truncating(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated", DeprecationWarning)
+            return np.array([(1, 1, 1.0)], dtype=matrix._COORDINATE_ENTRY)
+
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        with pytest.raises(MatrixFormatError, match="bad index") as err:
+            read_matrix_market(p)
+        assert err.value.line == 3
+
+
+SAMPLE = "# parent_rows=5\nrow_index\tweight\n"
+VALUE = "row_index\tvalue\n"
+
+# (id, file text, whether numpy's reader should take it)
+TSV_CORPUS = [
+    ("well-formed", "0\t1.5\n1\t2\n2\t0.25\n", True),
+    ("blank-lines", "0\t1.5\n\n1\t2\n\n", True),
+    ("whitespace-line", "0\t1.5\n  \n1\t2\n", False),
+    ("spaces-around-fields", " 0 \t 1.5 \n1\t2\n", True),
+    ("crlf", "0\t1.5\r\n1\t2\r\n", True),
+    ("no-final-newline", "0\t1.5\n1\t2", True),
+    ("plus-signs", "+0\t+1.5\n1\t2\n", True),
+    ("nan", "0\tnan\n1\t2\n", False),
+    ("inf", "0\tinf\n1\t2\n", False),
+    ("bad-index", "x\t1.5\n", False),
+    ("bad-value", "0\tx\n", False),
+    ("skipped-index", "0\t1.5\n2\t2\n", True),
+    ("extra-column", "0\t1.5\t7\n", False),
+    ("space-separated", "0 1.5\n", False),
+    ("hash-line", "0\t1.5\n# c\n1\t2\n", False),
+    ("form-feed", "0\t1.5\f1\t2\n", False),
+    ("non-ascii", "0\t1.5\n1\t2\xc3\n", False),
+    ("empty-body", "", False),
+]
+
+
+class TestTsvReadersMatchScanner:
+    """With the fast path switched off, the readers fall to their scanners;
+    both ways must give the same arrays or the same error."""
+
+    @staticmethod
+    def _both(monkeypatch, fn, path):
+        fast = _outcome(fn, path)
+        with monkeypatch.context() as m:
+            m.setattr(matrix, "_read_tsv_fast", lambda *args: None)
+            return fast, _outcome(fn, path)
+
+    @pytest.mark.parametrize("body,fast", [c[1:] for c in TSV_CORPUS], ids=[c[0] for c in TSV_CORPUS])
+    def test_sample_corpus(self, tmp_path, monkeypatch, body, fast):
+        p = tmp_path / "s.tsv"
+        p.write_bytes((SAMPLE + body).encode("latin-1"))
+        got, scanned = self._both(monkeypatch, read_sample, p)
+        assert got == scanned
+        assert (matrix._read_tsv_fast(str(p), 2) is not None) == fast
+
+    @pytest.mark.parametrize("body,fast", [c[1:] for c in TSV_CORPUS], ids=[c[0] for c in TSV_CORPUS])
+    def test_indexed_column_corpus(self, tmp_path, monkeypatch, body, fast):
+        p = tmp_path / "v.tsv"
+        p.write_bytes((VALUE + body).encode("latin-1"))
+        got, scanned = self._both(monkeypatch, lambda q: read_indexed_column(q, "value"), p)
+        assert got == scanned
+        assert (matrix._read_tsv_fast(str(p), 1) is not None) == fast
+
+    def test_errors_are_located(self, tmp_path):
+        p = tmp_path / "v.tsv"
+        for body, message, line in (("0\t1\n2\t1\n", "expected consecutive 'row_index<TAB>value'", 3),
+                                    ("x\t1\n", "expected consecutive 'row_index<TAB>value'", 2),
+                                    ("0\tx\n", "bad value 'x'", 2),
+                                    ("0\t1\n1\t\xe9\n", "non-ASCII byte 0xe9", 3)):
+            p.write_bytes((VALUE + body).encode("latin-1"))
+            with pytest.raises(MatrixFormatError, match=message) as err:
+                read_indexed_column(p, "value")
+            assert err.value.line == line
 
 
 class TestMaterialize:
