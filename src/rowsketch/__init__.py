@@ -10,6 +10,7 @@ all deterministic given a seed.
 
 from .fastlev import (GaussianSketch, KernelProbe, approx_generalized_leverage,
                       build_projector_sketch, gaussian_sketch, kernel_probe)
+from .instrument import reset_counters, solve_counter
 from .leverage import (PseudoinverseFactor, ScoreVector, cross_leverage,
                        exact_leverage_scores, factor_gram,
                        generalized_leverage_scores, min_norm_witness,
@@ -31,8 +32,7 @@ from .sampling import (SketchConfig, sample, sampling_probabilities,
                        scaled_sample, sherman_morrison_check,
                        undersample_refine, uniform_leverage_estimates,
                        uniform_no_reweight_estimates)
-from .verify import (MonteCarloResult, SpectralReport, monte_carlo,
-                     reset_counters, solve_counter, spectral_check)
+from .verify import MonteCarloResult, SpectralReport, monte_carlo, spectral_check
 
 __version__ = "0.1.0"
 

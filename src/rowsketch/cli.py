@@ -16,11 +16,11 @@ import time
 import numpy as np
 
 from .fastlev import approx_generalized_leverage
-from .leverage import (ScoreVector, exact_leverage_scores,
-                       generalized_leverage_scores, read_scores, write_scores)
+from .leverage import (exact_leverage_scores, generalized_leverage_scores,
+                       read_scores, write_scores)
 from .matrix import (MatrixFormatError, SparseRowMatrix, materialize,
                      read_indexed_column, read_matrix_market, read_sample,
-                     write_sample)
+                     write_indexed_column, write_sample)
 from .pipelines import (GenericSchemeParams, NonConvergenceError,
                         generic_scheme, input_sparsity_sketch,
                         precondition_solve, refinement_sampling,
@@ -52,13 +52,6 @@ def _config(args, **overrides) -> SketchConfig:
     return SketchConfig(**fields)
 
 
-def _write_vector_tsv(path: str, x: np.ndarray) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("row_index\tvalue\n")
-        for i, v in enumerate(x):
-            fh.write(f"{i}\t{v:.17g}\n")
-
-
 def cmd_scores(args) -> int:
     if args.fast and not args.wrt:
         raise MatrixFormatError("--fast requires --wrt")
@@ -73,13 +66,7 @@ def cmd_scores(args) -> int:
             scores = generalized_leverage_scores(A, B)
     else:
         scores = exact_leverage_scores(A)
-    if args.output:
-        write_scores(args.output, scores)
-    else:
-        sys.stdout.write("row_index\tscore\n")
-        for i in range(len(scores)):
-            tok = "inf" if scores.infinite[i] else f"{scores.values[i]:.17g}"
-            sys.stdout.write(f"{i}\t{tok}\n")
+    write_scores(args.output or sys.stdout, scores)
     return _EXIT_OK
 
 
@@ -90,7 +77,6 @@ def cmd_sketch(args) -> int:
     A = read_matrix_market(args.matrix)
     cfg = _config(args)
     start = time.perf_counter()
-    status = _EXIT_OK
     try:
         if args.method == "halving":
             result = repeated_halving(A, cfg)
@@ -118,7 +104,7 @@ def cmd_sketch(args) -> int:
         "check_lambda": result.check_lambda,
         "wall_time_s": elapsed,
     }, args.report)
-    return status
+    return _EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -172,7 +158,7 @@ def cmd_solve(args) -> int:
     cfg = _config(args)
     sketch = repeated_halving(A, cfg)
     result = precondition_solve(A, b, sketch, tol=args.tol, max_iters=args.max_iters)
-    _write_vector_tsv(args.output, result.x)
+    write_indexed_column(args.output, "row_index\tvalue", result.x)
     _emit({
         "converged": result.converged,
         "iterations": result.iterations,

@@ -8,12 +8,14 @@ a truncated SVD-based factorization of the Gram matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import instrument
-from .matrix import MatrixFormatError, SparseRowMatrix, read_ascii_lines
+from .matrix import (MatrixFormatError, SparseRowMatrix, read_ascii_lines,
+                     write_indexed_column)
 
 
 @dataclass(frozen=True)
@@ -212,11 +214,8 @@ SCORE_HEADER = "row_index\tscore"
 
 
 def write_scores(path, s: ScoreVector) -> None:
-    with open(str(path), "w", encoding="ascii") as fh:
-        fh.write(SCORE_HEADER + "\n")
-        for i in range(len(s)):
-            tok = "inf" if s.infinite[i] else f"{s.values[i]:.17g}"
-            fh.write(f"{i}\t{tok}\n")
+    """Write s as TSV to a path or text stream; flagged rows read ``inf``."""
+    write_indexed_column(path, SCORE_HEADER, s.values, infinite=s.infinite)
 
 
 def read_scores(path) -> ScoreVector:
@@ -231,14 +230,22 @@ def read_scores(path) -> ScoreVector:
         parts = ln.split("\t")
         if len(parts) != 2:
             raise MatrixFormatError("expected 'row_index<TAB>score'", path, lineno)
-        if int(parts[0]) != len(vals):
+        try:
+            consecutive = int(parts[0]) == len(vals)
+        except ValueError:
+            consecutive = False
+        if not consecutive:
             raise MatrixFormatError("row indices must be consecutive from 0", path, lineno)
-        if parts[1] == "inf":
-            vals.append(0.0)
-            flags.append(True)
-        else:
-            vals.append(float(parts[1]))
-            flags.append(False)
+        tok = parts[1]
+        try:
+            val = 0.0 if tok == "inf" else float(tok)
+        except ValueError:
+            val = math.nan
+        if not 0.0 <= val < math.inf:
+            raise MatrixFormatError(f"score must be 'inf' or a nonnegative real, not {tok!r}",
+                                    path, lineno)
+        vals.append(val)
+        flags.append(tok == "inf")
     out = ScoreVector(np.asarray(vals), np.asarray(flags, dtype=bool))
     out.validate()
     return out

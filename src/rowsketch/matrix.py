@@ -485,15 +485,39 @@ def read_indexed_column(path, column: str) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
+_WRITE_BLOCK = 4096  # rows per joined write: few calls, bounded memory
+
+
+def write_indexed_column(dest, header: str, values, indices=None, infinite=None) -> None:
+    """Write ``header`` (its lines without the last newline), then one
+    ``row_index<TAB>value`` line per value.
+
+    ``dest`` is a path or an open text stream.  Row indices default to 0,
+    1, 2, ...; values keep 17 significant digits, and rows flagged in
+    ``infinite`` read ``inf``.
+    """
+    if not hasattr(dest, "write"):
+        with open(str(dest), "w", encoding="ascii") as fh:
+            return write_indexed_column(fh, header, values, indices, infinite)
+    vals = np.asarray(values, dtype=np.float64)
+    rows = np.arange(vals.size) if indices is None else np.asarray(indices)
+    flags = np.zeros(vals.size, dtype=bool) if infinite is None else np.asarray(infinite, dtype=bool)
+    dest.write(header + "\n")
+    for lo in range(0, vals.size, _WRITE_BLOCK):
+        block = slice(lo, lo + _WRITE_BLOCK)
+        toks = [format(v, ".17g") for v in vals[block].tolist()]
+        for k in np.flatnonzero(flags[block]).tolist():
+            toks[k] = "inf"
+        dest.write("".join([f"{i}\t{t}\n" for i, t in zip(rows[block].tolist(), toks)]))
+
+
 SAMPLE_HEADER = "row_index\tweight"
 
 
 def write_sample(path, S: WeightedRowSample) -> None:
-    with open(str(path), "w", encoding="ascii") as fh:
-        fh.write(f"# parent_rows={S.parent_rows}\n")
-        fh.write(SAMPLE_HEADER + "\n")
-        for i, w in zip(S.row_indices, S.weights):
-            fh.write(f"{i}\t{w:.17g}\n")
+    """Write S as TSV to a path or text stream; :func:`read_sample` reads it back."""
+    write_indexed_column(path, f"# parent_rows={S.parent_rows}\n{SAMPLE_HEADER}",
+                         S.weights, indices=S.row_indices)
 
 
 def read_sample(path) -> WeightedRowSample:

@@ -55,10 +55,6 @@ class SketchResult:
     check_lambda: float
 
 
-def _identity_on(n_parent: int, idx: np.ndarray) -> WeightedRowSample:
-    return WeightedRowSample(n_parent, np.sort(idx).astype(np.int64), np.ones(idx.size))
-
-
 def _compose(parent: WeightedRowSample, local: WeightedRowSample) -> WeightedRowSample:
     """Sample-of-a-sample: push local indices/weights through the parent."""
     if local.parent_rows != len(parent):
@@ -67,6 +63,23 @@ def _compose(parent: WeightedRowSample, local: WeightedRowSample) -> WeightedRow
     w = parent.weights[local.row_indices] * local.weights
     order = np.argsort(idx)
     return WeightedRowSample(parent.parent_rows, idx[order], w[order])
+
+
+def _resample(A: SparseRowMatrix, target: WeightedRowSample | None,
+              B: SparseRowMatrix, theta: float, rate, cfg: SketchConfig,
+              salts: tuple[tuple, tuple], history: list[float] | None) -> WeightedRowSample:
+    """Score the rows of ``target`` (None: all of A, in place) against B,
+    record the estimate mass in ``history`` (unless None), sample at
+    ``rate`` (a number or a function of the mass) with ``salts`` = (estimate
+    salt, draw salt), and return the kept rows as a sample of A."""
+    T = A if target is None else materialize(A, target)
+    u = approx_generalized_leverage(T, B, theta, cfg, salt=salts[0]).with_infinite_as(1.0)
+    mass = float(u.sum())
+    if history is not None:
+        history.append(mass)
+    alpha = rate(mass) if callable(rate) else rate
+    local = sample(u, alpha, cfg, A.n_cols, salt=salts[1])
+    return local if target is None else _compose(target, local)
 
 
 def _base_rows(d: int, cfg: SketchConfig) -> int:
@@ -101,37 +114,27 @@ def _finish(sample_: WeightedRowSample, history: list[float], levels: int,
 def _halve(A: SparseRowMatrix, idx: np.ndarray, level: int, cfg: SketchConfig,
            theta_fine: float, theta_coarse: float | None, alpha: float,
            base_rows: int, depth_cap: int, history: list[float],
-           salt: tuple) -> tuple[WeightedRowSample, bool, int]:
-    """Recursive halving on A[idx]; returns (sample into A, sampled?, levels)."""
+           salt: tuple) -> tuple[WeightedRowSample, int]:
+    """Recursive halving on A[idx] (idx sorted); returns (sample into A, levels)."""
     m = idx.size
     if m <= base_rows:
-        return _identity_on(A.n_rows, idx), False, 0
+        return WeightedRowSample(A.n_rows, idx, np.ones(m)), 0
     if level >= depth_cap:
         raise PipelineError(f"halving recursion exceeded depth cap {depth_cap}")
     draws = rng_from(cfg.seed, *salt, level, "uniform").random(m)
-    sub, _, depth = _halve(A, idx[draws < 0.5], level + 1, cfg, theta_fine,
-                           theta_coarse, alpha, base_rows, depth_cap, history, salt)
+    sub, depth = _halve(A, idx[draws < 0.5], level + 1, cfg, theta_fine,
+                        theta_coarse, alpha, base_rows, depth_cap, history, salt)
     B = materialize(A, sub)
-    Ak = materialize(A, _identity_on(A.n_rows, idx))
-    d = A.n_cols
+    target = None if m == A.n_rows else WeightedRowSample(A.n_rows, idx, np.ones(m))
     if theta_coarse is None:
-        u = approx_generalized_leverage(Ak, B, theta_fine, cfg,
-                                        salt=(*salt, level, "jl")).with_infinite_as(1.0)
-        history.append(float(u.sum()))
-        local = sample(u, alpha, cfg, d, salt=(*salt, level, "sample"))
-        return _compose(_identity_on(A.n_rows, idx), local), True, depth + 1
+        return _resample(A, target, B, theta_fine, alpha, cfg,
+                         ((*salt, level, "jl"), (*salt, level, "sample")), history), depth + 1
     # coarse pass: cheap d^theta estimates, larger intermediate sample
-    u1 = approx_generalized_leverage(Ak, B, theta_coarse, cfg,
-                                     salt=(*salt, level, "coarse")).with_infinite_as(1.0)
-    big_local = sample(u1, alpha, cfg, d, salt=(*salt, level, "big"))
-    big = _compose(_identity_on(A.n_rows, idx), big_local)
+    big = _resample(A, target, B, theta_coarse, alpha, cfg,
+                    ((*salt, level, "coarse"), (*salt, level, "big")), None)
     # fine pass: re-estimate the kept rows at constant distortion, cut again
-    A_big = materialize(A, big)
-    u2 = approx_generalized_leverage(A_big, B, theta_fine, cfg,
-                                     salt=(*salt, level, "fine")).with_infinite_as(1.0)
-    history.append(float(u2.sum()))
-    local = sample(u2, alpha, cfg, d, salt=(*salt, level, "small"))
-    return _compose(big, local), True, depth + 1
+    return _resample(A, big, B, theta_fine, alpha, cfg,
+                     ((*salt, level, "fine"), (*salt, level, "small")), history), depth + 1
 
 
 def repeated_halving(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
@@ -146,13 +149,13 @@ def repeated_halving(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     theta = cfg.resolve_theta(d)
     history: list[float] = []
     before = instrument.solve_counter()
-    out, sampled, levels = _halve(
+    out, levels = _halve(
         A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta, None,
         cfg.epsilon ** -2, _base_rows(d, cfg), _depth_cap(A.n_rows, d),
         history, ("halving",))
     lam = (1.0 + cfg.epsilon) / (1.0 - cfg.epsilon)
     return _finish(out, history, levels, cfg, lam, before,
-                   cfg.epsilon if sampled else None)
+                   cfg.epsilon if levels else None)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,7 @@ class GenericSchemeParams:
 
 def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
              params: GenericSchemeParams, cfg: SketchConfig, base_rows: int,
-             depth_cap: int, history: list[float]) -> tuple[WeightedRowSample, bool, int]:
+             depth_cap: int, history: list[float]) -> tuple[WeightedRowSample, int]:
     if depth >= depth_cap:
         raise PipelineError(f"generic scheme exceeded depth cap {depth_cap}")
     nhat = len(current)
@@ -282,30 +285,27 @@ def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
     if len(a1) <= base_rows:
         a2, lv2 = a1, 0
     else:
-        a2, _, lv2 = _generic(A, a1, depth + 1, child_params(len(a1)), cfg,
-                              base_rows, depth_cap, history)
+        a2, lv2 = _generic(A, a1, depth + 1, child_params(len(a1)), cfg,
+                           base_rows, depth_cap, history)
+
     # line 3: estimate scores against the approximation, sample n3 rows
-    B = materialize(A, a2)
-    if params.sample_wrt == "original":
-        target = _identity_on(A.n_rows, np.arange(A.n_rows, dtype=np.int64))
-    else:
-        target = current
-    T = materialize(A, target)
-    u = approx_generalized_leverage(T, B, cfg.resolve_theta(d), cfg,
-                                    salt=("generic", depth, "jl")).with_infinite_as(1.0)
-    history.append(float(u.sum()))
-    if params.n3 is not None:
-        alpha3 = params.n3 / max(cfg.c * log_dim(d) * float(u.sum()), 1e-300)
-    else:
-        alpha3 = params.per_level_epsilon ** -2
-    local = sample(u, alpha3, cfg, d, salt=("generic", depth, "sample"))
-    a3 = _compose(target, local)
+    def alpha3(mass: float) -> float:
+        if params.n3 is None:
+            return params.per_level_epsilon ** -2
+        return params.n3 / max(cfg.c * log_dim(d) * mass, 1e-300)
+
+    # a current operand as long as A is A at weight 1: only a uniform cut
+    # that keeps every row reaches that length, and cuts keep the weights
+    whole = params.sample_wrt == "original" or nhat == A.n_rows
+    a3 = _resample(A, None if whole else current, materialize(A, a2),
+                   cfg.resolve_theta(d), alpha3, cfg,
+                   (("generic", depth, "jl"), ("generic", depth, "sample")), history)
     # line 4: recurse when the result is still large and actually shrank
     if len(a3) <= base_rows or len(a3) >= nhat:
-        return a3, True, lv2 + 1
-    a4, _, lv4 = _generic(A, a3, depth + 1, child_params(len(a3)), cfg,
-                          base_rows, depth_cap, history)
-    return a4, True, lv2 + lv4 + 1
+        return a3, lv2 + 1
+    a4, lv4 = _generic(A, a3, depth + 1, child_params(len(a3)), cfg,
+                       base_rows, depth_cap, history)
+    return a4, lv2 + lv4 + 1
 
 
 def generic_scheme(A: SparseRowMatrix, params: GenericSchemeParams,
@@ -324,11 +324,11 @@ def generic_scheme(A: SparseRowMatrix, params: GenericSchemeParams,
         return replace(res, check_lambda=params.check_lambda)
     history: list[float] = []
     before = instrument.solve_counter()
-    out, sampled, levels = _generic(
+    out, levels = _generic(
         A, WeightedRowSample.identity(A.n_rows), 0, params, cfg,
         _base_rows(A.n_cols, cfg), _depth_cap(A.n_rows, A.n_cols), history)
     return _finish(out, history, levels, cfg, params.check_lambda, before,
-                   params.output_epsilon if sampled else None)
+                   params.output_epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +354,20 @@ def input_sparsity_sketch(A: SparseRowMatrix, theta: float, epsilon: float,
     theta_fine = 1.0 / log_dim(d)
     history: list[float] = []
     before = instrument.solve_counter()
-    s1, s1_sampled, levels = _halve(
+    s1, levels = _halve(
         A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta_fine, theta,
         cfg.epsilon ** -2, _base_rows(d, cfg), _depth_cap(A.n_rows, d),
         history, ("isparse",))
-    if not s1_sampled:
+    lam = (1.0 + epsilon) / (1.0 - epsilon / 20.0)
+    if levels == 0:
         # nothing to do at this size: the matrix is its own sketch
-        return _finish(s1, history, levels, cfg,
-                       (1.0 + epsilon) / (1.0 - epsilon / 20.0), before, None)
+        return _finish(s1, history, levels, cfg, lam, before, None)
     B1 = materialize(A, s1)
     alpha_half = (epsilon / 2.0) ** -2
-    u_a = approx_generalized_leverage(A, B1, theta, cfg,
-                                      salt=("isparse", "s2a")).with_infinite_as(1.0)
-    history.append(float(u_a.sum()))
-    S_a = sample(u_a, alpha_half, cfg, d, salt=("isparse", "s2a-draw"))
-    A2 = materialize(A, S_a)
-    u_b = approx_generalized_leverage(A2, B1, theta_fine, cfg,
-                                      salt=("isparse", "s2b")).with_infinite_as(1.0)
-    history.append(float(u_b.sum()))
-    S_b = sample(u_b, alpha_half, cfg, d, salt=("isparse", "s2b-draw"))
-    final = _compose(S_a, S_b)
-    lam = (1.0 + epsilon) / (1.0 - epsilon / 20.0)
+    S_a = _resample(A, None, B1, theta, alpha_half, cfg,
+                    (("isparse", "s2a"), ("isparse", "s2a-draw")), history)
+    final = _resample(A, S_a, B1, theta_fine, alpha_half, cfg,
+                      (("isparse", "s2b"), ("isparse", "s2b-draw")), history)
     return _finish(final, history, levels + 2, cfg, lam, before, epsilon / 2.0)
 
 
@@ -391,12 +384,11 @@ def final_refinement(A: SparseRowMatrix, sketch: SketchResult, epsilon: float,
     before = instrument.solve_counter()
     if d * log_dim(d) * epsilon ** -2 >= A.n_rows:
         return _finish(WeightedRowSample.identity(A.n_rows), [], 0, cfg, 1.0, before, None)
-    B = materialize(A, sketch.sample)
-    u = approx_generalized_leverage(A, B, 1.0 / log_dim(d), cfg,
-                                    salt=("final-refine",)).with_infinite_as(1.0)
-    S = sample(u, epsilon ** -2, cfg, d, salt=("final-refine", "draw"))
+    history: list[float] = []
+    S = _resample(A, None, materialize(A, sketch.sample), 1.0 / log_dim(d),
+                  epsilon ** -2, cfg, (("final-refine",), ("final-refine", "draw")), history)
     lam = (1.0 + epsilon) / (1.0 - epsilon) if epsilon < 1.0 else math.inf
-    return _finish(S, [float(u.sum())], 1, cfg, lam, before, epsilon)
+    return _finish(S, history, 1, cfg, lam, before, epsilon)
 
 
 # ---------------------------------------------------------------------------

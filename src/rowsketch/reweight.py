@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leverage import ScoreVector, exact_leverage_scores, factor_gram
-from .matrix import SparseRowMatrix, gram, read_indexed_column, scale_rows
+from .matrix import (SparseRowMatrix, gram, read_indexed_column, scale_rows,
+                     write_indexed_column)
 
 
 @dataclass(frozen=True)
@@ -247,10 +248,8 @@ WEIGHT_HEADER = "row_index\tweight"
 
 
 def write_weights(path, W: Reweighting) -> None:
-    with open(str(path), "w", encoding="ascii") as fh:
-        fh.write(WEIGHT_HEADER + "\n")
-        for i, w in enumerate(W.weights):
-            fh.write(f"{i}\t{w:.17g}\n")
+    """Write W as TSV to a path or text stream."""
+    write_indexed_column(path, WEIGHT_HEADER, W.weights)
 
 
 def read_weights(path) -> Reweighting:

@@ -1,5 +1,5 @@
 """Dense certifiers: spectral approximation checks and a seeded Monte Carlo
-harness, plus the instrumentation counter surface.
+harness.
 """
 
 from __future__ import annotations
@@ -10,12 +10,6 @@ from typing import Callable
 
 import numpy as np
 
-from .instrument import (  # noqa: F401  (re-exported instrumentation surface)
-    factorization_count,
-    reset_counters,
-    solve_count,
-    solve_counter,
-)
 from .leverage import factor_gram
 from .matrix import SparseRowMatrix, gram
 

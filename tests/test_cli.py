@@ -54,6 +54,15 @@ class TestScores:
         assert np.all(fast >= exact * (1 - 1e-6))
         assert np.all(fast <= safety * safety * exact + 1e-9)
 
+    def test_stdout_matches_output_file(self, tmp_path, identity_mtx, capsys):
+        ref = tmp_path / "ref.mtx"
+        write_matrix_market(ref, SparseRowMatrix.from_dense(np.eye(6)[:3]))
+        out = tmp_path / "scores.tsv"
+        assert main(["scores", identity_mtx, "--wrt", str(ref), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["scores", identity_mtx, "--wrt", str(ref)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["scores", str(tmp_path / "nope.mtx")]) == 2
         assert "rowsketch:" in capsys.readouterr().err
@@ -152,6 +161,15 @@ class TestReweight:
 
     def test_requires_exactly_one_target_flag(self, identity_mtx, tmp_path):
         assert main(["reweight", identity_mtx, "-o", str(tmp_path / "w.tsv")]) == 2
+
+    @pytest.mark.parametrize("bad", ["x\t1", "1\tabc", "1\tnan", "1\t-1"])
+    def test_malformed_targets_exit_2_with_location(self, identity_mtx, tmp_path, capsys, bad):
+        targets = tmp_path / "t.tsv"
+        targets.write_text(f"row_index\tscore\n0\t1\n{bad}\n")
+        w_p = tmp_path / "w.tsv"
+        assert main(["reweight", identity_mtx, "--targets", str(targets), "-o", str(w_p)]) == 2
+        assert capsys.readouterr().err.startswith(f"rowsketch: {targets}:3: ")
+        assert not w_p.exists()
 
 
 class TestSolve:

@@ -1,14 +1,17 @@
 """Matrix storage, Matrix Market parsing, sample materialization, TSV I/O."""
 
+import io
 import warnings
 
 import numpy as np
 import pytest
 import scipy.io
 
-from rowsketch import (MatrixFormatError, SparseRowMatrix, WeightedRowSample,
-                       gram, materialize, read_matrix_market, read_sample,
-                       scale_rows, write_matrix_market, write_sample)
+from rowsketch import (MatrixFormatError, Reweighting, ScoreVector,
+                       SparseRowMatrix, WeightedRowSample, gram, materialize,
+                       read_matrix_market, read_sample, scale_rows,
+                       write_matrix_market, write_sample, write_scores,
+                       write_weights)
 from rowsketch import matrix
 from rowsketch.matrix import read_indexed_column
 
@@ -385,6 +388,64 @@ class TestSampleIO:
         with pytest.raises(MatrixFormatError) as err:
             read_sample(p)
         assert err.value.line == 3
+
+
+class TestTsvWriter:
+    """One writer serves samples, scores, weights and vectors; its bytes
+    must equal a per-line ``{:.17g}`` loop over the numpy arrays."""
+
+    EDGE = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     1.0 / 3.0, 0.1, 1e16, 123456789.0, -2.5, np.inf, -np.inf, np.nan])
+
+    @staticmethod
+    def reference(header, indices, values, flags):
+        out = header + "\n"
+        for i, v, f in zip(indices, values, flags):
+            tok = "inf" if f else f"{v:.17g}"
+            out += f"{i}\t{tok}\n"
+        return out
+
+    @staticmethod
+    def assert_same(got: bytes, want: str):
+        # line lists, not one long string: pytest's diff of long strings is slow
+        assert got.splitlines(keepends=True) == want.encode("ascii").splitlines(keepends=True)
+
+    def cases(self, rng):
+        yield self.EDGE, np.zeros(self.EDGE.size, dtype=bool)
+        flags = np.zeros(self.EDGE.size, dtype=bool)
+        flags[[0, 4, 12]] = True
+        yield np.where(flags, 0.0, self.EDGE), flags
+        # longer than the writer's block of rows
+        rand = rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000)
+        yield rand, rng.random(9000) < 0.1
+        yield np.empty(0), np.zeros(0, dtype=bool)
+
+    def test_indexed_column_matches_reference(self, tmp_path, rng):
+        for values, flags in self.cases(rng):
+            for indices in (None, np.sort(rng.choice(10 ** 12, values.size, replace=False))):
+                shown = np.arange(values.size) if indices is None else indices
+                want = self.reference("# h\nrow_index\tx", shown, values, flags)
+                p = tmp_path / "x.tsv"
+                matrix.write_indexed_column(p, "# h\nrow_index\tx", values, indices, flags)
+                self.assert_same(p.read_bytes(), want)
+                stream = io.StringIO()
+                matrix.write_indexed_column(stream, "# h\nrow_index\tx", values, indices, flags)
+                self.assert_same(stream.getvalue().encode("ascii"), want)
+
+    def test_public_writers_match_reference(self, tmp_path, rng):
+        for values, flags in self.cases(rng):
+            n = values.size
+            idx = np.sort(rng.choice(3 * n + 1, n, replace=False))
+            p = tmp_path / "s.tsv"
+            write_sample(p, WeightedRowSample(3 * n + 1, idx, values))
+            self.assert_same(p.read_bytes(), self.reference(
+                f"# parent_rows={3 * n + 1}\nrow_index\tweight", idx, values, np.zeros(n)))
+            write_scores(p, ScoreVector(np.where(flags, 0.0, values), flags))
+            self.assert_same(p.read_bytes(), self.reference(
+                "row_index\tscore", range(n), np.where(flags, 0.0, values), flags))
+            write_weights(p, Reweighting(values))
+            self.assert_same(p.read_bytes(), self.reference(
+                "row_index\tweight", range(n), values, np.zeros(n)))
 
 
 def test_scale_rows_zero_weight_empties_row():

@@ -1,6 +1,8 @@
 """End-to-end sketchers: spectral grades, row budgets, determinism, presets,
 and the preconditioned solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from rowsketch.fastlev import sketch_rows
 from rowsketch.pipelines import normal_equations_gradient_descent
 from rowsketch.sampling import log_dim
 
-from conftest import gaussian_matrix, stacked_identity
+from conftest import (gaussian_matrix, isolated_direction_matrix,
+                      power_law_matrix, stacked_identity)
 
 
 def make_verified_sketch(A, seed=0, eps=1.0 / 3.0):
@@ -272,3 +275,254 @@ class TestPreconditionSolve:
         sk = make_verified_sketch(A, eps=0.5)
         with pytest.raises(ValueError):
             precondition_solve(A, np.ones(9), sk)
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: every pipeline on three matrices and four seeds, pinned so
+# that a refactor meant to be pure shows any change in the draws.  Weight
+# sums and estimate histories are compared to 1e-9 relative, which absorbs
+# last-bit differences between LAPACK builds; everything else is exact.
+# ---------------------------------------------------------------------------
+
+GOLDEN_MATRICES = {
+    "gaussian": lambda: gaussian_matrix(8192, 16, 88),
+    "power-law": lambda: power_law_matrix(4096, 16, 55),
+    "isolated": lambda: isolated_direction_matrix(2048, 8, 99),
+}
+GOLDEN_RUNS = ("halving", "refinement", "input-sparsity", "generic-head",
+               "generic-tail", "generic-refinement", "generic-sqrt",
+               "final-refinement")
+GOLDEN_SEEDS = range(4)
+
+
+def golden_run(A, run, seed):
+    cfg = SketchConfig(seed=seed)
+    if run == "halving":
+        return repeated_halving(A, cfg)
+    if run == "refinement":
+        return refinement_sampling(A, cfg)
+    if run == "input-sparsity":
+        return input_sparsity_sketch(A, 0.5, cfg.epsilon, cfg)
+    if run == "final-refinement":
+        return final_refinement(A, repeated_halving(A, cfg), 0.5, cfg)
+    preset = run.split("-", 1)[1]
+    return generic_scheme(A, GenericSchemeParams.for_preset(preset, A.n_rows, A.n_cols, cfg), cfg)
+
+
+def golden_summary(r):
+    """(sha256 prefix of the row indices, rows kept, levels, solves,
+    weight sum, estimate history)."""
+    digest = hashlib.sha256(r.sample.row_indices.astype("<i8").tobytes()).hexdigest()[:16]
+    return (digest, r.rows_kept, r.levels_or_iterations, r.solve_count,
+            float(r.sample.weights.sum()), tuple(r.sum_estimates_history))
+
+
+# Recorded with the golden_run/golden_summary pair above.
+GOLDEN = {
+    ("gaussian", 0, "halving"): ("a7c32eb9b9fb6a39", 1940, 4, 728, 3147.676611255,
+        (89.61910022283, 88.67349681085, 90.81052412464, 89.7384222423)),
+    ("gaussian", 0, "refinement"): ("0fc7a475ddc671f1", 3547, 4, 1436, 4342.487697124,
+        (8192, 2991.484967172, 1119.854867481, 429.7242691456, 160.0401900675)),
+    ("gaussian", 0, "input-sparsity"): ("e7793c0033e662f9", 4037, 6, 1570, 5086.19017131,
+        (89.51206996101, 94.54391493535, 82.94356585916, 86.85699626211, 70.903835535, 45.32139175357)),
+    ("gaussian", 0, "generic-head"): ("a7c32eb9b9fb6a39", 1940, 4, 728, 3147.676611255,
+        (89.61910022283, 88.67349681085, 90.81052412464, 89.7384222423)),
+    ("gaussian", 0, "generic-tail"): ("3b4a1d98c4f2b873", 442, 4, 728, 1357.775873219,
+        (10126.64328441, 4861.153320517, 2579.381638577, 2280.541511178)),
+    ("gaussian", 0, "generic-refinement"): ("0fc7a475ddc671f1", 3547, 4, 1436, 4342.487697124,
+        (8192, 2991.484967172, 1119.854867481, 429.7242691456, 160.0401900675)),
+    ("gaussian", 0, "generic-sqrt"): ("75e813e1edb355fb", 587, 1, 182, 1691.049083162,
+        (629.9794554849,)),
+    ("gaussian", 0, "final-refinement"): ("bb216fce78876198", 1423, 1, 182, 2742.615944602,
+        (63.87174185001,)),
+    ("gaussian", 1, "halving"): ("e55edc88b3b94e8f", 1967, 4, 728, 3271.149715052,
+        (86.9793198581, 85.59735448942, 87.45446199918, 87.24337720614)),
+    ("gaussian", 1, "refinement"): ("1d8a9fe78912db65", 3185, 4, 1436, 4115.810985755,
+        (8192, 3034.990118841, 1113.998219503, 394.9649927607, 141.8766826501)),
+    ("gaussian", 1, "input-sparsity"): ("8d381f1c0658d5e8", 3834, 6, 1570, 4929.245206456,
+        (90.38511601513, 86.34937280689, 85.56432216692, 90.23296319347, 68.5553715743, 43.18825314996)),
+    ("gaussian", 1, "generic-head"): ("e55edc88b3b94e8f", 1967, 4, 728, 3271.149715052,
+        (86.9793198581, 85.59735448942, 87.45446199918, 87.24337720614)),
+    ("gaussian", 1, "generic-tail"): ("80e6bdc011873fdb", 523, 4, 728, 1641.040520122,
+        (9642.915287659, 4570.968441869, 2414.604708088, 1446.438063466)),
+    ("gaussian", 1, "generic-refinement"): ("1d8a9fe78912db65", 3185, 4, 1436, 4115.810985755,
+        (8192, 3034.990118841, 1113.998219503, 394.9649927607, 141.8766826501)),
+    ("gaussian", 1, "generic-sqrt"): ("9b30b16f082e80c2", 606, 1, 182, 1736.595863007,
+        (569.971862449,)),
+    ("gaussian", 1, "final-refinement"): ("5818cfe4bb7e39ca", 1400, 1, 182, 2765.880727405,
+        (60.28652864807,)),
+    ("gaussian", 2, "halving"): ("72536f10057325a3", 1866, 4, 728, 3198.503593961,
+        (91.48153178447, 87.06198840886, 88.24344074942, 80.77833069158)),
+    ("gaussian", 2, "refinement"): ("dc009f79673624f5", 3398, 4, 1436, 4291.145472739,
+        (8192, 3000.537790272, 1088.75105356, 412.0594989715, 149.1964372009)),
+    ("gaussian", 2, "input-sparsity"): ("6a67cf051fa66b1f", 3735, 6, 1570, 4825.097099587,
+        (89.99041141716, 90.07873318729, 88.67844987959, 87.70624209608, 62.74882093731, 42.68769941324)),
+    ("gaussian", 2, "generic-head"): ("72536f10057325a3", 1866, 4, 728, 3198.503593961,
+        (91.48153178447, 87.06198840886, 88.24344074942, 80.77833069158)),
+    ("gaussian", 2, "generic-tail"): ("3c9f0f2e2573157b", 485, 4, 728, 1531.402523436,
+        (23410.79320892, 4493.261245697, 4331.013876333, 1481.896530054)),
+    ("gaussian", 2, "generic-refinement"): ("dc009f79673624f5", 3398, 4, 1436, 4291.145472739,
+        (8192, 3000.537790272, 1088.75105356, 412.0594989715, 149.1964372009)),
+    ("gaussian", 2, "generic-sqrt"): ("ff553ff3c06c8b20", 599, 1, 182, 1705.529723502,
+        (642.1420499539,)),
+    ("gaussian", 2, "final-refinement"): ("5cee466bfd2486bb", 1383, 1, 182, 2639.11289134,
+        (65.57172426904,)),
+    ("gaussian", 3, "halving"): ("a1a87f5e67691913", 1987, 4, 728, 3300.942649509,
+        (87.35854196952, 83.7706785021, 83.63753247952, 87.57224212825)),
+    ("gaussian", 3, "refinement"): ("57c7e5e280386991", 3108, 4, 1436, 4046.075350123,
+        (8192, 2928.181023091, 1062.771798466, 382.224886145, 139.9375221878)),
+    ("gaussian", 3, "input-sparsity"): ("4fb2e6c3c8bad4c6", 3810, 6, 1570, 4929.840694573,
+        (85.29085064209, 86.78241865786, 90.91100944026, 86.17814352832, 64.04123183073, 42.86385254733)),
+    ("gaussian", 3, "generic-head"): ("a1a87f5e67691913", 1987, 4, 728, 3300.942649509,
+        (87.35854196952, 83.7706785021, 83.63753247952, 87.57224212825)),
+    ("gaussian", 3, "generic-tail"): ("6bb3e0392f51a7e8", 501, 4, 728, 1556.988154721,
+        (12044.29826973, 4237.069673683, 2161.768075521, 1179.334645419)),
+    ("gaussian", 3, "generic-refinement"): ("57c7e5e280386991", 3108, 4, 1436, 4046.075350123,
+        (8192, 2928.181023091, 1062.771798466, 382.224886145, 139.9375221878)),
+    ("gaussian", 3, "generic-sqrt"): ("ccb80b5f33fc4693", 593, 1, 182, 1706.419045552,
+        (591.4569330798,)),
+    ("gaussian", 3, "final-refinement"): ("869a830408f45c62", 1310, 1, 182, 2584.08971328,
+        (61.26959877201,)),
+    ("isolated", 0, "halving"): ("40de74c28ec6b47f", 645, 3, 414, 901.5954731519,
+        (36.38822068847, 34.14876658374, 40.51899491425)),
+    ("isolated", 0, "refinement"): ("9caf80a4d017305e", 1225, 3, 813, 1291.245157253,
+        (2048, 644.1370498391, 212.1082802321, 77.44487591304)),
+    ("isolated", 0, "input-sparsity"): ("deb39863055b03b1", 1173, 5, 1080, 1334.683854839,
+        (42.06854283331, 32.60051750615, 40.62496901469, 24.38309592979, 22.15283806774)),
+    ("isolated", 0, "generic-head"): ("40de74c28ec6b47f", 645, 3, 414, 901.5954731519,
+        (36.38822068847, 34.14876658374, 40.51899491425)),
+    ("isolated", 0, "generic-tail"): ("78894389b735a227", 181, 3, 414, 447.9567944963,
+        (5771.465039215, 3338.19476745, 1028.533771823)),
+    ("isolated", 0, "generic-refinement"): ("9caf80a4d017305e", 1225, 3, 813, 1291.245157253,
+        (2048, 644.1370498391, 212.1082802321, 77.44487591304)),
+    ("isolated", 0, "generic-sqrt"): ("dcfbc480b3327016", 189, 1, 138, 475.207810614,
+        (255.2559351355,)),
+    ("isolated", 0, "final-refinement"): ("81ec29326b5ddbb5", 427, 1, 138, 729.897793313,
+        (30.26297988778,)),
+    ("isolated", 1, "halving"): ("d7830d60ef2ba48f", 577, 3, 414, 834.2856739067,
+        (38.63155828651, 38.0263940498, 37.48494056562)),
+    ("isolated", 1, "refinement"): ("2b17e3263ae54cb6", 1079, 3, 813, 1168.165607408,
+        (2048, 644.5877632255, 208.7099469951, 68.81930963412)),
+    ("isolated", 1, "input-sparsity"): ("b4a3e3672d6b7433", 1130, 5, 1080, 1326.014989215,
+        (39.81177152543, 44.4693058106, 44.5316769028, 23.3524282654, 20.98166967922)),
+    ("isolated", 1, "generic-head"): ("d7830d60ef2ba48f", 577, 3, 414, 834.2856739067,
+        (38.63155828651, 38.0263940498, 37.48494056562)),
+    ("isolated", 1, "generic-tail"): ("9199545b614c2667", 216, 3, 414, 505.1581754358,
+        (5697.56155956, 1383.192805003, 631.2707580583)),
+    ("isolated", 1, "generic-refinement"): ("2b17e3263ae54cb6", 1079, 3, 813, 1168.165607408,
+        (2048, 644.5877632255, 208.7099469951, 68.81930963412)),
+    ("isolated", 1, "generic-sqrt"): ("33502f1de5b53ea7", 209, 1, 138, 536.0502516017,
+        (173.1853133531,)),
+    ("isolated", 1, "final-refinement"): ("310577245c68ad04", 517, 1, 138, 852.899626137,
+        (31.32497792999,)),
+    ("isolated", 2, "halving"): ("46879f79b6283d0a", 627, 3, 414, 907.877587367,
+        (37.26104065708, 38.54376968609, 36.92327646899)),
+    ("isolated", 2, "refinement"): ("d075e4617394febb", 1125, 3, 813, 1210.286088806,
+        (2048, 662.3052182608, 215.071253238, 71.48499012564)),
+    ("isolated", 2, "input-sparsity"): ("104c6285b22b6537", 1083, 5, 1080, 1266.738413313,
+        (40.50819526769, 40.50191929992, 36.83393193508, 21.41388451077, 22.49192607416)),
+    ("isolated", 2, "generic-head"): ("46879f79b6283d0a", 627, 3, 414, 907.877587367,
+        (37.26104065708, 38.54376968609, 36.92327646899)),
+    ("isolated", 2, "generic-tail"): ("a5815102e0592985", 183, 3, 414, 457.1428080484,
+        (8605.988539662, 2769.357679444, 768.6724704793)),
+    ("isolated", 2, "generic-refinement"): ("d075e4617394febb", 1125, 3, 813, 1210.286088806,
+        (2048, 662.3052182608, 215.071253238, 71.48499012564)),
+    ("isolated", 2, "generic-sqrt"): ("175ab35d371db0db", 209, 1, 138, 528.6799329256,
+        (211.4710100008,)),
+    ("isolated", 2, "final-refinement"): ("e78063cf7e600741", 452, 1, 138, 735.5338196482,
+        (31.89410072269,)),
+    ("isolated", 3, "halving"): ("9448822f333c5f3f", 640, 3, 414, 914.0704798132,
+        (34.08008141336, 37.35553353012, 40.26951813815)),
+    ("isolated", 3, "refinement"): ("751f4d97da8070bc", 1089, 3, 813, 1196.209491833,
+        (2048, 653.6373930285, 207.8926604059, 67.0280333739)),
+    ("isolated", 3, "input-sparsity"): ("837ca1ce690c4533", 1058, 5, 1080, 1226.130479823,
+        (40.37141146692, 38.5656963515, 40.27041799973, 21.45861532088, 20.53258535514)),
+    ("isolated", 3, "generic-head"): ("9448822f333c5f3f", 640, 3, 414, 914.0704798132,
+        (34.08008141336, 37.35553353012, 40.26951813815)),
+    ("isolated", 3, "generic-tail"): ("b137f9151a9ff363", 243, 3, 414, 532.4256534756,
+        (2408.598425522, 1315.537301994, 600.3883906417)),
+    ("isolated", 3, "generic-refinement"): ("751f4d97da8070bc", 1089, 3, 813, 1196.209491833,
+        (2048, 653.6373930285, 207.8926604059, 67.0280333739)),
+    ("isolated", 3, "generic-sqrt"): ("6e0a3890577d7473", 156, 1, 138, 387.6917200896,
+        (201.7038835641,)),
+    ("isolated", 3, "final-refinement"): ("1afa8a6f3c6a1130", 454, 1, 138, 762.5316159144,
+        (30.7884564485,)),
+    ("power-law", 0, "halving"): ("c93649a5f72d6870", 583, 3, 546, 952.5593660637,
+        (475.5525001146, 111.0384601721, 619.3152720594)),
+    ("power-law", 0, "refinement"): ("48482fbbc28ee1aa", 486, 2, 718, 831.7103611379,
+        (4096, 326.5549892338, 68.50578858018)),
+    ("power-law", 0, "input-sparsity"): ("62467046fe3bba58", 568, 5, 1256, 1082.766188975,
+        (499.2866306354, 615.0061058969, 96.9951829471, 67.80734432007, 43.54021519803)),
+    ("power-law", 0, "generic-head"): ("c93649a5f72d6870", 583, 3, 546, 952.5593660637,
+        (475.5525001146, 111.0384601721, 619.3152720594)),
+    ("power-law", 0, "generic-tail"): ("e4b3b563d6fd0c67", 191, 1, 182, 454.292860062,
+        (149044.2603512,)),
+    ("power-law", 0, "generic-refinement"): ("48482fbbc28ee1aa", 486, 2, 718, 831.7103611379,
+        (4096, 326.5549892338, 68.50578858018)),
+    ("power-law", 0, "generic-sqrt"): ("7a73da4be27a5695", 91, 1, 182, 265.9302915383,
+        (3188.462156032,)),
+    ("power-law", 0, "final-refinement"): ("1e3e9e5d5e7da21b", 299, 1, 182, 571.1725405619,
+        (61.83301797048,)),
+    ("power-law", 1, "halving"): ("b906b49027bb5125", 475, 3, 546, 814.813943497,
+        (175.9694935301, 485.8317374381, 623.6426532554)),
+    ("power-law", 1, "refinement"): ("5927a6cb02b9ee65", 457, 2, 718, 759.553048398,
+        (4096, 328.2768612698, 68.00778854203)),
+    ("power-law", 1, "input-sparsity"): ("6880efcaa4bae26c", 542, 5, 1256, 1011.128903886,
+        (450.861444873, 613.0795710777, 628.4941858661, 67.33281018201, 42.59245626893)),
+    ("power-law", 1, "generic-head"): ("b906b49027bb5125", 475, 3, 546, 814.813943497,
+        (175.9694935301, 485.8317374381, 623.6426532554)),
+    ("power-law", 1, "generic-tail"): ("7f3dace7f25f4bf5", 154, 1, 182, 402.9733603602,
+        (382862.9567557,)),
+    ("power-law", 1, "generic-refinement"): ("5927a6cb02b9ee65", 457, 2, 718, 759.553048398,
+        (4096, 328.2768612698, 68.00778854203)),
+    ("power-law", 1, "generic-sqrt"): ("5899a90251e96040", 87, 1, 182, 225.3921921747,
+        (3823.700523212,)),
+    ("power-law", 1, "final-refinement"): ("4f9cab884cfefb1a", 320, 1, 182, 653.1408231921,
+        (61.30086221224,)),
+    ("power-law", 2, "halving"): ("ad6478082c1c8838", 442, 3, 546, 800.6109405338,
+        (541.9185892845, 330.3158683568, 311.7681732119)),
+    ("power-law", 2, "refinement"): ("97463fb64f89e374", 458, 2, 718, 798.1751623374,
+        (4096, 326.6691732409, 66.74619344764)),
+    ("power-law", 2, "input-sparsity"): ("aa53c069e8a55d96", 560, 5, 1256, 978.3860762982,
+        (894.4689008433, 236.0424830609, 409.5477150169, 64.0369119826, 43.39164665857)),
+    ("power-law", 2, "generic-head"): ("ad6478082c1c8838", 442, 3, 546, 800.6109405338,
+        (541.9185892845, 330.3158683568, 311.7681732119)),
+    ("power-law", 2, "generic-tail"): ("a2fe8554e2974d73", 161, 1, 182, 338.0128556063,
+        (545389.068382,)),
+    ("power-law", 2, "generic-refinement"): ("97463fb64f89e374", 458, 2, 718, 798.1751623374,
+        (4096, 326.6691732409, 66.74619344764)),
+    ("power-law", 2, "generic-sqrt"): ("88f1786646ac762f", 42, 1, 182, 95.15946791731,
+        (10986.48056093,)),
+    ("power-law", 2, "final-refinement"): ("10f4e427ae6c026a", 316, 1, 182, 590.2053024478,
+        (67.87928846106,)),
+    ("power-law", 3, "halving"): ("9603945971553915", 451, 3, 546, 835.3837395181,
+        (296.4048355341, 292.738755028, 414.2812643139)),
+    ("power-law", 3, "refinement"): ("d1a88d64a975a549", 470, 2, 718, 831.0291715983,
+        (4096, 320.4022165198, 66.50003798877)),
+    ("power-law", 3, "input-sparsity"): ("34870a992f3cb246", 548, 5, 1256, 1012.643470552,
+        (1130.986555133, 101.1712753545, 616.6921917734, 63.12125187885, 41.95125774439)),
+    ("power-law", 3, "generic-head"): ("9603945971553915", 451, 3, 546, 835.3837395181,
+        (296.4048355341, 292.738755028, 414.2812643139)),
+    ("power-law", 3, "generic-tail"): ("28cbfd33068beab8", 134, 1, 182, 318.5085142752,
+        (390869.10638,)),
+    ("power-law", 3, "generic-refinement"): ("d1a88d64a975a549", 470, 2, 718, 831.0291715983,
+        (4096, 320.4022165198, 66.50003798877)),
+    ("power-law", 3, "generic-sqrt"): ("8b19271afd82a235", 47, 1, 182, 107.588134877,
+        (9372.755872637,)),
+    ("power-law", 3, "final-refinement"): ("2851fb5956326c34", 329, 1, 182, 661.1633065889,
+        (62.60688430584,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MATRICES))
+def test_golden_outputs(name):
+    A = GOLDEN_MATRICES[name]()
+    for seed in GOLDEN_SEEDS:
+        for run in GOLDEN_RUNS:
+            got = golden_summary(golden_run(A, run, seed))
+            want = GOLDEN[name, seed, run]
+            where = f"{name} seed {seed} {run}"
+            assert got[:4] == want[:4], where
+            np.testing.assert_allclose(got[4], want[4], rtol=1e-9, atol=0, err_msg=where)
+            assert len(got[5]) == len(want[5]), where
+            np.testing.assert_allclose(got[5], want[5], rtol=1e-9, atol=0, err_msg=where)
