@@ -10,7 +10,6 @@ all deterministic given a seed.
 
 from .fastlev import (GaussianSketch, KernelProbe, approx_generalized_leverage,
                       build_projector_sketch, gaussian_sketch, kernel_probe)
-from .instrument import reset_counters, solve_counter
 from .leverage import (PseudoinverseFactor, ScoreVector, cross_leverage,
                        exact_leverage_scores, factor_gram,
                        generalized_leverage_scores, min_norm_witness,
@@ -50,9 +49,9 @@ __all__ = [
     "materialize", "min_norm_witness", "monte_carlo", "normal_equations_cg",
     "precondition_solve", "rank_one_update", "read_matrix_market",
     "read_sample", "read_scores", "read_weights", "refinement_sampling",
-    "repeated_halving", "reset_counters", "sample", "sampling_probabilities",
-    "scale_rows", "scaled_sample", "sherman_morrison_check", "solve_counter",
-    "spectral_check", "undersample_refine", "uniform_leverage_estimates",
+    "repeated_halving", "sample", "sampling_probabilities", "scale_rows",
+    "scaled_sample", "sherman_morrison_check", "spectral_check",
+    "undersample_refine", "uniform_leverage_estimates",
     "uniform_no_reweight_estimates", "write_matrix_market", "write_sample",
     "write_scores", "write_weights",
 ]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import instrument
 from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import SparseRowMatrix
 from .sampling import SketchConfig, rng_from
@@ -69,6 +68,12 @@ def sketch_rows(theta: float, cfg: SketchConfig) -> int:
     return int(np.ceil(cfg.jl_rows_constant / theta))
 
 
+def estimate_cost(theta: float, cfg: SketchConfig) -> int:
+    """Solves one :func:`approx_generalized_leverage` call spends: one Gram
+    factorization, k sketch rows and ``cfg.kernel_probes`` kernel probes."""
+    return 1 + sketch_rows(theta, cfg) + cfg.kernel_probes
+
+
 def gaussian_sketch(k: int, n: int, cfg: SketchConfig, salt=()) -> GaussianSketch:
     entries = rng_from(cfg.seed, "gaussian-sketch", *salt).standard_normal((k, n))
     return GaussianSketch(k, entries)
@@ -80,13 +85,13 @@ def build_projector_sketch(B: SparseRowMatrix, theta: float, cfg: SketchConfig,
 
     Z is a k x rank(B) Gaussian and B = U diag(sigma) V', so M has the
     distribution of (1/sqrt(k)) G B (B'B)^+ for a k x n_B Gaussian G, and
-    E ||M a_i||^2 equals tau^B_i exactly.  Counted as k solves against the
-    Gram factor.  At rank 0, M is a k x d zero block.
+    E ||M a_i||^2 equals tau^B_i exactly.  Its k rows are k solves against
+    the Gram factor (see :func:`estimate_cost`).  At rank 0, M is a k x d
+    zero block.
     """
     k = sketch_rows(theta, cfg)
     f = factor if factor is not None else factor_gram(B)
     Z = gaussian_sketch(k, f.rank, cfg, salt=salt).entries
-    instrument.count_solves(k)
     return (Z / f.singular_values) @ f.right_singular_vectors.T / np.sqrt(k)
 
 
@@ -102,7 +107,6 @@ def kernel_probe(B: SparseRowMatrix, t_probes: int, cfg: SketchConfig, salt=(),
         raise ValueError("need at least one probe")
     f = factor if factor is not None else factor_gram(B)
     g = rng_from(cfg.seed, "kernel-probe", *salt).standard_normal((B.n_cols, t_probes))
-    instrument.count_solves(t_probes)
     z = g - f.rowspace_project(g)
     return KernelProbe(np.ascontiguousarray(z.T), t_probes, np.linalg.norm(g, axis=0))
 
@@ -113,8 +117,8 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
 
     Returns d^theta * ||M a_i||^2 per row (the safety factor making the
     estimate one-sided), and flags a row infinite when any probe dot
-    exceeds ktol * ||a_i|| * ||z_t||.  One factorization per call, counted
-    with k + t_probes solves.
+    exceeds ktol * ||a_i|| * ||z_t||.  One factorization per call; the
+    solves it spends are :func:`estimate_cost`.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")

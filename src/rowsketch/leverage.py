@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import instrument
 from .matrix import (MatrixFormatError, SparseRowMatrix, read_ascii_lines,
                      write_indexed_column)
 
@@ -122,7 +121,6 @@ def factor_gram(A: SparseRowMatrix, rtol: float = 1e-10) -> PseudoinverseFactor:
     """
     if not 0.0 < rtol < 1.0:
         raise ValueError("rtol must lie in (0, 1)")
-    instrument.count_factorization()
     dense = A.to_dense() if A.n_rows else np.zeros((0, A.n_cols))
     _, s, vh = np.linalg.svd(dense, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:

@@ -162,10 +162,6 @@ class SparseRowMatrix:
         """A @ X for a dense vector or d x k block."""
         return self.to_scipy() @ X
 
-    def t_dot_dense(self, y: np.ndarray) -> np.ndarray:
-        """A.T @ y for a dense n-vector (or n x k block)."""
-        return self.to_scipy().T @ y
-
 
 @dataclass(frozen=True)
 class WeightedRowSample:
@@ -457,8 +453,8 @@ def _read_tsv_fast(path: str, n_header: int):
 
 
 def read_indexed_column(path, column: str) -> np.ndarray:
-    """Values of a TSV with header ``row_index<TAB><column>`` whose row
-    indices run 0, 1, 2, ... in order; blank lines are skipped."""
+    """Finite values of a TSV with header ``row_index<TAB><column>`` whose
+    row indices run 0, 1, 2, ... in order; blank lines are skipped."""
     path = str(path)
     header = f"row_index\t{column}"
     fast = _read_tsv_fast(path, 1)
@@ -479,9 +475,12 @@ def read_indexed_column(path, column: str) -> np.ndarray:
         if not consecutive:
             raise MatrixFormatError(f"expected consecutive 'row_index<TAB>{column}'", path, lineno)
         try:
-            vals.append(float(parts[1]))
+            val = float(parts[1])
         except ValueError:
             raise MatrixFormatError(f"bad {column} {parts[1]!r}", path, lineno) from None
+        if not np.isfinite(val):
+            raise MatrixFormatError(f"non-finite {column} {parts[1]!r}", path, lineno)
+        vals.append(val)
     return np.asarray(vals, dtype=np.float64)
 
 
@@ -521,6 +520,9 @@ def write_sample(path, S: WeightedRowSample) -> None:
 
 
 def read_sample(path) -> WeightedRowSample:
+    """The sample in a TSV written by :func:`write_sample`.  An entry whose
+    index is repeated or outside the parent, or whose weight is not positive
+    and finite, is an error at its line."""
     path = str(path)
     fast = _read_tsv_fast(path, 2)
     lines = fast[0] if fast is not None else read_ascii_lines(path)
@@ -533,20 +535,31 @@ def read_sample(path) -> WeightedRowSample:
     if len(lines) < 2 or lines[1] != SAMPLE_HEADER:
         raise MatrixFormatError(f"expected header {SAMPLE_HEADER!r}", path, 2)
     if fast is not None:
-        idx, wts = fast[1], fast[2]
-    else:
-        idx, wts = [], []
-        for lineno, ln in enumerate(lines[2:], start=3):
-            if not ln.strip():
-                continue
-            parts = ln.split("\t")
-            if len(parts) != 2:
-                raise MatrixFormatError("expected 'row_index<TAB>weight'", path, lineno)
-            try:
-                idx.append(int(parts[0]))
-                wts.append(float(parts[1]))
-            except ValueError:
-                raise MatrixFormatError("bad entry", path, lineno) from None
-    out = WeightedRowSample(parent, np.asarray(idx, dtype=np.int64), np.asarray(wts))
-    out.validate()
-    return out
+        out = WeightedRowSample(parent, fast[1], fast[2])
+        try:
+            out.validate()
+            return out
+        except ValueError:
+            lines = read_ascii_lines(path)  # the scanner locates the bad entry
+    idx, wts, seen = [], [], set()
+    for lineno, ln in enumerate(lines[2:], start=3):
+        if not ln.strip():
+            continue
+        parts = ln.split("\t")
+        if len(parts) != 2:
+            raise MatrixFormatError("expected 'row_index<TAB>weight'", path, lineno)
+        try:
+            i, w = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise MatrixFormatError("bad entry", path, lineno) from None
+        if not 0 <= i < parent:
+            raise MatrixFormatError(f"row index {i} outside 0..{parent - 1}", path, lineno)
+        if i in seen:
+            raise MatrixFormatError(f"duplicate row index {i}", path, lineno)
+        if not 0.0 < w < np.inf:
+            raise MatrixFormatError(f"weight must be positive and finite, not {parts[1]!r}",
+                                    path, lineno)
+        seen.add(i)
+        idx.append(i)
+        wts.append(w)
+    return WeightedRowSample(parent, np.asarray(idx, dtype=np.int64), np.asarray(wts))

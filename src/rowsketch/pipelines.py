@@ -13,13 +13,12 @@ score estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import instrument
-from .fastlev import approx_generalized_leverage
-from .leverage import factor_gram
+from .fastlev import approx_generalized_leverage, estimate_cost
+from .leverage import ScoreVector, factor_gram
 from .matrix import SparseRowMatrix, WeightedRowSample, materialize
 from .sampling import SketchConfig, log_dim, rng_from, sample
 
@@ -41,9 +40,9 @@ class SketchResult:
     """A row sketch of the original matrix plus run accounting.
 
     ``sum_estimates_history`` records the L1 mass of the score estimates at
-    each sampling round; ``solve_count`` is the instrumented factorization
-    and solve total consumed by the run; ``check_lambda`` is the spectral
-    grade the output targets.
+    each sampling round; ``solve_count`` is the factorizations and solves
+    this run's score estimates spent; ``check_lambda`` is the spectral grade
+    the output targets.
     """
 
     sample: WeightedRowSample
@@ -65,18 +64,33 @@ def _compose(parent: WeightedRowSample, local: WeightedRowSample) -> WeightedRow
     return WeightedRowSample(parent.parent_rows, idx[order], w[order])
 
 
+@dataclass
+class _Run:
+    """One sketch run's accounting: the estimate masses it records and the
+    solves its score estimates spend."""
+
+    history: list[float] = field(default_factory=list)
+    solves: int = 0
+
+    def estimate(self, A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
+                 cfg: SketchConfig, salt: tuple) -> ScoreVector:
+        u = approx_generalized_leverage(A, B, theta, cfg, salt=salt)
+        self.solves += estimate_cost(theta, cfg)
+        return u
+
+
 def _resample(A: SparseRowMatrix, target: WeightedRowSample | None,
               B: SparseRowMatrix, theta: float, rate, cfg: SketchConfig,
-              salts: tuple[tuple, tuple], history: list[float] | None) -> WeightedRowSample:
+              salts: tuple[tuple, tuple], run: _Run, record: bool = True) -> WeightedRowSample:
     """Score the rows of ``target`` (None: all of A, in place) against B,
-    record the estimate mass in ``history`` (unless None), sample at
-    ``rate`` (a number or a function of the mass) with ``salts`` = (estimate
-    salt, draw salt), and return the kept rows as a sample of A."""
+    record the estimate mass in ``run`` (if ``record``), sample at ``rate``
+    (a number or a function of the mass) with ``salts`` = (estimate salt,
+    draw salt), and return the kept rows as a sample of A."""
     T = A if target is None else materialize(A, target)
-    u = approx_generalized_leverage(T, B, theta, cfg, salt=salts[0]).with_infinite_as(1.0)
+    u = run.estimate(T, B, theta, cfg, salts[0]).with_infinite_as(1.0)
     mass = float(u.sum())
-    if history is not None:
-        history.append(mass)
+    if record:
+        run.history.append(mass)
     alpha = rate(mass) if callable(rate) else rate
     local = sample(u, alpha, cfg, A.n_cols, salt=salts[1])
     return local if target is None else _compose(target, local)
@@ -90,17 +104,16 @@ def _depth_cap(n: int, d: int) -> int:
     return int(math.ceil(math.log2(max(n / max(d, 1), 2.0)))) + 8
 
 
-def _finish(sample_: WeightedRowSample, history: list[float], levels: int,
-            cfg: SketchConfig, check_lambda: float, counter_before: int,
-            normalize_eps: float | None) -> SketchResult:
+def _finish(sample_: WeightedRowSample, run: _Run, levels: int, cfg: SketchConfig,
+            check_lambda: float, normalize_eps: float | None) -> SketchResult:
     if normalize_eps is not None:
         sample_ = sample_.scaled(1.0 / math.sqrt(1.0 + normalize_eps))
     return SketchResult(
         sample=sample_,
         rows_kept=len(sample_),
-        sum_estimates_history=tuple(history),
+        sum_estimates_history=tuple(run.history),
         levels_or_iterations=levels,
-        solve_count=instrument.solve_counter() - counter_before,
+        solve_count=run.solves,
         seed=cfg.seed,
         check_lambda=check_lambda,
     )
@@ -113,7 +126,7 @@ def _finish(sample_: WeightedRowSample, history: list[float], levels: int,
 
 def _halve(A: SparseRowMatrix, idx: np.ndarray, level: int, cfg: SketchConfig,
            theta_fine: float, theta_coarse: float | None, alpha: float,
-           base_rows: int, depth_cap: int, history: list[float],
+           base_rows: int, depth_cap: int, run: _Run,
            salt: tuple) -> tuple[WeightedRowSample, int]:
     """Recursive halving on A[idx] (idx sorted); returns (sample into A, levels)."""
     m = idx.size
@@ -123,18 +136,18 @@ def _halve(A: SparseRowMatrix, idx: np.ndarray, level: int, cfg: SketchConfig,
         raise PipelineError(f"halving recursion exceeded depth cap {depth_cap}")
     draws = rng_from(cfg.seed, *salt, level, "uniform").random(m)
     sub, depth = _halve(A, idx[draws < 0.5], level + 1, cfg, theta_fine,
-                        theta_coarse, alpha, base_rows, depth_cap, history, salt)
+                        theta_coarse, alpha, base_rows, depth_cap, run, salt)
     B = materialize(A, sub)
     target = None if m == A.n_rows else WeightedRowSample(A.n_rows, idx, np.ones(m))
     if theta_coarse is None:
         return _resample(A, target, B, theta_fine, alpha, cfg,
-                         ((*salt, level, "jl"), (*salt, level, "sample")), history), depth + 1
+                         ((*salt, level, "jl"), (*salt, level, "sample")), run), depth + 1
     # coarse pass: cheap d^theta estimates, larger intermediate sample
     big = _resample(A, target, B, theta_coarse, alpha, cfg,
-                    ((*salt, level, "coarse"), (*salt, level, "big")), None)
+                    ((*salt, level, "coarse"), (*salt, level, "big")), run, record=False)
     # fine pass: re-estimate the kept rows at constant distortion, cut again
     return _resample(A, big, B, theta_fine, alpha, cfg,
-                     ((*salt, level, "fine"), (*salt, level, "small")), history), depth + 1
+                     ((*salt, level, "fine"), (*salt, level, "small")), run), depth + 1
 
 
 def repeated_halving(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
@@ -147,15 +160,13 @@ def repeated_halving(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     """
     d = A.n_cols
     theta = cfg.resolve_theta(d)
-    history: list[float] = []
-    before = instrument.solve_counter()
+    run = _Run()
     out, levels = _halve(
         A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta, None,
         cfg.epsilon ** -2, _base_rows(d, cfg), _depth_cap(A.n_rows, d),
-        history, ("halving",))
+        run, ("halving",))
     lam = (1.0 + cfg.epsilon) / (1.0 - cfg.epsilon)
-    return _finish(out, history, levels, cfg, lam, before,
-                   cfg.epsilon if levels else None)
+    return _finish(out, run, levels, cfg, lam, cfg.epsilon if levels else None)
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +190,22 @@ def refinement_sampling(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     stop = cfg.stop_multiplier * d
     cap = 4 * int(math.ceil(math.log2(max(n / max(d, 1), 2.0)))) + 16
     tau = np.ones(n)
-    history = [float(n)]
-    before = instrument.solve_counter()
+    run = _Run([float(n)])
     iters = 0
     while tau.sum() > stop:
         if iters >= cap:
             raise NonConvergenceError(
-                f"refinement failed to reach {stop:g} within {cap} iterations", history)
+                f"refinement failed to reach {stop:g} within {cap} iterations", run.history)
         alpha = 6.0 * d / float(tau.sum())
         scale = math.sqrt(alpha) * math.sqrt(3.0 / 4.0)
         S = sample(tau, 9.0 * alpha, cfg, d, salt=("refine", iters, "draw")).scaled(scale)
-        u = approx_generalized_leverage(A, materialize(A, S), theta, cfg,
-                                        salt=("refine", iters, "jl"))
+        u = run.estimate(A, materialize(A, S), theta, cfg, ("refine", iters, "jl"))
         tau = np.where(u.infinite, tau, np.minimum(tau, u.values))
-        history.append(float(tau.sum()))
+        run.history.append(float(tau.sum()))
         iters += 1
     final = sample(tau, cfg.epsilon ** -2, cfg, d, salt=("refine", "final"))
     lam = (1.0 + cfg.epsilon) / (1.0 - cfg.epsilon)
-    return _finish(final, history, iters, cfg, lam, before, cfg.epsilon)
+    return _finish(final, run, iters, cfg, lam, cfg.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +274,7 @@ class GenericSchemeParams:
 
 def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
              params: GenericSchemeParams, cfg: SketchConfig, base_rows: int,
-             depth_cap: int, history: list[float]) -> tuple[WeightedRowSample, int]:
+             depth_cap: int, run: _Run) -> tuple[WeightedRowSample, int]:
     if depth >= depth_cap:
         raise PipelineError(f"generic scheme exceeded depth cap {depth_cap}")
     nhat = len(current)
@@ -286,7 +295,7 @@ def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
         a2, lv2 = a1, 0
     else:
         a2, lv2 = _generic(A, a1, depth + 1, child_params(len(a1)), cfg,
-                           base_rows, depth_cap, history)
+                           base_rows, depth_cap, run)
 
     # line 3: estimate scores against the approximation, sample n3 rows
     def alpha3(mass: float) -> float:
@@ -299,12 +308,12 @@ def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
     whole = params.sample_wrt == "original" or nhat == A.n_rows
     a3 = _resample(A, None if whole else current, materialize(A, a2),
                    cfg.resolve_theta(d), alpha3, cfg,
-                   (("generic", depth, "jl"), ("generic", depth, "sample")), history)
+                   (("generic", depth, "jl"), ("generic", depth, "sample")), run)
     # line 4: recurse when the result is still large and actually shrank
     if len(a3) <= base_rows or len(a3) >= nhat:
         return a3, lv2 + 1
     a4, lv4 = _generic(A, a3, depth + 1, child_params(len(a3)), cfg,
-                       base_rows, depth_cap, history)
+                       base_rows, depth_cap, run)
     return a4, lv2 + lv4 + 1
 
 
@@ -322,13 +331,11 @@ def generic_scheme(A: SparseRowMatrix, params: GenericSchemeParams,
     if params.preset == "refinement":
         res = refinement_sampling(A, cfg)
         return replace(res, check_lambda=params.check_lambda)
-    history: list[float] = []
-    before = instrument.solve_counter()
+    run = _Run()
     out, levels = _generic(
         A, WeightedRowSample.identity(A.n_rows), 0, params, cfg,
-        _base_rows(A.n_cols, cfg), _depth_cap(A.n_rows, A.n_cols), history)
-    return _finish(out, history, levels, cfg, params.check_lambda, before,
-                   params.output_epsilon)
+        _base_rows(A.n_cols, cfg), _depth_cap(A.n_rows, A.n_cols), run)
+    return _finish(out, run, levels, cfg, params.check_lambda, params.output_epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +359,22 @@ def input_sparsity_sketch(A: SparseRowMatrix, theta: float, epsilon: float,
         raise ValueError("epsilon must lie in (0, 1)")
     d = A.n_cols
     theta_fine = 1.0 / log_dim(d)
-    history: list[float] = []
-    before = instrument.solve_counter()
+    run = _Run()
     s1, levels = _halve(
         A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta_fine, theta,
         cfg.epsilon ** -2, _base_rows(d, cfg), _depth_cap(A.n_rows, d),
-        history, ("isparse",))
+        run, ("isparse",))
     lam = (1.0 + epsilon) / (1.0 - epsilon / 20.0)
     if levels == 0:
         # nothing to do at this size: the matrix is its own sketch
-        return _finish(s1, history, levels, cfg, lam, before, None)
+        return _finish(s1, run, levels, cfg, lam, None)
     B1 = materialize(A, s1)
     alpha_half = (epsilon / 2.0) ** -2
     S_a = _resample(A, None, B1, theta, alpha_half, cfg,
-                    (("isparse", "s2a"), ("isparse", "s2a-draw")), history)
+                    (("isparse", "s2a"), ("isparse", "s2a-draw")), run)
     final = _resample(A, S_a, B1, theta_fine, alpha_half, cfg,
-                      (("isparse", "s2b"), ("isparse", "s2b-draw")), history)
-    return _finish(final, history, levels + 2, cfg, lam, before, epsilon / 2.0)
+                      (("isparse", "s2b"), ("isparse", "s2b-draw")), run)
+    return _finish(final, run, levels + 2, cfg, lam, epsilon / 2.0)
 
 
 def final_refinement(A: SparseRowMatrix, sketch: SketchResult, epsilon: float,
@@ -381,14 +387,13 @@ def final_refinement(A: SparseRowMatrix, sketch: SketchResult, epsilon: float,
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     d = A.n_cols
-    before = instrument.solve_counter()
+    run = _Run()
     if d * log_dim(d) * epsilon ** -2 >= A.n_rows:
-        return _finish(WeightedRowSample.identity(A.n_rows), [], 0, cfg, 1.0, before, None)
-    history: list[float] = []
+        return _finish(WeightedRowSample.identity(A.n_rows), run, 0, cfg, 1.0, None)
     S = _resample(A, None, materialize(A, sketch.sample), 1.0 / log_dim(d),
-                  epsilon ** -2, cfg, (("final-refine",), ("final-refine", "draw")), history)
+                  epsilon ** -2, cfg, (("final-refine",), ("final-refine", "draw")), run)
     lam = (1.0 + epsilon) / (1.0 - epsilon) if epsilon < 1.0 else math.inf
-    return _finish(S, history, 1, cfg, lam, before, epsilon)
+    return _finish(S, run, 1, cfg, lam, epsilon)
 
 
 # ---------------------------------------------------------------------------

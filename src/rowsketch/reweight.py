@@ -121,18 +121,12 @@ class _ScoreState:
         self.P = f.pinv_matrix()
         self.tau = exact_leverage_scores(B, factor=f).values.copy()
 
-    def _row_dense(self, i: int) -> np.ndarray:
-        cols, vals = self.A.row(i)
-        b = np.zeros(self.A.n_cols)
-        b[cols] = vals * self.w[i]
-        return b
-
     def cross_vector(self, i: int) -> np.ndarray:
-        b = self._row_dense(i)
+        b = self.A.row_dense(i) * self.w[i]
         return self.w * (self.csr @ (self.P @ b))
 
     def downweight(self, i: int, gamma: float) -> None:
-        b = self._row_dense(i)
+        b = self.A.row_dense(i) * self.w[i]
         Pb = self.P @ b
         denom = 1.0 - gamma * float(b @ Pb)
         cross = self.w * (self.csr @ Pb)

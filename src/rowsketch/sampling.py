@@ -58,7 +58,6 @@ class SketchConfig:
 
     epsilon: float = 0.5
     c: float = 2.0
-    alpha: float = 1.0
     theta: float | None = None
     seed: int = 42
     base_rows_multiplier: float = 20.0
@@ -71,8 +70,6 @@ class SketchConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.c <= 0.0:
             raise ValueError("c must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
         if self.theta is not None and not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
         if self.base_rows_multiplier <= 0.0 or self.stop_multiplier <= 0.0:

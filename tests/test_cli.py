@@ -122,6 +122,16 @@ class TestSketchAndVerify:
                      "--report", str(rep_p)]) == 1
         assert json.loads(rep_p.read_text())["rank_match"] is False
 
+    @pytest.mark.parametrize("body,line", [("0\t1\n3\t1\n3\t1\n", 5),
+                                           ("0\t1\n512\t1\n", 4),
+                                           ("0\t1\n1\t0\n", 4)],
+                             ids=["duplicate-index", "index-out-of-range", "zero-weight"])
+    def test_bad_sample_entry_exits_2_with_location(self, tmp_path, random_mtx, capsys, body, line):
+        sample_p = tmp_path / "s.tsv"
+        sample_p.write_text("# parent_rows=512\nrow_index\tweight\n" + body)
+        assert main(["verify", random_mtx, str(sample_p), "--lambda", "3.0"]) == 2
+        assert capsys.readouterr().err.startswith(f"rowsketch: {sample_p}:{line}: ")
+
     def test_generic_presets_run(self, tmp_path, random_mtx):
         for preset in ("head", "tail", "refinement", "sqrt"):
             out = tmp_path / f"{preset}.tsv"
@@ -194,6 +204,18 @@ class TestSolve:
             lines = fh.read().splitlines()[1:]
         x = np.array([float(ln.split("\t")[1]) for ln in lines])
         assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) <= 1e-6
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rhs_exits_2_with_location(self, tmp_path, random_mtx, capsys, bad):
+        rhs = tmp_path / "b.tsv"
+        rhs.write_text("row_index\tvalue\n" + "".join(
+            f"{i}\t{bad if i == 7 else 1.0}\n" for i in range(512)))
+        x_p = tmp_path / "x.tsv"
+        assert main(["solve", random_mtx, str(rhs), "-o", str(x_p)]) == 2
+        err = capsys.readouterr()
+        assert err.err == f"rowsketch: {rhs}:9: non-finite value '{bad}'\n"
+        assert err.out == ""
+        assert not x_p.exists()
 
 
 class TestBench:

@@ -1,5 +1,5 @@
 """Sketched generalized scores: isotropy, distortion envelope, kernel probes,
-and the instrumentation contract."""
+and the cost of one estimator call."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from rowsketch import (GaussianSketch, SketchConfig, SparseRowMatrix,
                        approx_generalized_leverage, build_projector_sketch,
                        exact_leverage_scores, factor_gram,
                        generalized_leverage_scores, kernel_probe, scale_rows)
-from rowsketch.instrument import factorization_count, solve_count
-from rowsketch.fastlev import sketch_rows
+from rowsketch.fastlev import estimate_cost, sketch_rows
 
 from conftest import gaussian_matrix
 
@@ -182,15 +181,17 @@ class TestApproxGeneralized:
         assert not est.has_infinite
         np.testing.assert_allclose(est.values, direct, rtol=1e-12)
 
-    def test_instrumentation_counts(self):
+    def test_instrumentation_counts(self, monkeypatch):
         # one factorization plus k + t_probes solves per call
         A = gaussian_matrix(40, 6, 8)
         cfg = SketchConfig(seed=2, kernel_probes=3)
         theta = 0.5
-        f0, s0 = factorization_count(), solve_count()
+        calls = []
+        monkeypatch.setattr(fastlev, "factor_gram",
+                            lambda B, *args: calls.append(B) or factor_gram(B, *args))
         approx_generalized_leverage(A, A, theta, cfg)
-        assert factorization_count() - f0 == 1
-        assert solve_count() - s0 == sketch_rows(theta, cfg) + 3
+        assert len(calls) == 1 and calls[0] is A
+        assert estimate_cost(theta, cfg) == 1 + sketch_rows(theta, cfg) + 3
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -265,6 +265,9 @@ TSV_CORPUS = [
     ("form-feed", "0\t1.5\f1\t2\n", False),
     ("non-ascii", "0\t1.5\n1\t2\xc3\n", False),
     ("empty-body", "", False),
+    ("duplicate-index", "0\t1.5\n1\t2\n0\t3\n", True),
+    ("index-out-of-range", "0\t1.5\n5\t2\n", True),
+    ("zero-weight", "0\t1.5\n1\t0\n", True),
 ]
 
 
@@ -300,11 +303,28 @@ class TestTsvReadersMatchScanner:
         for body, message, line in (("0\t1\n2\t1\n", "expected consecutive 'row_index<TAB>value'", 3),
                                     ("x\t1\n", "expected consecutive 'row_index<TAB>value'", 2),
                                     ("0\tx\n", "bad value 'x'", 2),
-                                    ("0\t1\n1\t\xe9\n", "non-ASCII byte 0xe9", 3)):
+                                    ("0\t1\n1\t\xe9\n", "non-ASCII byte 0xe9", 3),
+                                    ("0\tnan\n", "non-finite value 'nan'", 2),
+                                    ("0\t1\n\n1\tinf\n", "non-finite value 'inf'", 4)):
             p.write_bytes((VALUE + body).encode("latin-1"))
             with pytest.raises(MatrixFormatError, match=message) as err:
                 read_indexed_column(p, "value")
             assert err.value.line == line
+
+    def test_sample_errors_are_located(self, tmp_path):
+        # the first bad entry is named, whichever reader took the file
+        p = tmp_path / "s.tsv"
+        for body, message, line in (("0\t1\n2\t1\n0\t1\n", "duplicate row index 0", 5),
+                                    ("0\t1\n\n5\t1\n", r"row index 5 outside 0\.\.4", 5),
+                                    ("-1\t1\n", r"row index -1 outside 0\.\.4", 3),
+                                    ("0\t1\n1\t0\n", "weight must be positive and finite, not '0'", 4),
+                                    ("0\t-2\n", "weight must be positive and finite, not '-2'", 3),
+                                    ("0\t1\n1\tnan\n", "weight must be positive and finite, not 'nan'", 4)):
+            p.write_text(SAMPLE + body)
+            with pytest.raises(MatrixFormatError, match=message) as err:
+                read_sample(p)
+            assert err.value.line == line
+            assert str(err.value).startswith(f"{p}:{line}: ")
 
 
 class TestMaterialize:

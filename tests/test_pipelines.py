@@ -2,6 +2,8 @@
 and the preconditioned solver."""
 
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -68,6 +70,25 @@ class TestRepeatedHalving:
         np.testing.assert_array_equal(a.sample.row_indices, b.sample.row_indices)
         np.testing.assert_array_equal(a.sample.weights, b.sample.weights)
         assert a.solve_count == b.solve_count
+
+    def test_concurrent_runs_match_serial(self):
+        # each run counts its own solves: runs in threads overlap, and
+        # their counts and samples must read as if each ran alone
+        A = gaussian_matrix(8192, 16, 88)
+        cfg = SketchConfig(seed=0)
+        serial = repeated_halving(A, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = list(pool.map(lambda _: repeated_halving(A, cfg), range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 4
+        for r in runs:
+            assert r.solve_count == serial.solve_count
+            np.testing.assert_array_equal(r.sample.row_indices, serial.sample.row_indices)
+            np.testing.assert_array_equal(r.sample.weights, serial.sample.weights)
 
 
 class TestRefinementSampling:

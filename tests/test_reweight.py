@@ -4,10 +4,11 @@ weight-perturbation comparison bound."""
 import numpy as np
 import pytest
 
-from rowsketch import (Reweighting, SparseRowMatrix, compare_leverage_bound,
-                       compute_reweighting, cross_leverage,
-                       exact_leverage_scores, gamma_for_target, min_norm_witness,
-                       rank_one_update, read_weights, scale_rows, write_weights)
+from rowsketch import (MatrixFormatError, Reweighting, SparseRowMatrix,
+                       compare_leverage_bound, compute_reweighting,
+                       cross_leverage, exact_leverage_scores, gamma_for_target,
+                       min_norm_witness, rank_one_update, read_weights,
+                       scale_rows, write_weights)
 
 from conftest import gaussian_matrix, power_law_matrix
 
@@ -191,6 +192,14 @@ def test_weight_tsv_round_trip(tmp_path, rng):
     write_weights(p, W)
     back = read_weights(p)
     np.testing.assert_array_equal(back.weights, W.weights)
+
+
+def test_read_weights_locates_non_finite(tmp_path):
+    p = tmp_path / "w.tsv"
+    p.write_text("row_index\tweight\n0\t1\n1\tnan\n")
+    with pytest.raises(MatrixFormatError, match="non-finite weight 'nan'") as err:
+        read_weights(p)
+    assert err.value.line == 3
 
 
 def test_reweighting_validation():

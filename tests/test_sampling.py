@@ -22,9 +22,9 @@ class TestSketchConfig:
         assert cfg.seed == 42 and 0 < cfg.epsilon < 1
 
     @pytest.mark.parametrize("kwargs", [
-        dict(epsilon=0.0), dict(epsilon=1.0), dict(c=-1.0), dict(alpha=0.0),
-        dict(alpha=1.5), dict(theta=0.0), dict(theta=2.0),
-        dict(base_rows_multiplier=0.0), dict(kernel_probes=0),
+        dict(epsilon=0.0), dict(epsilon=1.0), dict(c=-1.0), dict(theta=0.0),
+        dict(theta=2.0), dict(base_rows_multiplier=0.0), dict(kernel_probes=0),
+        dict(stop_multiplier=0.0), dict(jl_rows_constant=0.0),
     ])
     def test_range_validation(self, kwargs):
         with pytest.raises(ValueError):
