@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 
-from rowsketch import (GenericSchemeParams, SketchConfig, SparseRowMatrix,
-                       generic_scheme, input_sparsity_sketch, materialize,
-                       refinement_sampling, repeated_halving, spectral_check)
+from rowsketch import (SketchConfig, SparseRowMatrix, generic_scheme,
+                       input_sparsity_sketch, materialize, refinement_sampling,
+                       repeated_halving, spectral_check)
 
 rng = np.random.default_rng(3)
 n, d = 8192, 16
@@ -42,8 +42,7 @@ print("  " + " -> ".join(f"{h:.0f}" for h in r.sum_estimates_history))
 
 print("\ngeneric-scheme presets around the same skeleton:")
 for preset in ("head", "tail", "refinement", "sqrt"):
-    params = GenericSchemeParams.for_preset(preset, n, d, cfg)
-    r = generic_scheme(A, params, cfg)
-    rep = spectral_check(A, materialize(A, r.sample), params.check_lambda)
-    print(f"  {preset:<12} rows={r.rows_kept:<6} grade={params.check_lambda:.2f} "
+    r = generic_scheme(A, preset, cfg)
+    rep = spectral_check(A, materialize(A, r.sample), r.check_lambda)
+    print(f"  {preset:<12} rows={r.rows_kept:<6} grade={r.check_lambda:.2f} "
           f"pass={rep.passes}")

@@ -8,8 +8,8 @@ dense spectral certifiers, and a preconditioned least-squares solver,
 all deterministic given a seed.
 """
 
-from .fastlev import (GaussianSketch, KernelProbe, approx_generalized_leverage,
-                      build_projector_sketch, gaussian_sketch, kernel_probe)
+from .fastlev import (approx_generalized_leverage, build_projector_sketch,
+                      gaussian_sketch, kernel_probe)
 from .leverage import (PseudoinverseFactor, ScoreVector, cross_leverage,
                        exact_leverage_scores, factor_gram,
                        generalized_leverage_scores, min_norm_witness,
@@ -17,9 +17,8 @@ from .leverage import (PseudoinverseFactor, ScoreVector, cross_leverage,
 from .matrix import (MatrixFormatError, SparseRowMatrix, WeightedRowSample,
                      gram, materialize, read_matrix_market, read_sample,
                      scale_rows, write_matrix_market, write_sample)
-from .pipelines import (GenericSchemeParams, NonConvergenceError,
-                        PipelineError, SketchResult, SolveResult,
-                        final_refinement, generic_scheme,
+from .pipelines import (NonConvergenceError, PipelineError, SketchResult,
+                        SolveResult, final_refinement, generic_scheme,
                         input_sparsity_sketch, normal_equations_cg,
                         precondition_solve, refinement_sampling,
                         repeated_halving)
@@ -36,7 +35,6 @@ from .verify import MonteCarloResult, SpectralReport, monte_carlo, spectral_chec
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianSketch", "GenericSchemeParams", "KernelProbe",
     "MatrixFormatError", "MonteCarloResult", "NonConvergenceError",
     "PipelineError", "PseudoinverseFactor", "Reweighting",
     "ReweightCertificate", "ScoreVector", "SketchConfig", "SketchResult",

@@ -18,13 +18,12 @@ import numpy as np
 from .fastlev import approx_generalized_leverage
 from .leverage import (exact_leverage_scores, generalized_leverage_scores,
                        read_scores, write_scores)
-from .matrix import (MatrixFormatError, SparseRowMatrix, materialize,
-                     read_indexed_column, read_matrix_market, read_sample,
-                     write_indexed_column, write_sample)
-from .pipelines import (GenericSchemeParams, NonConvergenceError,
-                        generic_scheme, input_sparsity_sketch,
-                        precondition_solve, refinement_sampling,
-                        repeated_halving)
+from .matrix import (MatrixFormatError, SparseRowMatrix, entry_line,
+                     materialize, read_indexed_column, read_matrix_market,
+                     read_sample, write_indexed_column, write_sample)
+from .pipelines import (PRESETS, NonConvergenceError, generic_scheme,
+                        input_sparsity_sketch, precondition_solve,
+                        refinement_sampling, repeated_halving)
 from .reweight import compute_reweighting, write_weights
 from .sampling import SketchConfig
 from .verify import spectral_check
@@ -59,6 +58,8 @@ def cmd_scores(args) -> int:
     cfg = _config(args)
     if args.wrt:
         B = read_matrix_market(args.wrt)
+        if B.n_cols != A.n_cols:
+            raise MatrixFormatError(f"{B.n_cols} columns, matrix has {A.n_cols}", args.wrt)
         if args.fast:
             theta = args.theta if args.theta is not None else cfg.resolve_theta(A.n_cols)
             scores = approx_generalized_leverage(A, B, theta, cfg)
@@ -83,8 +84,7 @@ def cmd_sketch(args) -> int:
         elif args.method == "refinement":
             result = refinement_sampling(A, cfg)
         elif args.method == "generic":
-            params = GenericSchemeParams.for_preset(args.preset, A.n_rows, A.n_cols, cfg)
-            result = generic_scheme(A, params, cfg)
+            result = generic_scheme(A, args.preset, cfg)
         else:
             theta = args.theta if args.theta is not None else 0.5
             result = input_sparsity_sketch(A, theta, cfg.epsilon, cfg)
@@ -110,6 +110,9 @@ def cmd_sketch(args) -> int:
 def cmd_verify(args) -> int:
     A = read_matrix_market(args.matrix)
     S = read_sample(args.sample)
+    if S.parent_rows != A.n_rows:
+        raise MatrixFormatError(f"sample built for {S.parent_rows} rows, matrix has {A.n_rows}",
+                                args.sample, 1)
     Atilde = materialize(A, S)
     report = spectral_check(A, Atilde, args.lam, tol=args.tol)
     _emit({
@@ -134,10 +137,14 @@ def cmd_reweight(args) -> int:
             raise MatrixFormatError("--alpha must be positive")
         u = np.full(A.n_rows, args.alpha)
     else:
-        target_scores = read_scores(args.targets)
-        if target_scores.has_infinite:
-            raise MatrixFormatError("targets must be finite")
-        u = target_scores.values
+        u = read_scores(args.targets).values  # a flagged `inf` row reads 0.0
+        bad = np.flatnonzero(u <= 0.0)
+        if bad.size:
+            raise MatrixFormatError("target must be positive and finite", args.targets,
+                                    entry_line(args.targets, int(bad[0]), 1))
+        if u.size != A.n_rows:
+            raise MatrixFormatError(f"{u.size} targets for a matrix of {A.n_rows} rows",
+                                    args.targets)
     W, cert = compute_reweighting(A, u, tol=args.tol, max_sweeps=args.max_sweeps)
     write_weights(args.output, W)
     _emit({
@@ -155,6 +162,8 @@ def cmd_reweight(args) -> int:
 def cmd_solve(args) -> int:
     A = read_matrix_market(args.matrix)
     b = read_indexed_column(args.rhs, "value")
+    if b.size != A.n_rows:
+        raise MatrixFormatError(f"{b.size} values for a matrix of {A.n_rows} rows", args.rhs)
     cfg = _config(args)
     sketch = repeated_halving(A, cfg)
     result = precondition_solve(A, b, sketch, tol=args.tol, max_iters=args.max_iters)
@@ -232,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sketch", help="run a sketching pipeline")
     p.add_argument("matrix")
     p.add_argument("--method", choices=_METHODS, default="halving")
-    p.add_argument("--preset", choices=("head", "tail", "refinement", "sqrt"),
-                   default="head", help="generic-scheme preset")
+    p.add_argument("--preset", choices=PRESETS, default="head",
+                   help="generic-scheme preset")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--c", type=float, default=None, help="oversampling constant")
     p.add_argument("--theta", type=float, default=None)

@@ -20,46 +20,11 @@ few random kernel-projected probe vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import SparseRowMatrix
 from .sampling import SketchConfig, rng_from
-
-
-@dataclass(frozen=True)
-class GaussianSketch:
-    """k x n matrix of independent standard normal draws, seed-reproducible."""
-
-    rows: int
-    entries: np.ndarray
-
-    def validate(self) -> None:
-        if self.entries.shape[0] != self.rows or self.entries.ndim != 2:
-            raise ValueError("entry block must be rows x n")
-
-
-@dataclass(frozen=True)
-class KernelProbe:
-    """Kernel-projected Gaussian probes z_t = (I - (B'B)^+ (B'B)) g_t, rows of ``probes``.
-
-    ``source_norms`` holds ||g_t|| of the unprojected Gaussians.  Detection
-    thresholds are relative to the source norm, not ||z_t||: with a trivial
-    kernel z_t is pure roundoff and a ||z_t||-relative test would flag
-    every row.
-    """
-
-    probes: np.ndarray
-    t_probes: int
-    source_norms: np.ndarray
-
-    def validate(self) -> None:
-        if self.probes.shape[0] != self.t_probes or self.probes.ndim != 2:
-            raise ValueError("probe block must be t_probes x d")
-        if self.source_norms.shape != (self.t_probes,):
-            raise ValueError("need one source norm per probe")
 
 
 def sketch_rows(theta: float, cfg: SketchConfig) -> int:
@@ -74,9 +39,9 @@ def estimate_cost(theta: float, cfg: SketchConfig) -> int:
     return 1 + sketch_rows(theta, cfg) + cfg.kernel_probes
 
 
-def gaussian_sketch(k: int, n: int, cfg: SketchConfig, salt=()) -> GaussianSketch:
-    entries = rng_from(cfg.seed, "gaussian-sketch", *salt).standard_normal((k, n))
-    return GaussianSketch(k, entries)
+def gaussian_sketch(k: int, n: int, cfg: SketchConfig, salt=()) -> np.ndarray:
+    """k x n independent standard normal draws, keyed by (seed, salt)."""
+    return rng_from(cfg.seed, "gaussian-sketch", *salt).standard_normal((k, n))
 
 
 def build_projector_sketch(B: SparseRowMatrix, theta: float, cfg: SketchConfig,
@@ -91,24 +56,28 @@ def build_projector_sketch(B: SparseRowMatrix, theta: float, cfg: SketchConfig,
     """
     k = sketch_rows(theta, cfg)
     f = factor if factor is not None else factor_gram(B)
-    Z = gaussian_sketch(k, f.rank, cfg, salt=salt).entries
+    Z = gaussian_sketch(k, f.rank, cfg, salt=salt)
     return (Z / f.singular_values) @ f.right_singular_vectors.T / np.sqrt(k)
 
 
 def kernel_probe(B: SparseRowMatrix, t_probes: int, cfg: SketchConfig, salt=(),
-                 factor: PseudoinverseFactor | None = None) -> KernelProbe:
-    """Random vectors in ker(B): the kernel projection of independent Gaussians.
+                 factor: PseudoinverseFactor | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Random vectors in ker(B): ``(probes, source_norms)``.
 
-    With a trivial kernel every probe is numerically zero and every row
-    passes.  A row with a genuine kernel component misses all t probes with
-    probability zero in exact arithmetic; multiple probes cover roundoff.
+    Row t of the t_probes x d array ``probes`` is the kernel projection
+    z_t = (I - (B'B)^+ (B'B)) g_t of an independent Gaussian g_t, and
+    ``source_norms[t]`` is ||g_t||.  Detection thresholds are relative to
+    ||g_t||, not ||z_t||: with a trivial kernel z_t is pure roundoff, and a
+    ||z_t||-relative test would flag every row.  A row with a genuine
+    kernel component misses all t probes with probability zero in exact
+    arithmetic; multiple probes cover roundoff.
     """
     if t_probes < 1:
         raise ValueError("need at least one probe")
     f = factor if factor is not None else factor_gram(B)
     g = rng_from(cfg.seed, "kernel-probe", *salt).standard_normal((B.n_cols, t_probes))
     z = g - f.rowspace_project(g)
-    return KernelProbe(np.ascontiguousarray(z.T), t_probes, np.linalg.norm(g, axis=0))
+    return np.ascontiguousarray(z.T), np.linalg.norm(g, axis=0)
 
 
 def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
@@ -117,19 +86,20 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
 
     Returns d^theta * ||M a_i||^2 per row (the safety factor making the
     estimate one-sided), and flags a row infinite when any probe dot
-    exceeds ktol * ||a_i|| * ||z_t||.  One factorization per call; the
-    solves it spends are :func:`estimate_cost`.
+    |z_t . a_i| exceeds ktol * ||a_i|| * ||g_t|| (see :func:`kernel_probe`).
+    One factorization per call; the solves it spends are
+    :func:`estimate_cost`.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
     f = factor_gram(B)
     M = build_projector_sketch(B, theta, cfg, salt=salt, factor=f)
-    kp = kernel_probe(B, cfg.kernel_probes, cfg, salt=salt, factor=f)
+    probes, source_norms = kernel_probe(B, cfg.kernel_probes, cfg, salt=salt, factor=f)
     safety = max(A.n_cols, 2) ** theta
     R = np.linalg.qr(M, mode="r")  # min(k, d) x d with ||R a|| = ||M a||
     sketched = A.dot_dense(R.T)  # n x min(k, d)
     vals = safety * np.einsum("ij,ij->i", sketched, sketched)
     norms = np.sqrt(A.row_norms_sq())
-    dots = np.abs(A.dot_dense(kp.probes.T))  # n x t
-    infinite = np.any(dots > ktol * norms[:, None] * kp.source_norms[None, :], axis=1)
+    dots = np.abs(A.dot_dense(probes.T))  # n x t
+    infinite = np.any(dots > ktol * norms[:, None] * source_norms[None, :], axis=1)
     return ScoreVector(np.where(infinite, 0.0, vals), infinite)

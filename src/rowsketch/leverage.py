@@ -63,23 +63,20 @@ class ScoreVector:
         """Finite array with flagged entries replaced by ``fill``."""
         return np.where(self.infinite, float(fill), self.values)
 
-    def finite_sum(self) -> float:
-        return float(self.values[~self.infinite].sum())
-
 
 @dataclass(frozen=True)
 class PseudoinverseFactor:
     """Rank-truncated factorization of A'A = V diag(sigma^2) V'.
 
-    ``right_singular_vectors`` is d x r with orthonormal columns, ``sigma``
-    the singular values of A above ``truncation_tol`` times the largest.
+    ``right_singular_vectors`` is d x r with orthonormal columns,
+    ``singular_values`` the singular values of A above the rank cut (see
+    :func:`factor_gram`).
     (A'A)^+ acts as V diag(sigma^-2) V'.
     """
 
     right_singular_vectors: np.ndarray
     singular_values: np.ndarray
     rank: int
-    truncation_tol: float
 
     @property
     def n_cols(self) -> int:
@@ -124,10 +121,10 @@ def factor_gram(A: SparseRowMatrix, rtol: float = 1e-10) -> PseudoinverseFactor:
     dense = A.to_dense() if A.n_rows else np.zeros((0, A.n_cols))
     _, s, vh = np.linalg.svd(dense, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return PseudoinverseFactor(np.zeros((A.n_cols, 0)), np.zeros(0), 0, rtol)
+        return PseudoinverseFactor(np.zeros((A.n_cols, 0)), np.zeros(0), 0)
     keep = s > rtol * s[0]
     r = int(keep.sum())
-    return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy(), r, rtol)
+    return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy(), r)
 
 
 def exact_leverage_scores(A: SparseRowMatrix, rtol: float = 1e-10,

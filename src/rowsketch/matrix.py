@@ -327,6 +327,13 @@ def read_ascii_lines(path: str) -> list[str]:
         raise MatrixFormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", path, line) from None
 
 
+def entry_line(path: str, k: int, n_header: int) -> int:
+    """The line number of entry k (from 0) of a TSV with ``n_header``
+    header lines, blank lines skipped as its readers skip them."""
+    lines = read_ascii_lines(path)
+    return [no for no, ln in enumerate(lines[n_header:], start=n_header + 1) if ln.strip()][k]
+
+
 def _mm_header(header: list[str], path: str) -> str:
     """The format named by the tokens of the header line."""
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
@@ -418,14 +425,28 @@ def _scan_matrix_market(path: str) -> SparseRowMatrix:
     return SparseRowMatrix.from_dense(dense)
 
 
+_WRITE_BLOCK = 4096  # lines per joined write: few calls, bounded memory
+
+
+def _write_blocks(fh, n: int, lines) -> None:
+    """Write ``lines(block)``, a list of text lines, for consecutive slices
+    ``block`` of ``range(n)``, one joined write per block."""
+    for lo in range(0, n, _WRITE_BLOCK):
+        fh.write("".join(lines(slice(lo, lo + _WRITE_BLOCK))))
+
+
 def write_matrix_market(path, A: SparseRowMatrix) -> None:
     """Write coordinate real general format; values keep 17 significant digits."""
+    rows = np.repeat(np.arange(1, A.n_rows + 1), np.diff(A.row_offsets))
+
+    def lines(block: slice) -> list[str]:
+        return [f"{i} {j + 1} {v:.17g}\n" for i, j, v in zip(
+            rows[block].tolist(), A.col_indices[block].tolist(), A.values[block].tolist())]
+
     with open(str(path), "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{A.n_rows} {A.n_cols} {A.nnz}\n")
-        row_of = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
-        for i, j, v in zip(row_of, A.col_indices, A.values):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        _write_blocks(fh, A.nnz, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +505,6 @@ def read_indexed_column(path, column: str) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
-_WRITE_BLOCK = 4096  # rows per joined write: few calls, bounded memory
-
-
 def write_indexed_column(dest, header: str, values, indices=None, infinite=None) -> None:
     """Write ``header`` (its lines without the last newline), then one
     ``row_index<TAB>value`` line per value.
@@ -502,12 +520,14 @@ def write_indexed_column(dest, header: str, values, indices=None, infinite=None)
     rows = np.arange(vals.size) if indices is None else np.asarray(indices)
     flags = np.zeros(vals.size, dtype=bool) if infinite is None else np.asarray(infinite, dtype=bool)
     dest.write(header + "\n")
-    for lo in range(0, vals.size, _WRITE_BLOCK):
-        block = slice(lo, lo + _WRITE_BLOCK)
+
+    def lines(block: slice) -> list[str]:
         toks = [format(v, ".17g") for v in vals[block].tolist()]
         for k in np.flatnonzero(flags[block]).tolist():
             toks[k] = "inf"
-        dest.write("".join([f"{i}\t{t}\n" for i, t in zip(rows[block].tolist(), toks)]))
+        return [f"{i}\t{t}\n" for i, t in zip(rows[block].tolist(), toks)]
+
+    _write_blocks(dest, vals.size, lines)
 
 
 SAMPLE_HEADER = "row_index\tweight"
@@ -532,6 +552,8 @@ def read_sample(path) -> WeightedRowSample:
         parent = int(lines[0].split("=", 1)[1])
     except ValueError:
         raise MatrixFormatError("bad parent_rows value", path, 1) from None
+    if parent < 0:
+        raise MatrixFormatError(f"parent_rows must be nonnegative, not {parent}", path, 1)
     if len(lines) < 2 or lines[1] != SAMPLE_HEADER:
         raise MatrixFormatError(f"expected header {SAMPLE_HEADER!r}", path, 2)
     if fast is not None:

@@ -13,7 +13,7 @@ score estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,8 +96,14 @@ def _resample(A: SparseRowMatrix, target: WeightedRowSample | None,
     return local if target is None else _compose(target, local)
 
 
-def _base_rows(d: int, cfg: SketchConfig) -> int:
-    return int(math.ceil(cfg.base_rows_multiplier * max(d, 1) * log_dim(d)))
+# Recursions pass operands of at most 20 d ln d rows through at weight 1;
+# refinement stops once its estimate mass is at most 20 d.
+_BASE_ROWS_FACTOR = 20.0
+_STOP_MASS_FACTOR = 20.0
+
+
+def _base_rows(d: int) -> int:
+    return int(math.ceil(_BASE_ROWS_FACTOR * max(d, 1) * log_dim(d)))
 
 
 def _depth_cap(n: int, d: int) -> int:
@@ -154,16 +160,16 @@ def repeated_halving(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     """Recursive sketcher: halve uniformly, estimate scores against the
     recursively sketched half, resample the current level by the estimates.
 
-    Matrices at or below base_rows pass through untouched at weight 1.  The
-    output targets a (1+eps)/(1-eps) spectral grade with O(d log d / eps^2)
-    rows.
+    Matrices of at most 20 d ln d rows pass through untouched at weight 1.
+    The output targets a (1+eps)/(1-eps) spectral grade with
+    O(d log d / eps^2) rows.
     """
     d = A.n_cols
     theta = cfg.resolve_theta(d)
     run = _Run()
     out, levels = _halve(
         A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta, None,
-        cfg.epsilon ** -2, _base_rows(d, cfg), _depth_cap(A.n_rows, d),
+        cfg.epsilon ** -2, _base_rows(d), _depth_cap(A.n_rows, d),
         run, ("halving",))
     lam = (1.0 + cfg.epsilon) / (1.0 - cfg.epsilon)
     return _finish(out, run, levels, cfg, lam, cfg.epsilon if levels else None)
@@ -179,7 +185,7 @@ def refinement_sampling(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     Each round undersamples at rate 6d over the current estimate mass,
     re-estimates against the sketch, and takes coordinatewise minima; the
     mass falls by a constant factor per round until it reaches
-    stop_multiplier * d, after which one final sample of A is drawn.
+    20 d, after which one final sample of A is drawn.
 
     The sketched estimates default to theta = 1/(2 log d) here: the d^theta
     one-sided safety factor multiplies the estimate mass, and at 1/log d it
@@ -187,7 +193,7 @@ def refinement_sampling(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     """
     n, d = A.n_rows, A.n_cols
     theta = cfg.theta if cfg.theta is not None else 1.0 / (2.0 * log_dim(d))
-    stop = cfg.stop_multiplier * d
+    stop = _STOP_MASS_FACTOR * d
     cap = 4 * int(math.ceil(math.log2(max(n / max(d, 1), 2.0)))) + 16
     tau = np.ones(n)
     run = _Run([float(n)])
@@ -212,81 +218,35 @@ def refinement_sampling(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
 # Generic row sampling scheme (uniform -> recurse -> estimate+sample -> recurse)
 # ---------------------------------------------------------------------------
 
+PRESETS = ("head", "tail", "refinement", "sqrt")
+
 # Count-driven presets sample at rates too weak for the per-level matrix
 # Chernoff bound to bite, so their output fluctuation budget is pinned
 # empirically at desk scale and absorbed into the output normalization.
 _COUNT_DRIVEN_OUTPUT_EPS = 0.6
 
 
-@dataclass(frozen=True)
-class GenericSchemeParams:
-    """Knobs for the four-line generic scheme.
-
-    ``n1`` sizes the uniform first cut; ``n3`` targets the expected row
-    count of the estimate-driven cut (None means quality-driven at rate
-    1/per_level_epsilon^2).  ``sample_wrt`` picks whether that cut draws
-    from the original matrix or the current recursion operand.
-    ``output_epsilon`` is the fluctuation budget of the final sample: the
-    output is scaled by 1/sqrt(1 + output_epsilon) and graded at
-    ``check_lambda`` = (1 + output_epsilon)/(1 - output_epsilon).  Presets
-    re-derive counts at each recursion level.
-    """
-
-    n1: int
-    n3: int | None
-    sample_wrt: str
-    per_level_epsilon: float
-    output_epsilon: float
-    preset: str | None = None
-
-    def __post_init__(self):
-        if self.n1 < 1 or (self.n3 is not None and self.n3 < 1):
-            raise ValueError("sample sizes must be at least 1")
-        if self.sample_wrt not in ("original", "current"):
-            raise ValueError("sample_wrt must be 'original' or 'current'")
-        for eps in (self.per_level_epsilon, self.output_epsilon):
-            if not 0.0 < eps < 1.0:
-                raise ValueError("epsilon knobs must lie in (0, 1)")
-
-    @property
-    def check_lambda(self) -> float:
-        return (1.0 + self.output_epsilon) / (1.0 - self.output_epsilon)
-
-    @staticmethod
-    def for_preset(name: str, n: int, d: int, cfg: SketchConfig) -> "GenericSchemeParams":
-        dln = max(int(math.ceil(d * log_dim(d))), 1)
-        if name == "head":
-            return GenericSchemeParams(max(n // 2, 1), None, "original",
-                                       cfg.epsilon, cfg.epsilon, "head")
-        if name == "refinement":
-            return GenericSchemeParams(dln, dln, "original", cfg.epsilon,
-                                       cfg.epsilon, "refinement")
-        if name == "tail":
-            eps_l = min(1.0 / math.log2(max(n, 4)), 0.5)
-            return GenericSchemeParams(dln, max(n // 2, 1), "current",
-                                       eps_l, _COUNT_DRIVEN_OUTPUT_EPS, "tail")
-        if name == "sqrt":
-            n13 = max(int(math.ceil(math.sqrt(n * d * log_dim(d)))), 1)
-            return GenericSchemeParams(n13, n13, "original", cfg.epsilon,
-                                       _COUNT_DRIVEN_OUTPUT_EPS, "sqrt")
-        raise ValueError(f"unknown preset {name!r} (head, tail, refinement, sqrt)")
+def _preset_sizes(preset: str, n: int, d: int) -> tuple[int, int]:
+    """``(n1, n3)`` of the tail or sqrt preset for an n-row operand: n1
+    sizes the uniform cut, n3 is the expected row count of the
+    estimate-driven cut."""
+    if preset == "tail":
+        return max(int(math.ceil(d * log_dim(d))), 1), max(n // 2, 1)
+    n13 = max(int(math.ceil(math.sqrt(n * d * log_dim(d)))), 1)
+    return n13, n13
 
 
 def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
-             params: GenericSchemeParams, cfg: SketchConfig, base_rows: int,
+             preset: str, cfg: SketchConfig, base_rows: int,
              depth_cap: int, run: _Run) -> tuple[WeightedRowSample, int]:
     if depth >= depth_cap:
         raise PipelineError(f"generic scheme exceeded depth cap {depth_cap}")
     nhat = len(current)
     d = A.n_cols
-
-    def child_params(size: int) -> GenericSchemeParams:
-        if params.preset is not None:
-            return GenericSchemeParams.for_preset(params.preset, size, d, cfg)
-        return params
+    n1, n3 = _preset_sizes(preset, nhat, d)
 
     # line 1: uniform cut of the current rows
-    rate = min(params.n1 / max(nhat, 1), 1.0)
+    rate = min(n1 / max(nhat, 1), 1.0)
     draws = rng_from(cfg.seed, "generic", depth, "uniform").random(nhat)
     a1 = WeightedRowSample(A.n_rows, current.row_indices[draws < rate],
                            current.weights[draws < rate])
@@ -294,48 +254,49 @@ def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
     if len(a1) <= base_rows:
         a2, lv2 = a1, 0
     else:
-        a2, lv2 = _generic(A, a1, depth + 1, child_params(len(a1)), cfg,
-                           base_rows, depth_cap, run)
+        a2, lv2 = _generic(A, a1, depth + 1, preset, cfg, base_rows, depth_cap, run)
 
-    # line 3: estimate scores against the approximation, sample n3 rows
-    def alpha3(mass: float) -> float:
-        if params.n3 is None:
-            return params.per_level_epsilon ** -2
-        return params.n3 / max(cfg.c * log_dim(d) * mass, 1e-300)
-
-    # a current operand as long as A is A at weight 1: only a uniform cut
-    # that keeps every row reaches that length, and cuts keep the weights
-    whole = params.sample_wrt == "original" or nhat == A.n_rows
+    # line 3: estimate scores against the approximation, sample n3 rows.
+    # tail draws from the current operand, sqrt from all of A.  A current
+    # operand as long as A is A at weight 1: only a uniform cut that keeps
+    # every row reaches that length, and cuts keep the weights
+    whole = preset == "sqrt" or nhat == A.n_rows
     a3 = _resample(A, None if whole else current, materialize(A, a2),
-                   cfg.resolve_theta(d), alpha3, cfg,
+                   cfg.resolve_theta(d),
+                   lambda mass: n3 / max(cfg.c * log_dim(d) * mass, 1e-300), cfg,
                    (("generic", depth, "jl"), ("generic", depth, "sample")), run)
     # line 4: recurse when the result is still large and actually shrank
     if len(a3) <= base_rows or len(a3) >= nhat:
         return a3, lv2 + 1
-    a4, lv4 = _generic(A, a3, depth + 1, child_params(len(a3)), cfg,
-                       base_rows, depth_cap, run)
+    a4, lv4 = _generic(A, a3, depth + 1, preset, cfg, base_rows, depth_cap, run)
     return a4, lv2 + lv4 + 1
 
 
-def generic_scheme(A: SparseRowMatrix, params: GenericSchemeParams,
-                   cfg: SketchConfig) -> SketchResult:
-    """Uniform cut, recursive approximation, estimate-driven resampling.
+def generic_scheme(A: SparseRowMatrix, preset: str, cfg: SketchConfig) -> SketchResult:
+    """The generic scheme's named instance ``preset``, one of :data:`PRESETS`.
 
-    The head and refinement presets are exactly the repeated-halving and
-    refinement-sampling algorithms and delegate to them; tail and sqrt run
-    the four-line scheme with their own size rules.
+    ``head`` and ``refinement`` are exactly :func:`repeated_halving` and
+    :func:`refinement_sampling` and return their results unchanged.
+    ``tail`` and ``sqrt`` run the four-line scheme (uniform cut, recursive
+    approximation, estimate-driven resampling, recursion), re-deriving
+    their sample sizes from the operand at each level: tail cuts to
+    d log d rows and then to half the operand, sqrt to sqrt(n d log d)
+    rows twice.  Their counts are too small for a per-level Chernoff bound,
+    so the output is scaled by 1/sqrt(1.6) and graded at
+    (1 + 0.6)/(1 - 0.6) = 4 whatever ``cfg.epsilon`` is.
     """
-    if params.preset == "head":
-        res = repeated_halving(A, cfg)
-        return replace(res, check_lambda=params.check_lambda)
-    if params.preset == "refinement":
-        res = refinement_sampling(A, cfg)
-        return replace(res, check_lambda=params.check_lambda)
+    if preset == "head":
+        return repeated_halving(A, cfg)
+    if preset == "refinement":
+        return refinement_sampling(A, cfg)
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r} ({', '.join(PRESETS)})")
     run = _Run()
     out, levels = _generic(
-        A, WeightedRowSample.identity(A.n_rows), 0, params, cfg,
-        _base_rows(A.n_cols, cfg), _depth_cap(A.n_rows, A.n_cols), run)
-    return _finish(out, run, levels, cfg, params.check_lambda, params.output_epsilon)
+        A, WeightedRowSample.identity(A.n_rows), 0, preset, cfg,
+        _base_rows(A.n_cols), _depth_cap(A.n_rows, A.n_cols), run)
+    eps = _COUNT_DRIVEN_OUTPUT_EPS
+    return _finish(out, run, levels, cfg, (1.0 + eps) / (1.0 - eps), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +323,7 @@ def input_sparsity_sketch(A: SparseRowMatrix, theta: float, epsilon: float,
     run = _Run()
     s1, levels = _halve(
         A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta_fine, theta,
-        cfg.epsilon ** -2, _base_rows(d, cfg), _depth_cap(A.n_rows, d),
+        cfg.epsilon ** -2, _base_rows(d), _depth_cap(A.n_rows, d),
         run, ("isparse",))
     lam = (1.0 + epsilon) / (1.0 - epsilon / 20.0)
     if levels == 0:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leverage import ScoreVector, exact_leverage_scores, factor_gram
-from .matrix import (SparseRowMatrix, gram, read_indexed_column, scale_rows,
-                     write_indexed_column)
+from .matrix import (MatrixFormatError, SparseRowMatrix, entry_line, gram,
+                     read_indexed_column, scale_rows, write_indexed_column)
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,6 @@ class _ScoreState:
         f = factor_gram(B)
         self.P = f.pinv_matrix()
         self.tau = exact_leverage_scores(B, factor=f).values.copy()
-
-    def cross_vector(self, i: int) -> np.ndarray:
-        b = self.A.row_dense(i) * self.w[i]
-        return self.w * (self.csr @ (self.P @ b))
 
     def downweight(self, i: int, gamma: float) -> None:
         b = self.A.row_dense(i) * self.w[i]
@@ -247,6 +243,13 @@ def write_weights(path, W: Reweighting) -> None:
 
 
 def read_weights(path) -> Reweighting:
-    out = Reweighting(read_indexed_column(path, "weight"))
-    out.validate()
-    return out
+    """The reweighting in a TSV written by :func:`write_weights`; a weight
+    outside [0, 1] is an error at its line."""
+    path = str(path)
+    w = read_indexed_column(path, "weight")
+    bad = np.flatnonzero((w < 0.0) | (w > 1.0))
+    if bad.size:
+        k = int(bad[0])
+        raise MatrixFormatError(f"weight must lie in [0, 1], not {float(w[k])!r}",
+                                path, entry_line(path, k, 1))
+    return Reweighting(w)

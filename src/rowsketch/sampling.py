@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +53,14 @@ class SketchConfig:
     sketch-distortion exponent; None defers to each routine's per-matrix
     default (1/log d for the pipelines).  ``c`` is the oversampling constant
     in the row-keeping probabilities; ``jl_rows_constant`` fixes the sketch
-    height ceil(jl_rows_constant / theta).
+    height ceil(jl_rows_constant / theta), and ``kernel_probes`` the number
+    of null-space probes per estimate.
     """
 
     epsilon: float = 0.5
     c: float = 2.0
     theta: float | None = None
     seed: int = 42
-    base_rows_multiplier: float = 20.0
-    stop_multiplier: float = 20.0
     jl_rows_constant: float = 64.0
     kernel_probes: int = 3
 
@@ -72,16 +71,11 @@ class SketchConfig:
             raise ValueError("c must be positive")
         if self.theta is not None and not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.base_rows_multiplier <= 0.0 or self.stop_multiplier <= 0.0:
-            raise ValueError("size multipliers must be positive")
         if self.jl_rows_constant <= 0.0 or self.kernel_probes < 1:
             raise ValueError("bad sketch constants")
 
     def resolve_theta(self, n_cols: int) -> float:
         return self.theta if self.theta is not None else 1.0 / log_dim(n_cols)
-
-    def with_seed(self, seed: int) -> "SketchConfig":
-        return replace(self, seed=int(seed))
 
 
 def _finite_scores(u) -> np.ndarray:

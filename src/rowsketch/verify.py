@@ -28,11 +28,6 @@ class SpectralReport:
     rank_a: int
     rank_atilde: int
 
-    def summary(self) -> str:
-        verdict = "PASS" if self.passes else "FAIL"
-        return (f"{verdict} lambda={self.lam:g} low={self.lambda_low:.6g} "
-                f"high={self.lambda_high:.6g} rank={self.rank_atilde}/{self.rank_a}")
-
 
 def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
                    tol: float = 1e-6) -> SpectralReport:

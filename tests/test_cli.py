@@ -7,6 +7,7 @@ import pytest
 
 from rowsketch import (SparseRowMatrix, read_sample, read_scores, read_weights,
                        write_matrix_market)
+from rowsketch import cli
 from rowsketch.cli import main
 
 from conftest import gaussian_matrix, isolated_direction_matrix, power_law_matrix
@@ -74,6 +75,13 @@ class TestScores:
         assert main(["scores", str(p)]) == 2
         assert capsys.readouterr().err == f"rowsketch: {p}:2: non-ASCII byte 0xc3\n"
 
+    def test_reference_with_other_columns_exits_2_naming_file(self, tmp_path, identity_mtx,
+                                                              capsys):
+        ref = tmp_path / "b.mtx"
+        write_matrix_market(ref, SparseRowMatrix.from_dense(np.eye(4)))
+        assert main(["scores", identity_mtx, "--wrt", str(ref)]) == 2
+        assert capsys.readouterr().err == f"rowsketch: {ref}: 4 columns, matrix has 6\n"
+
     def test_fast_without_reference_exits_2(self, tmp_path, identity_mtx, capsys):
         out = tmp_path / "scores.tsv"
         assert main(["scores", identity_mtx, "--fast", "-o", str(out)]) == 2
@@ -132,6 +140,13 @@ class TestSketchAndVerify:
         assert main(["verify", random_mtx, str(sample_p), "--lambda", "3.0"]) == 2
         assert capsys.readouterr().err.startswith(f"rowsketch: {sample_p}:{line}: ")
 
+    def test_sample_for_another_matrix_exits_2_at_line_1(self, tmp_path, random_mtx, capsys):
+        sample_p = tmp_path / "s.tsv"
+        sample_p.write_text("# parent_rows=5\nrow_index\tweight\n0\t1\n")
+        assert main(["verify", random_mtx, str(sample_p), "--lambda", "3.0"]) == 2
+        assert capsys.readouterr().err == (
+            f"rowsketch: {sample_p}:1: sample built for 5 rows, matrix has 512\n")
+
     def test_generic_presets_run(self, tmp_path, random_mtx):
         for preset in ("head", "tail", "refinement", "sqrt"):
             out = tmp_path / f"{preset}.tsv"
@@ -172,13 +187,23 @@ class TestReweight:
     def test_requires_exactly_one_target_flag(self, identity_mtx, tmp_path):
         assert main(["reweight", identity_mtx, "-o", str(tmp_path / "w.tsv")]) == 2
 
-    @pytest.mark.parametrize("bad", ["x\t1", "1\tabc", "1\tnan", "1\t-1"])
+    @pytest.mark.parametrize("bad", ["x\t1", "1\tabc", "1\tnan", "1\t-1", "1\t0", "1\tinf"])
     def test_malformed_targets_exit_2_with_location(self, identity_mtx, tmp_path, capsys, bad):
         targets = tmp_path / "t.tsv"
         targets.write_text(f"row_index\tscore\n0\t1\n{bad}\n")
         w_p = tmp_path / "w.tsv"
         assert main(["reweight", identity_mtx, "--targets", str(targets), "-o", str(w_p)]) == 2
         assert capsys.readouterr().err.startswith(f"rowsketch: {targets}:3: ")
+        assert not w_p.exists()
+
+
+    def test_targets_for_another_matrix_exit_2_naming_file(self, identity_mtx, tmp_path, capsys):
+        targets = tmp_path / "t.tsv"
+        targets.write_text("row_index\tscore\n0\t1\n1\t1\n2\t1\n")
+        w_p = tmp_path / "w.tsv"
+        assert main(["reweight", identity_mtx, "--targets", str(targets), "-o", str(w_p)]) == 2
+        assert capsys.readouterr().err == (
+            f"rowsketch: {targets}: 3 targets for a matrix of 6 rows\n")
         assert not w_p.exists()
 
 
@@ -215,6 +240,21 @@ class TestSolve:
         err = capsys.readouterr()
         assert err.err == f"rowsketch: {rhs}:9: non-finite value '{bad}'\n"
         assert err.out == ""
+        assert not x_p.exists()
+
+
+    def test_rhs_for_another_matrix_exits_2_before_sketching(self, tmp_path, random_mtx,
+                                                              capsys, monkeypatch):
+        def no_sketch(*args, **kwargs):
+            raise AssertionError("sketched before checking the right-hand side")
+
+        monkeypatch.setattr(cli, "repeated_halving", no_sketch)
+        rhs = tmp_path / "b.tsv"
+        rhs.write_text("row_index\tvalue\n" + "".join(f"{i}\t1\n" for i in range(100)))
+        x_p = tmp_path / "x.tsv"
+        assert main(["solve", random_mtx, str(rhs), "-o", str(x_p)]) == 2
+        assert capsys.readouterr().err == (
+            f"rowsketch: {rhs}: 100 values for a matrix of 512 rows\n")
         assert not x_p.exists()
 
 

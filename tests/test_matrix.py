@@ -106,6 +106,30 @@ class TestMatrixMarket:
         np.testing.assert_array_equal(A.col_indices, B.col_indices)
         np.testing.assert_array_equal(A.values, B.values)
 
+    def test_writer_matches_per_line_loop_in_blocks(self, tmp_path, rng, monkeypatch):
+        # the bytes of a per-line f-string loop, written one block of lines at a time
+        n, d = 3000, 4
+        vals = rng.standard_normal(n * d) * 10.0 ** rng.integers(-300, 300, n * d)
+        vals[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        A = SparseRowMatrix(n, d, np.arange(0, n * d + 1, d), np.tile(np.arange(d), n), vals)
+        row_of = np.repeat(np.arange(n), np.diff(A.row_offsets))
+        want = [b"%%MatrixMarket matrix coordinate real general\n", f"{n} {d} {n * d}\n".encode()]
+        want += [f"{i + 1} {j + 1} {v:.17g}\n".encode()
+                 for i, j, v in zip(row_of, A.col_indices, A.values)]
+        writes = []
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(text) or write(text)
+            return fh
+
+        monkeypatch.setattr(matrix, "open", counting_open, raising=False)
+        p = tmp_path / "w.mtx"
+        write_matrix_market(p, A)
+        assert p.read_bytes().splitlines(keepends=True) == want
+        assert len(writes) == 2 + -(-n * d // matrix._WRITE_BLOCK)
+
     def test_reference_reader_agrees_on_random(self, tmp_path):
         A = gaussian_matrix(15, 4, 9)
         p = tmp_path / "x.mtx"
@@ -408,6 +432,13 @@ class TestSampleIO:
         with pytest.raises(MatrixFormatError) as err:
             read_sample(p)
         assert err.value.line == 3
+
+    def test_negative_parent_rows_rejected_at_line_1(self, tmp_path):
+        p = tmp_path / "neg.tsv"
+        p.write_text("# parent_rows=-3\nrow_index\tweight\n")
+        with pytest.raises(MatrixFormatError, match="parent_rows must be nonnegative") as err:
+            read_sample(p)
+        assert err.value.line == 1
 
 
 class TestTsvWriter:

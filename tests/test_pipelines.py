@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import rowsketch.pipelines as pl
-from rowsketch import (GenericSchemeParams, SketchConfig, SketchResult,
-                       SparseRowMatrix, exact_leverage_scores, final_refinement,
+from rowsketch import (SketchConfig, SketchResult, SparseRowMatrix,
+                       exact_leverage_scores, final_refinement,
                        generic_scheme, input_sparsity_sketch, materialize,
                        normal_equations_cg, precondition_solve,
                        refinement_sampling, repeated_halving, sample,
@@ -124,8 +124,7 @@ class TestGenericScheme:
     def test_head_preset_is_repeated_halving(self):
         A = gaussian_matrix(2048, 8, 8)
         cfg = SketchConfig(seed=11)
-        params = GenericSchemeParams.for_preset("head", A.n_rows, A.n_cols, cfg)
-        a = generic_scheme(A, params, cfg)
+        a = generic_scheme(A, "head", cfg)
         b = repeated_halving(A, cfg)
         np.testing.assert_array_equal(a.sample.row_indices, b.sample.row_indices)
         np.testing.assert_array_equal(a.sample.weights, b.sample.weights)
@@ -133,8 +132,7 @@ class TestGenericScheme:
     def test_refinement_preset_is_refinement_sampling(self):
         A = gaussian_matrix(1024, 8, 9)
         cfg = SketchConfig(seed=12)
-        params = GenericSchemeParams.for_preset("refinement", A.n_rows, A.n_cols, cfg)
-        a = generic_scheme(A, params, cfg)
+        a = generic_scheme(A, "refinement", cfg)
         b = refinement_sampling(A, cfg)
         np.testing.assert_array_equal(a.sample.row_indices, b.sample.row_indices)
 
@@ -142,10 +140,9 @@ class TestGenericScheme:
         n, d = 4096, 16
         A = gaussian_matrix(n, d, 10)
         cfg = SketchConfig(seed=13)
-        params = GenericSchemeParams.for_preset("sqrt", n, d, cfg)
-        base = pl._base_rows(d, cfg)
-        assert params.n1 <= base  # no-recursion regime at this size
-        r = generic_scheme(A, params, cfg)
+        n1, _ = pl._preset_sizes("sqrt", n, d)
+        assert n1 <= pl._base_rows(d)  # no-recursion regime at this size
+        r = generic_scheme(A, "sqrt", cfg)
         # one estimation call: 1 factorization + k sketch solves + probes
         expected = 1 + sketch_rows(cfg.resolve_theta(d), cfg) + cfg.kernel_probes
         assert r.solve_count == expected
@@ -158,9 +155,8 @@ class TestGenericScheme:
             passes = 0
             for seed in range(30):
                 cfg = SketchConfig(seed=seed)
-                params = GenericSchemeParams.for_preset(preset, n, d, cfg)
-                r = generic_scheme(A, params, cfg)
-                rep = spectral_check(A, materialize(A, r.sample), params.check_lambda)
+                r = generic_scheme(A, preset, cfg)
+                rep = spectral_check(A, materialize(A, r.sample), r.check_lambda)
                 passes += rep.passes
                 r.sample.validate()
                 assert r.sample.parent_rows == n
@@ -168,13 +164,7 @@ class TestGenericScheme:
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
-            GenericSchemeParams.for_preset("sideways", 100, 4, SketchConfig())
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            GenericSchemeParams(0, None, "original", 0.5, 0.5)
-        with pytest.raises(ValueError):
-            GenericSchemeParams(5, 5, "elsewhere", 0.5, 0.5)
+            generic_scheme(gaussian_matrix(100, 4, 0), "sideways", SketchConfig())
 
 
 class TestInputSparsity:
@@ -327,7 +317,7 @@ def golden_run(A, run, seed):
     if run == "final-refinement":
         return final_refinement(A, repeated_halving(A, cfg), 0.5, cfg)
     preset = run.split("-", 1)[1]
-    return generic_scheme(A, GenericSchemeParams.for_preset(preset, A.n_rows, A.n_cols, cfg), cfg)
+    return generic_scheme(A, preset, cfg)
 
 
 def golden_summary(r):

@@ -202,6 +202,15 @@ def test_read_weights_locates_non_finite(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("bad", ["1.5", "-0.25"])
+def test_read_weights_locates_out_of_range(tmp_path, bad):
+    p = tmp_path / "w.tsv"
+    p.write_text(f"row_index\tweight\n0\t1\n\n1\t{bad}\n")
+    with pytest.raises(MatrixFormatError, match=r"weight must lie in \[0, 1\]") as err:
+        read_weights(p)
+    assert str(err.value).startswith(f"{p}:4: ")
+
+
 def test_reweighting_validation():
     with pytest.raises(ValueError):
         Reweighting(np.array([1.5])).validate()
