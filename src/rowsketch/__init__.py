@@ -15,7 +15,7 @@ from .leverage import (PseudoinverseFactor, ScoreVector, cross_leverage,
                        generalized_leverage_scores, min_norm_witness,
                        read_scores, write_scores)
 from .matrix import (MatrixFormatError, SparseRowMatrix, WeightedRowSample,
-                     gram, materialize, read_matrix_market, read_sample,
+                     materialize, read_matrix_market, read_sample,
                      scale_rows, write_matrix_market, write_sample)
 from .pipelines import (NonConvergenceError, PipelineError, SketchResult,
                         SolveResult, final_refinement, generic_scheme,
@@ -43,7 +43,7 @@ __all__ = [
     "compare_leverage_bound", "compute_reweighting", "cross_leverage",
     "exact_leverage_scores", "factor_gram", "final_refinement",
     "gamma_for_target", "gaussian_sketch", "generalized_leverage_scores",
-    "generic_scheme", "gram", "input_sparsity_sketch", "kernel_probe",
+    "generic_scheme", "input_sparsity_sketch", "kernel_probe",
     "materialize", "min_norm_witness", "monte_carlo", "normal_equations_cg",
     "precondition_solve", "rank_one_update", "read_matrix_market",
     "read_sample", "read_scores", "read_weights", "refinement_sampling",

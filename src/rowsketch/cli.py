@@ -54,6 +54,8 @@ def _config(args, **overrides) -> SketchConfig:
 def cmd_scores(args) -> int:
     if args.fast and not args.wrt:
         raise MatrixFormatError("--fast requires --wrt")
+    if args.theta is not None and not args.fast:
+        raise MatrixFormatError("--theta requires --fast")
     A = read_matrix_market(args.matrix)
     cfg = _config(args)
     if args.wrt:
@@ -75,6 +77,8 @@ _METHODS = ("halving", "refinement", "generic", "input-sparsity")
 
 
 def cmd_sketch(args) -> int:
+    if args.preset is not None and args.method != "generic":
+        raise MatrixFormatError("--preset requires --method generic")
     A = read_matrix_market(args.matrix)
     cfg = _config(args)
     start = time.perf_counter()
@@ -84,7 +88,7 @@ def cmd_sketch(args) -> int:
         elif args.method == "refinement":
             result = refinement_sampling(A, cfg)
         elif args.method == "generic":
-            result = generic_scheme(A, args.preset, cfg)
+            result = generic_scheme(A, args.preset or "head", cfg)
         else:
             theta = args.theta if args.theta is not None else 0.5
             result = input_sparsity_sketch(A, theta, cfg.epsilon, cfg)
@@ -241,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sketch", help="run a sketching pipeline")
     p.add_argument("matrix")
     p.add_argument("--method", choices=_METHODS, default="halving")
-    p.add_argument("--preset", choices=PRESETS, default="head",
-                   help="generic-scheme preset")
+    p.add_argument("--preset", choices=PRESETS,
+                   help="generic-scheme preset (default head; requires --method generic)")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--c", type=float, default=None, help="oversampling constant")
     p.add_argument("--theta", type=float, default=None)

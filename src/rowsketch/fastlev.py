@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
+from .leverage import KERNEL_TOL, PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import SparseRowMatrix
 from .sampling import SketchConfig, rng_from
 
@@ -44,25 +44,24 @@ def gaussian_sketch(k: int, n: int, cfg: SketchConfig, salt=()) -> np.ndarray:
     return rng_from(cfg.seed, "gaussian-sketch", *salt).standard_normal((k, n))
 
 
-def build_projector_sketch(B: SparseRowMatrix, theta: float, cfg: SketchConfig,
-                           salt=(), factor: PseudoinverseFactor | None = None) -> np.ndarray:
+def build_projector_sketch(f: PseudoinverseFactor, theta: float, cfg: SketchConfig,
+                           salt=()) -> np.ndarray:
     """M = (1/sqrt(k)) Z diag(1/sigma) V' as a dense k x d block.
 
-    Z is a k x rank(B) Gaussian and B = U diag(sigma) V', so M has the
-    distribution of (1/sqrt(k)) G B (B'B)^+ for a k x n_B Gaussian G, and
-    E ||M a_i||^2 equals tau^B_i exactly.  Its k rows are k solves against
-    the Gram factor (see :func:`estimate_cost`).  At rank 0, M is a k x d
-    zero block.
+    ``f = factor_gram(B)`` for the reference B = U diag(sigma) V', and Z is
+    a k x rank(B) Gaussian, so M has the distribution of (1/sqrt(k)) G B
+    (B'B)^+ for a k x n_B Gaussian G, and E ||M a_i||^2 equals tau^B_i
+    exactly.  Its k rows are k solves against the Gram factor (see
+    :func:`estimate_cost`).  At rank 0, M is a k x d zero block.
     """
     k = sketch_rows(theta, cfg)
-    f = factor if factor is not None else factor_gram(B)
     Z = gaussian_sketch(k, f.rank, cfg, salt=salt)
     return (Z / f.singular_values) @ f.right_singular_vectors.T / np.sqrt(k)
 
 
-def kernel_probe(B: SparseRowMatrix, t_probes: int, cfg: SketchConfig, salt=(),
-                 factor: PseudoinverseFactor | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Random vectors in ker(B): ``(probes, source_norms)``.
+def kernel_probe(f: PseudoinverseFactor, t_probes: int, cfg: SketchConfig,
+                 salt=()) -> tuple[np.ndarray, np.ndarray]:
+    """Random vectors in ker(B) for ``f = factor_gram(B)``: ``(probes, source_norms)``.
 
     Row t of the t_probes x d array ``probes`` is the kernel projection
     z_t = (I - (B'B)^+ (B'B)) g_t of an independent Gaussian g_t, and
@@ -74,32 +73,31 @@ def kernel_probe(B: SparseRowMatrix, t_probes: int, cfg: SketchConfig, salt=(),
     """
     if t_probes < 1:
         raise ValueError("need at least one probe")
-    f = factor if factor is not None else factor_gram(B)
-    g = rng_from(cfg.seed, "kernel-probe", *salt).standard_normal((B.n_cols, t_probes))
+    g = rng_from(cfg.seed, "kernel-probe", *salt).standard_normal((f.n_cols, t_probes))
     z = g - f.rowspace_project(g)
     return np.ascontiguousarray(z.T), np.linalg.norm(g, axis=0)
 
 
 def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
-                                cfg: SketchConfig, salt=(), ktol: float = 1e-8) -> ScoreVector:
+                                cfg: SketchConfig, salt=()) -> ScoreVector:
     """Sketched overestimates of tau^B(A) within a d^(2 theta) envelope.
 
     Returns d^theta * ||M a_i||^2 per row (the safety factor making the
     estimate one-sided), and flags a row infinite when any probe dot
-    |z_t . a_i| exceeds ktol * ||a_i|| * ||g_t|| (see :func:`kernel_probe`).
+    |z_t . a_i| exceeds KERNEL_TOL * ||a_i|| * ||g_t|| (see :func:`kernel_probe`).
     One factorization per call; the solves it spends are
     :func:`estimate_cost`.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
     f = factor_gram(B)
-    M = build_projector_sketch(B, theta, cfg, salt=salt, factor=f)
-    probes, source_norms = kernel_probe(B, cfg.kernel_probes, cfg, salt=salt, factor=f)
+    M = build_projector_sketch(f, theta, cfg, salt=salt)
+    probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
     safety = max(A.n_cols, 2) ** theta
     R = np.linalg.qr(M, mode="r")  # min(k, d) x d with ||R a|| = ||M a||
     sketched = A.dot_dense(R.T)  # n x min(k, d)
     vals = safety * np.einsum("ij,ij->i", sketched, sketched)
     norms = np.sqrt(A.row_norms_sq())
     dots = np.abs(A.dot_dense(probes.T))  # n x t
-    infinite = np.any(dots > ktol * norms[:, None] * source_norms[None, :], axis=1)
+    infinite = np.any(dots > KERNEL_TOL * norms[:, None] * source_norms[None, :], axis=1)
     return ScoreVector(np.where(infinite, 0.0, vals), infinite)

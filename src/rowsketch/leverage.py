@@ -109,28 +109,33 @@ class PseudoinverseFactor:
         return V @ (V.T @ X)
 
 
-def factor_gram(A: SparseRowMatrix, rtol: float = 1e-10) -> PseudoinverseFactor:
-    """Factor A'A with numerical rank cut at sigma > rtol * sigma_max.
+# sigma <= RANK_RTOL * sigma_max counts as zero; a row leans into a reference
+# kernel when its component there exceeds KERNEL_TOL * ||a_i||.
+RANK_RTOL = 1e-10
+KERNEL_TOL = 1e-8
+
+
+def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
+    """Factor A'A with numerical rank cut at sigma > RANK_RTOL * sigma_max.
 
     The singular values come from an SVD of the materialized rows rather
     than an eigendecomposition of the Gram matrix: squaring would push the
-    noise floor for sigma to ~1e-8 relative and defeat the 1e-10 default.
+    noise floor for sigma to ~1e-8 relative and defeat the 1e-10 cut.
     """
-    if not 0.0 < rtol < 1.0:
-        raise ValueError("rtol must lie in (0, 1)")
     dense = A.to_dense() if A.n_rows else np.zeros((0, A.n_cols))
     _, s, vh = np.linalg.svd(dense, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return PseudoinverseFactor(np.zeros((A.n_cols, 0)), np.zeros(0), 0)
-    keep = s > rtol * s[0]
+    keep = s > RANK_RTOL * s[0]
     r = int(keep.sum())
     return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy(), r)
 
 
-def exact_leverage_scores(A: SparseRowMatrix, rtol: float = 1e-10,
+def exact_leverage_scores(A: SparseRowMatrix,
                           factor: PseudoinverseFactor | None = None) -> ScoreVector:
-    """tau_i = a_i' (A'A)^+ a_i; finite, in [0, 1], summing to rank(A)."""
-    f = factor if factor is not None else factor_gram(A, rtol)
+    """tau_i = a_i' (A'A)^+ a_i; finite, in [0, 1], summing to rank(A).
+    ``factor``, when given, is the caller's ``factor_gram(A)``."""
+    f = factor if factor is not None else factor_gram(A)
     if f.rank == 0:
         return ScoreVector.from_finite(np.zeros(A.n_rows))
     P = A.dot_dense(f.half_pinv())
@@ -138,13 +143,12 @@ def exact_leverage_scores(A: SparseRowMatrix, rtol: float = 1e-10,
     return ScoreVector.from_finite(np.clip(tau, 0.0, 1.0))
 
 
-def cross_leverage(A: SparseRowMatrix, i: int, j: int,
-                   factor: PseudoinverseFactor | None = None) -> float:
+def cross_leverage(A: SparseRowMatrix, i: int, j: int) -> float:
     """tau_ij = a_i' (A'A)^+ a_j; symmetric, with tau_ii = tau_i."""
     for k in (i, j):
         if not 0 <= k < A.n_rows:
             raise IndexError(f"row {k} out of range for {A.n_rows} rows")
-    f = factor if factor is not None else factor_gram(A)
+    f = factor_gram(A)
     if f.rank == 0:
         return 0.0
     M = f.half_pinv()
@@ -153,8 +157,7 @@ def cross_leverage(A: SparseRowMatrix, i: int, j: int,
     return float((vi @ M[ci]) @ (vj @ M[cj]))
 
 
-def min_norm_witness(A: SparseRowMatrix, i: int,
-                     factor: PseudoinverseFactor | None = None) -> np.ndarray:
+def min_norm_witness(A: SparseRowMatrix, i: int) -> np.ndarray:
     """The minimum-norm x with A'x = a_i.
 
     Satisfies ||x||^2 = tau_i and x[j] = tau_ij for every j; returns the
@@ -162,7 +165,7 @@ def min_norm_witness(A: SparseRowMatrix, i: int,
     """
     if not 0 <= i < A.n_rows:
         raise IndexError(f"row {i} out of range for {A.n_rows} rows")
-    f = factor if factor is not None else factor_gram(A)
+    f = factor_gram(A)
     if f.rank == 0:
         return np.zeros(A.n_rows)
     cols, vals = A.row(i)
@@ -171,18 +174,16 @@ def min_norm_witness(A: SparseRowMatrix, i: int,
     return A.dot_dense(f.pinv_apply(a_i))
 
 
-def generalized_leverage_scores(A: SparseRowMatrix, B: SparseRowMatrix,
-                                ktol: float = 1e-8, rtol: float = 1e-10,
-                                factor: PseudoinverseFactor | None = None) -> ScoreVector:
+def generalized_leverage_scores(A: SparseRowMatrix, B: SparseRowMatrix) -> ScoreVector:
     """tau^B_i(A) = a_i' (B'B)^+ a_i, flagged infinite when a_i leans into ker(B).
 
     A row is flagged when its residual against B's row space exceeds
-    ``ktol * ||a_i||``; the zero row is defined orthogonal to every kernel
-    and scores 0.  With B = A this reduces to the exact scores.
+    ``KERNEL_TOL * ||a_i||``; the zero row is defined orthogonal to every
+    kernel and scores 0.  With B = A this reduces to the exact scores.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
-    f = factor if factor is not None else factor_gram(B, rtol)
+    f = factor_gram(B)
     n = A.n_rows
     norms = np.sqrt(A.row_norms_sq())
     if f.rank == 0:
@@ -194,7 +195,7 @@ def generalized_leverage_scores(A: SparseRowMatrix, B: SparseRowMatrix,
     if f.rank < A.n_cols:
         # explicit residual rows: cancellation-free kernel detection
         resid = A.to_dense() - P @ V.T
-        infinite = np.linalg.norm(resid, axis=1) > ktol * norms
+        infinite = np.linalg.norm(resid, axis=1) > KERNEL_TOL * norms
         vals = np.where(infinite, 0.0, vals)
     else:
         infinite = np.zeros(n, dtype=bool)

@@ -224,13 +224,6 @@ def scale_rows(A: SparseRowMatrix, w: np.ndarray) -> SparseRowMatrix:
     return scaled
 
 
-def gram(A: SparseRowMatrix) -> np.ndarray:
-    """Exact A.T @ A as a dense symmetric d x d matrix."""
-    csr = A.to_scipy()
-    G = (csr.T @ csr).toarray()
-    return (G + G.T) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Matrix Market I/O (coordinate and array formats, real-valued, general)
 # ---------------------------------------------------------------------------

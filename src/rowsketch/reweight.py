@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leverage import ScoreVector, exact_leverage_scores, factor_gram
-from .matrix import (MatrixFormatError, SparseRowMatrix, entry_line, gram,
+from .matrix import (MatrixFormatError, SparseRowMatrix, entry_line,
                      read_indexed_column, scale_rows, write_indexed_column)
+from .verify import _whitened_spectrum
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,8 @@ def compare_leverage_bound(A: SparseRowMatrix, W: Reweighting, Wbar: Reweighting
     lhs = tau_i under Wbar; rhs scales tau_i under W by
     (wbar_i/w_i)^2 (1 + sqrt(lmax(A (A'Wbar^2 A)^+ A')) * ||W - Wbar||_inf)^2.
     The inequality lhs <= rhs holds whenever both weights at i are nonzero.
+    lmax is ``spectral_check(Bbar, A, 1.0).lambda_high``, taken from the
+    same whitened rows.
     """
     if not 0 <= i < A.n_rows:
         raise IndexError(f"row {i} out of range")
@@ -220,11 +223,7 @@ def compare_leverage_bound(A: SparseRowMatrix, W: Reweighting, Wbar: Reweighting
     lhs = float(exact_leverage_scores(Bbar, factor=fbar).values[i])
     B = scale_rows(A, W.weights)
     tau_w = float(exact_leverage_scores(B).values[i])
-    if fbar.rank:
-        H = fbar.half_pinv()
-        lam_max = float(np.linalg.eigvalsh(H.T @ gram(A) @ H)[-1])
-    else:
-        lam_max = 0.0
+    lam_max = float(_whitened_spectrum(fbar, A)[-1]) if fbar.rank else 0.0
     inf_norm = float(np.max(np.abs(W.weights - Wbar.weights)))
     rhs = (wbi / wi) ** 2 * (1.0 + math.sqrt(max(lam_max, 0.0)) * inf_norm) ** 2 * tau_w
     return lhs, rhs

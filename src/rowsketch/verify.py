@@ -10,8 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from .leverage import factor_gram
-from .matrix import SparseRowMatrix, gram
+from .leverage import PseudoinverseFactor, factor_gram
+from .matrix import SparseRowMatrix
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,23 @@ class SpectralReport:
     rank_atilde: int
 
 
+def _whitened_spectrum(f: PseudoinverseFactor, Atilde: SparseRowMatrix) -> np.ndarray:
+    """Ascending eigenvalues of T'T for the whitened rows T = Atilde W,
+    W = f.half_pinv().  cond(T) <= sqrt(lambda) for a sketch within lambda,
+    so T'T loses nothing; Atilde'Atilde would square Atilde's condition."""
+    T = Atilde.dot_dense(f.half_pinv())
+    return np.linalg.eigvalsh(T.T @ T)
+
+
 def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
                    tol: float = 1e-6) -> SpectralReport:
     """Does Atilde satisfy (1/lam) ||Ax||^2 <= ||Atilde x||^2 <= ||Ax||^2 ?
 
-    Whitening with A's pseudo-square-root reduces the pencil to an ordinary
-    symmetric eigenproblem restricted to A's row space; rank_match
-    additionally requires numerical ranks to agree, so rank-dropping
-    sketches fail at every lambda.
+    Whitening Atilde's rows with A's pseudo-square-root from its SVD
+    factor, with no Gram matrix formed, reduces the pencil to an ordinary
+    symmetric eigenproblem on A's row space; rank_match additionally
+    requires numerical ranks to agree, so rank-dropping sketches fail at
+    every lambda.
     """
     if A.n_cols != Atilde.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {Atilde.n_cols}")
@@ -46,12 +55,8 @@ def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
     rank_atilde = factor_gram(Atilde).rank
     rank_match = rank_atilde == fa.rank
     if fa.rank == 0:
-        low = high = 1.0
-        passes = rank_match
-        return SpectralReport(low, high, passes, rank_match, lam, tol, fa.rank, rank_atilde)
-    W = fa.half_pinv()  # d x r
-    N = W.T @ gram(Atilde) @ W
-    eigs = np.linalg.eigvalsh((N + N.T) / 2.0)
+        return SpectralReport(1.0, 1.0, rank_match, rank_match, lam, tol, 0, rank_atilde)
+    eigs = _whitened_spectrum(fa, Atilde)
     low, high = float(eigs[0]), float(eigs[-1])
     passes = bool(high <= 1.0 + tol and low >= 1.0 / lam - tol and rank_match)
     return SpectralReport(low, high, passes, rank_match, lam, tol, fa.rank, rank_atilde)

@@ -40,6 +40,15 @@ def isolated_direction_matrix(n, d, seed):
     return SparseRowMatrix.from_dense(dense @ q)
 
 
+def conditioned_matrix(cond, n=4096, d=16, seed=21):
+    """Criterion 11's construction: random orthonormal factors around
+    singular values spread evenly in log scale from 1 to ``cond``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return SparseRowMatrix.from_dense(u @ np.diag(np.logspace(0, np.log10(cond), d)) @ v.T)
+
+
 def corpus(count=100, sizes=((256, 8), (256, 16), (1024, 8), (1024, 16))):
     """Mixed dense-Gaussian / power-law matrices, `count` in total."""
     out = []

@@ -10,7 +10,8 @@ from rowsketch import (SparseRowMatrix, read_sample, read_scores, read_weights,
 from rowsketch import cli
 from rowsketch.cli import main
 
-from conftest import gaussian_matrix, isolated_direction_matrix, power_law_matrix
+from conftest import (conditioned_matrix, gaussian_matrix, isolated_direction_matrix,
+                      power_law_matrix)
 
 
 @pytest.fixture
@@ -83,10 +84,14 @@ class TestScores:
         assert capsys.readouterr().err == f"rowsketch: {ref}: 4 columns, matrix has 6\n"
 
     def test_fast_without_reference_exits_2(self, tmp_path, identity_mtx, capsys):
+        # a flag whose companion is missing is refused before any work
         out = tmp_path / "scores.tsv"
-        assert main(["scores", identity_mtx, "--fast", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "rowsketch: --fast requires --wrt\n"
-        assert not out.exists()
+        for flags, err in ((["--fast"], "--fast requires --wrt"),
+                           (["--theta", "0.5"], "--theta requires --fast"),
+                           (["--wrt", identity_mtx, "--theta", "0.5"], "--theta requires --fast")):
+            assert main(["scores", identity_mtx, *flags, "-o", str(out)]) == 2
+            assert capsys.readouterr().err == f"rowsketch: {err}\n"
+            assert not out.exists()
 
 
 class TestSketchAndVerify:
@@ -111,11 +116,16 @@ class TestSketchAndVerify:
         assert json.loads(rep_p.read_text())["passes"] is True
 
     def test_verify_full_sample_at_tight_lambda(self, tmp_path, random_mtx):
-        # identity sample: passes at lambda barely above 1
+        # identity sample: passes at lambda barely above 1, and at lambda = 1
+        # for criterion 11's condition-1e6 matrix, which a squared Gram
+        # matrix misses by 8e-5
         from rowsketch import WeightedRowSample, write_sample
-        sample_p = tmp_path / "full.tsv"
-        write_sample(sample_p, WeightedRowSample.identity(512))
-        assert main(["verify", random_mtx, str(sample_p), "--lambda", "1.000001"]) == 0
+        cond_mtx = tmp_path / "cond.mtx"
+        write_matrix_market(cond_mtx, conditioned_matrix(1e6))
+        for mtx, n, lam in ((random_mtx, 512, "1.000001"), (str(cond_mtx), 4096, "1")):
+            sample_p = tmp_path / f"full{n}.tsv"
+            write_sample(sample_p, WeightedRowSample.identity(n))
+            assert main(["verify", mtx, str(sample_p), "--lambda", lam]) == 0, mtx
 
     def test_verify_rejects_rank_dropping_sample(self, tmp_path):
         A = isolated_direction_matrix(64, 6, 5)
@@ -152,6 +162,18 @@ class TestSketchAndVerify:
             out = tmp_path / f"{preset}.tsv"
             assert main(["sketch", random_mtx, "--method", "generic",
                          "--preset", preset, "-o", str(out)]) == 0
+
+    def test_preset_requires_generic_which_defaults_to_head(self, tmp_path, random_mtx, capsys):
+        out = tmp_path / "s.tsv"
+        assert main(["sketch", random_mtx, "--method", "halving", "--preset", "sqrt",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "rowsketch: --preset requires --method generic\n"
+        assert not out.exists()
+        plain, head = tmp_path / "plain.tsv", tmp_path / "head.tsv"
+        assert main(["sketch", random_mtx, "--method", "generic", "-o", str(plain)]) == 0
+        assert main(["sketch", random_mtx, "--method", "generic", "--preset", "head",
+                     "-o", str(head)]) == 0
+        assert plain.read_bytes() == head.read_bytes()
 
     def test_unknown_flag_rejected(self, random_mtx, tmp_path):
         with pytest.raises(SystemExit) as err:

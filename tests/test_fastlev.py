@@ -20,7 +20,7 @@ class TestProjectorSketch:
         k = sketch_rows(0.5, SketchConfig())
         monkeypatch.setattr(fastlev, "gaussian_sketch",
                             lambda kk, n, cfg, salt=(): np.zeros((kk, n)))
-        M = build_projector_sketch(B, 0.5, SketchConfig(seed=0))
+        M = build_projector_sketch(factor_gram(B), 0.5, SketchConfig(seed=0))
         assert M.shape == (k, 4)
         np.testing.assert_array_equal(M, np.zeros((k, 4)))
 
@@ -34,7 +34,7 @@ class TestProjectorSketch:
         acc = np.zeros(5)
         trials = 1000
         for seed in range(trials):
-            M = build_projector_sketch(B, theta, SketchConfig(seed=seed))
+            M = build_projector_sketch(factor_gram(B), theta, SketchConfig(seed=seed))
             sk = A.dot_dense(M.T)
             acc += np.einsum("ij,ij->i", sk, sk)
         np.testing.assert_allclose(acc / trials, exact, rtol=0.05)
@@ -43,7 +43,7 @@ class TestProjectorSketch:
         B = gaussian_matrix(20, 5, 7)
         theta = 0.5
         cfg = SketchConfig(seed=9)
-        M = build_projector_sketch(B, theta, cfg)
+        M = build_projector_sketch(factor_gram(B), theta, cfg)
         k = sketch_rows(theta, cfg)
         _, sigma, vh = np.linalg.svd(B.to_dense(), full_matrices=False)
         Z = fastlev.gaussian_sketch(k, sigma.size, cfg)
@@ -79,7 +79,7 @@ class TestProjectorSketch:
 class TestKernelProbe:
     def test_full_column_rank_probes_are_null(self):
         B = gaussian_matrix(30, 5, 2)
-        probes, source_norms = kernel_probe(B, 3, SketchConfig(seed=1))
+        probes, source_norms = kernel_probe(factor_gram(B), 3, SketchConfig(seed=1))
         assert probes.shape == (3, 5) and source_norms.shape == (3,)
         sigma_max = factor_gram(B).singular_values[0]
         for t in range(3):
@@ -89,7 +89,7 @@ class TestKernelProbe:
 
     def test_one_dimensional_kernel_direction(self):
         B = SparseRowMatrix.from_dense(np.array([[0.0, 1.0]]))
-        probes, _ = kernel_probe(B, 3, SketchConfig(seed=5))
+        probes, _ = kernel_probe(factor_gram(B), 3, SketchConfig(seed=5))
         for t in range(3):
             z = probes[t]
             # kernel of B is span(e_1): second coordinate vanishes
@@ -112,7 +112,7 @@ class TestKernelProbe:
 
     def test_probe_count_validated(self):
         with pytest.raises(ValueError):
-            kernel_probe(gaussian_matrix(4, 2, 0), 0, SketchConfig())
+            kernel_probe(factor_gram(gaussian_matrix(4, 2, 0)), 0, SketchConfig())
 
 
 class TestApproxGeneralized:
@@ -173,7 +173,7 @@ class TestApproxGeneralized:
                                            @ rng.standard_normal((d - 3, d)))
             A = SparseRowMatrix.from_dense(A.to_dense() @ np.linalg.pinv(B.to_dense())
                                            @ B.to_dense())
-        M = build_projector_sketch(B, theta, cfg)
+        M = build_projector_sketch(factor_gram(B), theta, cfg)
         assert (M.shape[0] < d) == (case == "k-below-d")
         sk = A.to_dense() @ M.T
         direct = d ** theta * np.einsum("ij,ij->i", sk, sk)
@@ -188,7 +188,7 @@ class TestApproxGeneralized:
         theta = 0.5
         calls = []
         monkeypatch.setattr(fastlev, "factor_gram",
-                            lambda B, *args: calls.append(B) or factor_gram(B, *args))
+                            lambda B: calls.append(B) or factor_gram(B))
         approx_generalized_leverage(A, A, theta, cfg)
         assert len(calls) == 1 and calls[0] is A
         assert estimate_cost(theta, cfg) == 1 + sketch_rows(theta, cfg) + 3

@@ -42,10 +42,6 @@ class TestFactorGram:
         A = SparseRowMatrix.from_coo(3, 2, [], [], [])
         assert factor_gram(A).rank == 0
 
-    def test_rtol_validated(self):
-        with pytest.raises(ValueError):
-            factor_gram(gaussian_matrix(3, 2, 0), rtol=2.0)
-
 
 class TestExactScores:
     def test_identity_all_ones(self):

@@ -8,7 +8,7 @@ import pytest
 import scipy.io
 
 from rowsketch import (MatrixFormatError, Reweighting, ScoreVector,
-                       SparseRowMatrix, WeightedRowSample, gram, materialize,
+                       SparseRowMatrix, WeightedRowSample, materialize,
                        read_matrix_market, read_sample, scale_rows,
                        write_matrix_market, write_sample, write_scores,
                        write_weights)
@@ -368,11 +368,11 @@ class TestMaterialize:
         idx = np.array([0, 2, 3, 7, 9])
         w = rng.uniform(0.5, 2.0, size=5)
         S = WeightedRowSample(10, idx, w)
-        got = gram(materialize(A, S))
+        got = materialize(A, S).to_dense()
         dense = A.to_dense()
-        expected = np.zeros((3, 3))
+        expected = np.zeros((5, 3))
         for k, i in enumerate(idx):
-            expected += w[k] ** 2 * np.outer(dense[i], dense[i])
+            expected[k] = w[k] * dense[i]
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_dimension_mismatch_rejected(self):
@@ -384,20 +384,6 @@ class TestMaterialize:
         A = gaussian_matrix(4, 2, 0)
         with pytest.raises(ValueError):
             materialize(A, WeightedRowSample(4, np.array([4]), np.ones(1)))
-
-
-class TestGram:
-    def test_identity(self):
-        np.testing.assert_array_equal(gram(SparseRowMatrix.from_dense(np.eye(3))), np.eye(3))
-
-    def test_hand_computed_rank_deficient(self):
-        A = SparseRowMatrix.from_dense(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(gram(A), [[2.0, 0.0], [0.0, 0.0]])
-
-    def test_matches_dense_multiply_oracle(self):
-        A = gaussian_matrix(20, 4, 8)
-        dense = A.to_dense()
-        np.testing.assert_allclose(gram(A), dense.T @ dense, atol=1e-12)
 
 
 class TestSampleIO:

@@ -1,7 +1,11 @@
 """Package-wide design rules checked on the source itself."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import rowsketch
 
@@ -16,3 +20,32 @@ def test_no_global_statements():
              for node in ast.walk(ast.parse(p.read_text(), str(p)))
              if isinstance(node, ast.Global)]
     assert found == []
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    # perfbench/tracing.py wraps public functions by name and reads their
+    # arguments by position; a rename or a moved argument breaks it here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        A = rowsketch.SparseRowMatrix.from_dense(np.random.default_rng(0).standard_normal((512, 6)))
+        tracer.begin_op("sketch")
+        r = rowsketch.repeated_halving(A, rowsketch.SketchConfig(seed=1))
+        tracer.begin_op("verify")
+        rowsketch.spectral_check(A, rowsketch.materialize(A, r.sample), r.check_lambda)
+        m = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert m["pipelines.solve_count"][0] == r.solve_count
+    assert m["fastlev.approx_generalized_leverage.calls"][0] > 0
+    assert m["fastlev.gaussian_sketch.mentries"][0] > 0
+    assert m["verify.spectral_check.self_s"][0] > 0
+    wrapped = [f"{name}.{attr}" for name, mod in sorted(sys.modules.items())
+               if name == "rowsketch" or name.startswith("rowsketch.")
+               for attr, value in vars(mod).items() if hasattr(value, "__wrapped__")]
+    assert wrapped == []

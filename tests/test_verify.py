@@ -9,18 +9,22 @@ from rowsketch import (SparseRowMatrix, WeightedRowSample,
                        spectral_check, uniform_leverage_estimates)
 from rowsketch.sampling import SketchConfig, rng_from
 
-from conftest import (gaussian_matrix, isolated_direction_matrix,
-                      oracle_spectral_bounds)
+from conftest import (conditioned_matrix, gaussian_matrix,
+                      isolated_direction_matrix, oracle_spectral_bounds)
 
 
 class TestSpectralCheck:
     def test_self_approximation_passes_any_lambda(self):
-        A = gaussian_matrix(30, 5, 1)
-        for lam in (1.0, 2.0, 100.0):
-            rep = spectral_check(A, A, lam)
-            assert rep.passes
-            assert rep.lambda_low == pytest.approx(1.0, abs=1e-10)
-            assert rep.lambda_high == pytest.approx(1.0, abs=1e-10)
+        # a Gaussian matrix, and criterion 11's matrix at condition 1e6 and
+        # 1e8: squaring the latter into a Gram matrix fails at lambda = 1
+        for cond, A, slack in ((None, gaussian_matrix(30, 5, 1), 1e-10),
+                               (1e6, conditioned_matrix(1e6), 1e-6),
+                               (1e8, conditioned_matrix(1e8), 1e-6)):
+            for lam in (1.0, 2.0, 100.0):
+                rep = spectral_check(A, A, lam)
+                assert rep.passes, (cond, lam, rep)
+                assert rep.lambda_low == pytest.approx(1.0, abs=slack)
+                assert rep.lambda_high == pytest.approx(1.0, abs=slack)
 
     def test_uniformly_scaled_copy(self):
         A = gaussian_matrix(25, 4, 2)
@@ -111,6 +115,6 @@ class TestCounters:
         calls = []
         factor_gram = leverage.factor_gram
         monkeypatch.setattr(leverage, "factor_gram",
-                            lambda B, *args: calls.append(B) or factor_gram(B, *args))
+                            lambda B: calls.append(B) or factor_gram(B))
         exact_leverage_scores(A)
         assert len(calls) == 1 and calls[0] is A
