@@ -79,6 +79,9 @@ _METHODS = ("halving", "refinement", "generic", "input-sparsity")
 def cmd_sketch(args) -> int:
     if args.preset is not None and args.method != "generic":
         raise MatrixFormatError("--preset requires --method generic")
+    if args.epsilon is not None and args.preset in ("tail", "sqrt"):
+        raise MatrixFormatError(f"--epsilon does not apply to --preset {args.preset}, "
+                                "which grades at a fixed epsilon")
     A = read_matrix_market(args.matrix)
     cfg = _config(args)
     start = time.perf_counter()
@@ -247,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=_METHODS, default="halving")
     p.add_argument("--preset", choices=PRESETS,
                    help="generic-scheme preset (default head; requires --method generic)")
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="target distortion (not with --preset tail or sqrt)")
     p.add_argument("--c", type=float, default=None, help="oversampling constant")
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("-o", "--output", required=True, help="sample TSV path")

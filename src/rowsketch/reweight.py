@@ -168,9 +168,14 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
     while sweeps_used < max_sweeps:
         sweeps_used += 1
         changed = False
-        for i in range(A.n_rows):
-            if state.tau[i] <= u[i] + tol:
-                continue
+        i = -1
+        while True:
+            # jump to the next row above its target; every update moves
+            # scores, so the search restarts from the current state
+            later = np.flatnonzero(state.tau[i + 1:] > u[i + 1:] + tol)
+            if not later.size:
+                break
+            i += 1 + int(later[0])
             if state.tau[i] < 1.0 - _ZERO_BRANCH and u[i] < state.tau[i]:
                 gamma = gamma_for_target(float(state.tau[i]), float(u[i]))
                 state.downweight(i, gamma)

@@ -175,6 +175,19 @@ class TestSketchAndVerify:
                      "-o", str(head)]) == 0
         assert plain.read_bytes() == head.read_bytes()
 
+    def test_epsilon_with_fixed_grade_preset_exits_2(self, tmp_path, random_mtx, capsys):
+        out = tmp_path / "s.tsv"
+        for preset in ("tail", "sqrt"):
+            assert main(["sketch", random_mtx, "--method", "generic", "--preset", preset,
+                         "--epsilon", "0.3", "-o", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"rowsketch: --epsilon does not apply to --preset {preset}, "
+                "which grades at a fixed epsilon\n")
+            assert not out.exists()
+        for preset in ("head", "refinement"):
+            assert main(["sketch", random_mtx, "--method", "generic", "--preset", preset,
+                         "--epsilon", "0.3", "-o", str(out)]) == 0
+
     def test_unknown_flag_rejected(self, random_mtx, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["sketch", random_mtx, "--bogus", "-o", str(tmp_path / "s.tsv")])

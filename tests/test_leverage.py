@@ -5,12 +5,32 @@ import pytest
 
 from rowsketch import (ScoreVector, SparseRowMatrix, cross_leverage,
                        exact_leverage_scores, factor_gram,
-                       generalized_leverage_scores, min_norm_witness,
+                       generalized_leverage_scores, leverage, min_norm_witness,
                        read_scores, scale_rows, spectral_check, write_scores)
 
-from conftest import (gaussian_matrix, oracle_cross, oracle_generalized,
-                      oracle_leverage, oracle_min_norm, power_law_matrix,
-                      stacked_identity)
+from conftest import (conditioned_matrix, gaussian_matrix, oracle_cross,
+                      oracle_generalized, oracle_leverage, oracle_min_norm,
+                      power_law_matrix, stacked_identity)
+
+# Past the dense-SVD limit, so factor_gram takes the blocked TSQR path; its
+# last block holds 3 rows, fewer than any column count used below.
+TALL_ROWS = leverage._DENSE_MAX_ROWS + 3
+
+
+def sparse_gaussian(n, d, seed, density=0.3):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+
+
+def assert_matches_dense_svd(dense, rank):
+    """factor_gram of ``dense`` against numpy's SVD of all its rows: the
+    rank, sigma to 1e-12 relative, and the row-space projector V V'."""
+    f = factor_gram(SparseRowMatrix.from_dense(dense))
+    _, s, vh = np.linalg.svd(dense, full_matrices=False)
+    assert f.rank == rank
+    np.testing.assert_allclose(f.singular_values, s[:rank], rtol=1e-12, atol=0)
+    V = f.right_singular_vectors
+    np.testing.assert_allclose(V @ V.T, vh[:rank].T @ vh[:rank], rtol=0, atol=1e-12)
 
 
 class TestFactorGram:
@@ -39,8 +59,45 @@ class TestFactorGram:
         np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-10)
 
     def test_rank_zero_matrix_allowed(self):
-        A = SparseRowMatrix.from_coo(3, 2, [], [], [])
-        assert factor_gram(A).rank == 0
+        for n in (3, TALL_ROWS):
+            A = SparseRowMatrix.from_coo(n, 2, [], [], [])
+            assert factor_gram(A).rank == 0
+
+    def test_dense_limit_keeps_numpy_svd_bytes(self):
+        dense = sparse_gaussian(leverage._DENSE_MAX_ROWS, 6, 11)
+        f = factor_gram(SparseRowMatrix.from_dense(dense))
+        _, s, vh = np.linalg.svd(dense, full_matrices=False)
+        assert f.rank == 6
+        assert f.singular_values.tobytes() == s.tobytes()
+        assert f.right_singular_vectors.tobytes() == np.ascontiguousarray(vh.T).tobytes()
+
+    def test_tsqr_matches_dense_svd(self):
+        d = 8
+        assert TALL_ROWS % leverage._BLOCK_ROWS < d
+        dense = sparse_gaussian(TALL_ROWS, d, 12)
+        for scale in (1.0, 1e150, 1e-150):
+            assert_matches_dense_svd(dense * scale, d)
+
+    def test_tsqr_exact_rank_with_zero_column_and_duplicate_rows(self):
+        dense = sparse_gaussian(TALL_ROWS, 8, 13)
+        dense[:, 3] = 0.0
+        assert_matches_dense_svd(dense, 7)
+        distinct = np.random.default_rng(14).standard_normal((5, 8))
+        assert_matches_dense_svd(distinct[np.arange(TALL_ROWS) % 5], 5)
+
+    def test_tsqr_zero_rows_and_blocks(self):
+        dense = sparse_gaussian(TALL_ROWS, 6, 15)
+        dense[::2] = 0.0
+        dense[leverage._BLOCK_ROWS:3 * leverage._BLOCK_ROWS] = 0.0  # two whole blocks
+        assert_matches_dense_svd(dense, 6)
+
+    def test_tsqr_self_certifies_at_lambda_one(self):
+        # cond 1e6: a squared Gram would lose the small singular values
+        A = conditioned_matrix(1e6, n=TALL_ROWS)
+        rep = spectral_check(A, A, 1.0)
+        assert rep.passes, rep
+        assert rep.lambda_low == pytest.approx(1.0, abs=1e-6)
+        assert rep.lambda_high == pytest.approx(1.0, abs=1e-6)
 
 
 class TestExactScores:
@@ -173,13 +230,19 @@ class TestGeneralizedScores:
         assert np.all(g.values <= lam * tau + 1e-8)
 
     def test_matches_dense_oracle_with_rank_deficient_reference(self, rng):
-        A = gaussian_matrix(25, 6, 31)
         basis = rng.standard_normal((6, 3))
         B = SparseRowMatrix.from_dense(rng.standard_normal((12, 3)) @ basis.T)
-        got = generalized_leverage_scores(A, B)
-        vals, inf = oracle_generalized(A, B)
-        np.testing.assert_array_equal(got.infinite, inf)
-        np.testing.assert_allclose(got.values[~inf], vals[~inf], atol=1e-8)
+        # past one residual block: rows in B's row space, every third one
+        # pushed off it, so flagged rows fall in every block
+        n = 2 * leverage._BLOCK_ROWS + 5
+        mixed = rng.standard_normal((n, 3)) @ basis.T
+        mixed[::3] += rng.standard_normal((mixed[::3].shape[0], 6))
+        for A in (gaussian_matrix(25, 6, 31), SparseRowMatrix.from_dense(mixed)):
+            got = generalized_leverage_scores(A, B)
+            vals, inf = oracle_generalized(A, B)
+            np.testing.assert_array_equal(got.infinite, inf)
+            np.testing.assert_allclose(got.values[~inf], vals[~inf], atol=1e-8)
+        assert 0 < inf.sum() < n
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
