@@ -2,8 +2,8 @@
 
 For a small reference matrix B, tau^B_i(A) = ||B (B'B)^+ a_i||^2.  Instead
 of applying the full projector per row, we apply a seeded Gaussian sketch
-with k = ceil(jl_rows_constant / theta) rows.  With B = U diag(sigma) V' of
-rank r, G B (B'B)^+ = (G U) diag(1/sigma) V' for a k x n_B Gaussian G, and
+with k = ceil(64 / theta) rows (``SketchConfig.jl_rows_constant``).  With
+B = U diag(sigma) V' of rank r, G B (B'B)^+ = (G U) diag(1/sigma) V' for a k x n_B Gaussian G, and
 G U is itself a k x r standard Gaussian Z.  So the k x d matrix
 M = (1/sqrt(k)) Z diag(1/sigma) V' is drawn in d-space, at the cost of
 k x r draws and no pass over B, with the same distribution as the sketch
@@ -15,14 +15,16 @@ sketched norms are multiplied by d^theta so the two-sided distortion turns
 into a one-sided overestimate at the configured confidence.
 
 Rows with components in ker(B) are flagged infinite by dotting against a
-few random kernel-projected probe vectors.
+few random kernel-projected probe vectors, in the same pass over A's row
+blocks: one product with [R' | probes'] per block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .leverage import KERNEL_TOL, PseudoinverseFactor, ScoreVector, factor_gram
+from .leverage import (KERNEL_TOL, PseudoinverseFactor, ScoreVector, factor_gram,
+                       row_blocks)
 from .matrix import SparseRowMatrix
 from .sampling import SketchConfig, rng_from
 
@@ -93,11 +95,15 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     f = factor_gram(B)
     M = build_projector_sketch(f, theta, cfg, salt=salt)
     probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
-    safety = max(A.n_cols, 2) ** theta
     R = np.linalg.qr(M, mode="r")  # min(k, d) x d with ||R a|| = ||M a||
-    sketched = A.dot_dense(R.T)  # n x min(k, d)
-    vals = safety * np.einsum("ij,ij->i", sketched, sketched)
+    m = R.shape[0]
+    W = np.hstack([R.T, probes.T])
+    vals, infinite = np.empty(A.n_rows), np.empty(A.n_rows, dtype=bool)
     norms = np.sqrt(A.row_norms_sq())
-    dots = np.abs(A.dot_dense(probes.T))  # n x t
-    infinite = np.any(dots > KERNEL_TOL * norms[:, None] * source_norms[None, :], axis=1)
-    return ScoreVector(np.where(infinite, 0.0, vals), infinite)
+    for rows, block in row_blocks(A):
+        P = block @ W  # sketched rows, then probe dots
+        vals[rows] = np.einsum("ij,ij->i", P[:, :m], P[:, :m])
+        limit = KERNEL_TOL * norms[rows, None] * source_norms[None, :]
+        infinite[rows] = np.any(np.abs(P[:, m:]) > limit, axis=1)
+    safety = max(A.n_cols, 2) ** theta
+    return ScoreVector(np.where(infinite, 0.0, safety * vals), infinite)

@@ -4,10 +4,10 @@ Exact scores tau_i = a_i' (A'A)^+ a_i, cross scores tau_ij, generalized
 scores tau^B_i(A) with explicit kernel handling, and the minimum-norm
 witness characterization.  All of it runs through ``PseudoinverseFactor``,
 a rank-truncated factorization of the Gram matrix from the singular values
-of A.  No Gram matrix is formed, and a tall A is never densified whole:
-:func:`factor_gram` folds it into a d x d triangular factor a block of rows
-at a time (TSQR), and the kernel residuals of
-:func:`generalized_leverage_scores` are taken block by block.
+of A.  No Gram matrix is formed, and no n x d array of all of a tall A:
+every pass over A's rows takes them from :func:`row_blocks`, 4096 at a time
+past 16384 rows, and either folds them into a d x d factor (TSQR, in
+:func:`factor_gram`) or reduces one sparse x dense product per block.
 """
 
 from __future__ import annotations
@@ -80,7 +80,10 @@ class PseudoinverseFactor:
 
     right_singular_vectors: np.ndarray
     singular_values: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return int(self.singular_values.shape[0])
 
     @property
     def n_cols(self) -> int:
@@ -88,18 +91,9 @@ class PseudoinverseFactor:
 
     def pinv_apply(self, x: np.ndarray) -> np.ndarray:
         """(A'A)^+ @ x for a d-vector or d x k block."""
-        if self.rank == 0:
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
         V, s = self.right_singular_vectors, self.singular_values
         coeff = (V.T @ x)
         return V @ (coeff / (s ** 2)[..., :, None] if coeff.ndim == 2 else coeff / s ** 2)
-
-    def pinv_matrix(self) -> np.ndarray:
-        """Dense d x d (A'A)^+."""
-        if self.rank == 0:
-            return np.zeros((self.n_cols, self.n_cols))
-        V, s = self.right_singular_vectors, self.singular_values
-        return (V / s ** 2) @ V.T
 
     def half_pinv(self) -> np.ndarray:
         """d x r block M = V diag(1/sigma); then tau_i = ||M' a_i||^2."""
@@ -107,8 +101,6 @@ class PseudoinverseFactor:
 
     def rowspace_project(self, X: np.ndarray) -> np.ndarray:
         """Orthogonal projection V V' @ X onto the row space of A."""
-        if self.rank == 0:
-            return np.zeros_like(np.asarray(X, dtype=np.float64))
         V = self.right_singular_vectors
         return V @ (V.T @ X)
 
@@ -118,12 +110,24 @@ class PseudoinverseFactor:
 RANK_RTOL = 1e-10
 KERNEL_TOL = 1e-8
 
-# Up to _DENSE_MAX_ROWS rows, the SVD of the dense rows: every sketch the
-# pipelines factor is this small, so their outputs do not depend on the TSQR
-# path.  Taller matrices are densified _BLOCK_ROWS rows at a time; a block
-# this size kept the R-folding QRs twice as fast as one of 16384 rows.
+# Up to _DENSE_MAX_ROWS rows, A is one block: every sketch the pipelines
+# factor is this small, so their outputs do not depend on the blocking.
+# Taller matrices go _BLOCK_ROWS rows at a time; a block this size kept the
+# R-folding QRs twice as fast as one of 16384 rows.
 _DENSE_MAX_ROWS = 16384
 _BLOCK_ROWS = 4096
+
+
+def row_blocks(A: SparseRowMatrix):
+    """Yield ``(rows, A[rows] as scipy CSR)`` for slices ``rows`` covering A
+    in order: all of A as one block up to 16384 rows, else 4096 at a time."""
+    csr = A.to_scipy()
+    if A.n_rows <= _DENSE_MAX_ROWS:
+        yield slice(0, A.n_rows), csr
+        return
+    for lo in range(0, A.n_rows, _BLOCK_ROWS):
+        rows = slice(lo, min(lo + _BLOCK_ROWS, A.n_rows))
+        yield rows, csr[rows]
 
 
 def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
@@ -132,36 +136,33 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     The singular values come from an SVD of the rows rather than an
     eigendecomposition of the Gram matrix: squaring would push the noise
     floor for sigma to ~1e-8 relative and defeat the 1e-10 cut.  A of at
-    most 16384 rows is densified and factored whole.  Taller A goes through
-    a row-blocked TSQR (Demmel, Grigori, Hoemmen and Langou,
+    most 16384 rows is one block, densified and factored whole.  Taller A
+    goes through a row-blocked TSQR (Demmel, Grigori, Hoemmen and Langou,
     arXiv:0808.2664): each block of 4096 dense rows is folded into a running
     triangular R with A'A = R'R, so sigma and V come from the SVD of the
     d x d factor R, the condition number is never squared, and no more than
     one block of A is dense at a time.
     """
-    if A.n_rows <= _DENSE_MAX_ROWS:
-        rows = A.to_dense() if A.n_rows else np.zeros((0, A.n_cols))
-    else:  # R with R'R = A'A, one block of rows folded in at a time
-        rows = np.zeros((0, A.n_cols))
-        for _, block in A.dense_row_blocks(_BLOCK_ROWS):
-            rows = np.linalg.qr(np.vstack([rows, block]), mode="r")
+    rows = np.zeros((0, A.n_cols))
+    for _, block in row_blocks(A):
+        rows = np.vstack([rows, block.toarray()])
+        if A.n_rows > _DENSE_MAX_ROWS:  # R with R'R = the rows so far
+            rows = np.linalg.qr(rows, mode="r")
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return PseudoinverseFactor(np.zeros((A.n_cols, 0)), np.zeros(0), 0)
-    keep = s > RANK_RTOL * s[0]
-    r = int(keep.sum())
-    return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy(), r)
+    r = int((s > RANK_RTOL * s.max(initial=0.0)).sum())
+    return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy())
 
 
 def exact_leverage_scores(A: SparseRowMatrix,
                           factor: PseudoinverseFactor | None = None) -> ScoreVector:
-    """tau_i = a_i' (A'A)^+ a_i; finite, in [0, 1], summing to rank(A).
+    """tau_i = ||a_i' V diag(1/sigma)||^2, in [0, 1] and summing to rank(A).
     ``factor``, when given, is the caller's ``factor_gram(A)``."""
     f = factor if factor is not None else factor_gram(A)
-    if f.rank == 0:
-        return ScoreVector.from_finite(np.zeros(A.n_rows))
-    P = A.dot_dense(f.half_pinv())
-    tau = np.einsum("ij,ij->i", P, P)
+    M = f.half_pinv()
+    tau = np.empty(A.n_rows)
+    for rows, block in row_blocks(A):
+        P = block @ M
+        tau[rows] = np.einsum("ij,ij->i", P, P)
     return ScoreVector.from_finite(np.clip(tau, 0.0, 1.0))
 
 
@@ -170,10 +171,7 @@ def cross_leverage(A: SparseRowMatrix, i: int, j: int) -> float:
     for k in (i, j):
         if not 0 <= k < A.n_rows:
             raise IndexError(f"row {k} out of range for {A.n_rows} rows")
-    f = factor_gram(A)
-    if f.rank == 0:
-        return 0.0
-    M = f.half_pinv()
+    M = factor_gram(A).half_pinv()
     ci, vi = A.row(i)
     cj, vj = A.row(j)
     return float((vi @ M[ci]) @ (vj @ M[cj]))
@@ -188,8 +186,6 @@ def min_norm_witness(A: SparseRowMatrix, i: int) -> np.ndarray:
     if not 0 <= i < A.n_rows:
         raise IndexError(f"row {i} out of range for {A.n_rows} rows")
     f = factor_gram(A)
-    if f.rank == 0:
-        return np.zeros(A.n_rows)
     cols, vals = A.row(i)
     a_i = np.zeros(A.n_cols)
     a_i[cols] = vals
@@ -199,33 +195,25 @@ def min_norm_witness(A: SparseRowMatrix, i: int) -> np.ndarray:
 def generalized_leverage_scores(A: SparseRowMatrix, B: SparseRowMatrix) -> ScoreVector:
     """tau^B_i(A) = a_i' (B'B)^+ a_i, flagged infinite when a_i leans into ker(B).
 
-    A row is flagged when its residual against B's row space exceeds
-    ``KERNEL_TOL * ||a_i||``; the zero row is defined orthogonal to every
-    kernel and scores 0.  With B = A this reduces to the exact scores.
+    Each block of A's rows takes one product with [V diag(1/sigma) | N], N an
+    orthonormal basis of ker(B).  A row is flagged when its residual
+    ||N'a_i||, free of the cancellation in ||a_i||^2 - ||V'a_i||^2, exceeds
+    KERNEL_TOL * ||a_i||; the zero row scores 0 and is never flagged.
+    With B = A this reduces to the exact scores.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
     f = factor_gram(B)
-    n = A.n_rows
-    norms = np.sqrt(A.row_norms_sq())
-    if f.rank == 0:
-        infinite = norms > 0
-        return ScoreVector(np.zeros(n), infinite)
-    V = f.right_singular_vectors
-    P = A.dot_dense(V)
-    vals = np.einsum("ij,ij->i", P / f.singular_values, P / f.singular_values)
-    if f.rank < A.n_cols:
-        # explicit residual rows, one block at a time: cancellation-free
-        # kernel detection, where ||a_i||^2 - ||V'a_i||^2 would cancel
-        resid = np.empty(n)
-        for lo, block in A.dense_row_blocks(_BLOCK_ROWS):
-            hi = lo + block.shape[0]
-            resid[lo:hi] = np.linalg.norm(block - P[lo:hi] @ V.T, axis=1)
-        infinite = resid > KERNEL_TOL * norms
-        vals = np.where(infinite, 0.0, vals)
-    else:
-        infinite = np.zeros(n, dtype=bool)
-    return ScoreVector(np.maximum(vals, 0.0), infinite)
+    r = f.rank
+    N = np.linalg.qr(f.right_singular_vectors, mode="complete")[0][:, r:]
+    W = np.hstack([f.half_pinv(), N])
+    vals, resid = np.empty(A.n_rows), np.empty(A.n_rows)
+    for rows, block in row_blocks(A):
+        P = block @ W
+        vals[rows] = np.einsum("ij,ij->i", P[:, :r], P[:, :r])
+        resid[rows] = np.linalg.norm(P[:, r:], axis=1)
+    infinite = resid > KERNEL_TOL * np.sqrt(A.row_norms_sq())
+    return ScoreVector(np.where(infinite, 0.0, vals), infinite)
 
 
 # ---------------------------------------------------------------------------

@@ -153,13 +153,6 @@ class SparseRowMatrix:
         out[cols] = vals
         return out
 
-    def dense_row_blocks(self, size: int):
-        """Yield ``(start, rows start..start+size-1 as a dense array)`` in
-        order, so at most ``size`` rows are dense at a time."""
-        csr = self.to_scipy()
-        for lo in range(0, self.n_rows, size):
-            yield lo, csr[lo:lo + size].toarray()
-
     def row_norms_sq(self) -> np.ndarray:
         out = np.zeros(self.n_rows)
         np.add.at(out, np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets)), self.values ** 2)

@@ -379,6 +379,10 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray, preconditioner=None,
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError("right-hand side length must equal n_rows")
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     csr = A.to_scipy()
     rhs = csr.T @ b
     rhs_norm = float(np.linalg.norm(rhs))

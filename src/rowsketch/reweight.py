@@ -119,7 +119,8 @@ class _ScoreState:
     def refresh(self) -> None:
         B = scale_rows(self.A, self.w)
         f = factor_gram(B)
-        self.P = f.pinv_matrix()
+        M = f.half_pinv()
+        self.P = M @ M.T
         self.tau = exact_leverage_scores(B, factor=f).values.copy()
 
     def downweight(self, i: int, gamma: float) -> None:
@@ -157,6 +158,8 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
         raise ValueError("tol must be positive")
     if max_sweeps is None:
         max_sweeps = 100 * max(A.n_rows, 1)
+    elif max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
 
     state = _ScoreState(A)
     touched = np.zeros(A.n_rows, dtype=bool)

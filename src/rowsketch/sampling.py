@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,17 +53,17 @@ class SketchConfig:
     ``seed`` fully determines all random draws downstream.  ``theta`` is the
     sketch-distortion exponent; None defers to each routine's per-matrix
     default (1/log d for the pipelines).  ``c`` is the oversampling constant
-    in the row-keeping probabilities; ``jl_rows_constant`` fixes the sketch
-    height ceil(jl_rows_constant / theta), and ``kernel_probes`` the number
-    of null-space probes per estimate.
+    in the row-keeping probabilities.  Two constants are not settable:
+    ``jl_rows_constant`` fixes the sketch height ceil(64 / theta), and
+    ``kernel_probes`` the number of null-space probes per estimate.
     """
 
     epsilon: float = 0.5
     c: float = 2.0
     theta: float | None = None
     seed: int = 42
-    jl_rows_constant: float = 64.0
-    kernel_probes: int = 3
+    jl_rows_constant: ClassVar[float] = 64.0
+    kernel_probes: ClassVar[int] = 3
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -71,8 +72,6 @@ class SketchConfig:
             raise ValueError("c must be positive")
         if self.theta is not None and not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.jl_rows_constant <= 0.0 or self.kernel_probes < 1:
-            raise ValueError("bad sketch constants")
 
     def resolve_theta(self, n_cols: int) -> float:
         return self.theta if self.theta is not None else 1.0 / log_dim(n_cols)

@@ -1,5 +1,5 @@
-"""Dense certifiers: spectral approximation checks and a seeded Monte Carlo
-harness.
+"""Certifiers: a blocked spectral approximation check and a seeded Monte
+Carlo harness.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .leverage import PseudoinverseFactor, factor_gram
+from .leverage import PseudoinverseFactor, factor_gram, row_blocks
 from .matrix import SparseRowMatrix
 
 
@@ -32,9 +32,14 @@ class SpectralReport:
 def _whitened_spectrum(f: PseudoinverseFactor, Atilde: SparseRowMatrix) -> np.ndarray:
     """Ascending eigenvalues of T'T for the whitened rows T = Atilde W,
     W = f.half_pinv().  cond(T) <= sqrt(lambda) for a sketch within lambda,
-    so T'T loses nothing; Atilde'Atilde would square Atilde's condition."""
-    T = Atilde.dot_dense(f.half_pinv())
-    return np.linalg.eigvalsh(T.T @ T)
+    so T'T loses nothing; Atilde'Atilde would square Atilde's condition.
+    T'T is summed over ``row_blocks``, so T is never formed past 16384 rows."""
+    W = f.half_pinv()
+    G = np.zeros((f.rank, f.rank))
+    for _, block in row_blocks(Atilde):
+        T = block @ W
+        G += T.T @ T
+    return np.linalg.eigvalsh(G)
 
 
 def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
@@ -51,6 +56,8 @@ def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
         raise ValueError(f"column mismatch: {A.n_cols} vs {Atilde.n_cols}")
     if lam < 1.0:
         raise ValueError("lambda must be at least 1")
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
     fa = factor_gram(A)
     rank_atilde = factor_gram(Atilde).rank
     rank_match = rank_atilde == fa.rank

@@ -293,6 +293,32 @@ class TestSolve:
         assert not x_p.exists()
 
 
+class TestUsageErrors:
+    def test_bad_counts_and_tolerances_exit_2_not_1(self, tmp_path, random_mtx, capsys):
+        from rowsketch import WeightedRowSample, write_sample
+        rhs = tmp_path / "b.tsv"
+        rhs.write_text("row_index\tvalue\n" + "".join(f"{i}\t1\n" for i in range(512)))
+        full = tmp_path / "full.tsv"
+        write_sample(full, WeightedRowSample.identity(512))  # passes at any lambda
+        out = str(tmp_path / "out.tsv")
+        cases = (
+            (["reweight", random_mtx, "--alpha", "0.5", "--max-sweeps", "0", "-o", out],
+             "max_sweeps must be at least 1"),
+            (["reweight", random_mtx, "--alpha", "0.5", "--max-sweeps", "-3", "-o", out],
+             "max_sweeps must be at least 1"),
+            (["solve", random_mtx, str(rhs), "--max-iters", "0", "-o", out],
+             "max_iters must be at least 1"),
+            (["solve", random_mtx, str(rhs), "--tol", "-1", "-o", out],
+             "tol must be nonnegative"),
+            (["verify", random_mtx, str(full), "--lambda", "2", "--tol", "-1"],
+             "tol must be nonnegative"),
+        )
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == f"rowsketch: {message}\n", argv
+        assert not (tmp_path / "out.tsv").exists()
+
+
 class TestBench:
     def test_table_shape_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "b1.tsv", tmp_path / "b2.tsv"

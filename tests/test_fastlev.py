@@ -69,7 +69,8 @@ class TestProjectorSketch:
         assert shapes[0][0] * shapes[0][1] <= k * 6
 
     def test_row_count_formula(self):
-        cfg = SketchConfig(jl_rows_constant=64.0)
+        cfg = SketchConfig()
+        assert cfg.jl_rows_constant == 64.0
         assert sketch_rows(0.5, cfg) == 128
         assert sketch_rows(1.0, cfg) == 64
         with pytest.raises(ValueError):
@@ -163,9 +164,10 @@ class TestApproxGeneralized:
 
     @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "k-below-d"])
     def test_equals_safety_times_projector_sketch_norms(self, case, rng):
-        # d^theta ||M a_i||^2 with M straight from build_projector_sketch
-        d, theta = 8, 0.5
-        cfg = SketchConfig(seed=6, jl_rows_constant=2.0 if case == "k-below-d" else 64.0)
+        # d^theta ||M a_i||^2 with M straight from build_projector_sketch;
+        # k = 64 rows at theta = 1 fall below d = 70
+        d, theta = (70, 1.0) if case == "k-below-d" else (8, 0.5)
+        cfg = SketchConfig(seed=6)
         A = gaussian_matrix(300, d, 12)
         B = A
         if case == "rank-deficient":
@@ -184,7 +186,8 @@ class TestApproxGeneralized:
     def test_instrumentation_counts(self, monkeypatch):
         # one factorization plus k + t_probes solves per call
         A = gaussian_matrix(40, 6, 8)
-        cfg = SketchConfig(seed=2, kernel_probes=3)
+        cfg = SketchConfig(seed=2)
+        assert cfg.kernel_probes == 3
         theta = 0.5
         calls = []
         monkeypatch.setattr(fastlev, "factor_gram",

@@ -1,12 +1,17 @@
-"""Exact leverage machinery against dense pseudoinverse oracles."""
+"""Exact leverage machinery against dense pseudoinverse oracles, and the
+blocked walk over A's rows that every full pass takes."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rowsketch import (ScoreVector, SparseRowMatrix, cross_leverage,
-                       exact_leverage_scores, factor_gram,
-                       generalized_leverage_scores, leverage, min_norm_witness,
-                       read_scores, scale_rows, spectral_check, write_scores)
+from rowsketch import (ScoreVector, SketchConfig, SparseRowMatrix,
+                       approx_generalized_leverage, build_projector_sketch,
+                       cross_leverage, exact_leverage_scores, factor_gram,
+                       generalized_leverage_scores, kernel_probe, leverage,
+                       min_norm_witness, read_scores, scale_rows,
+                       spectral_check, write_scores)
 
 from conftest import (conditioned_matrix, gaussian_matrix, oracle_cross,
                       oracle_generalized, oracle_leverage, oracle_min_norm,
@@ -232,21 +237,84 @@ class TestGeneralizedScores:
     def test_matches_dense_oracle_with_rank_deficient_reference(self, rng):
         basis = rng.standard_normal((6, 3))
         B = SparseRowMatrix.from_dense(rng.standard_normal((12, 3)) @ basis.T)
-        # past one residual block: rows in B's row space, every third one
-        # pushed off it, so flagged rows fall in every block
-        n = 2 * leverage._BLOCK_ROWS + 5
-        mixed = rng.standard_normal((n, 3)) @ basis.T
+        zero_b = SparseRowMatrix.from_coo(4, 6, [], [], [])
+        # past the one-block limit: rows in B's row space, every third one
+        # pushed off it and every fifth one zero, so flagged and zero rows
+        # fall in every block
+        mixed = rng.standard_normal((TALL_ROWS, 3)) @ basis.T
         mixed[::3] += rng.standard_normal((mixed[::3].shape[0], 6))
+        mixed[::5] = 0.0
         for A in (gaussian_matrix(25, 6, 31), SparseRowMatrix.from_dense(mixed)):
-            got = generalized_leverage_scores(A, B)
-            vals, inf = oracle_generalized(A, B)
-            np.testing.assert_array_equal(got.infinite, inf)
-            np.testing.assert_allclose(got.values[~inf], vals[~inf], atol=1e-8)
-        assert 0 < inf.sum() < n
+            for ref in (B, zero_b):
+                got = generalized_leverage_scores(A, ref)
+                vals, inf = oracle_generalized(A, ref)
+                np.testing.assert_array_equal(got.infinite, inf)
+                np.testing.assert_allclose(got.values[~inf], vals[~inf], atol=1e-8)
+                assert 0 < inf.sum() < TALL_ROWS
+        assert np.all(got.values == 0.0)  # a rank-0 reference scores nothing
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
             generalized_leverage_scores(gaussian_matrix(4, 2, 0), gaussian_matrix(4, 3, 0))
+
+
+class TestRowBlocks:
+    def test_blocks_cover_rows_in_order(self):
+        for n, sizes in ((leverage._DENSE_MAX_ROWS, [leverage._DENSE_MAX_ROWS]),
+                         (TALL_ROWS, [4096, 4096, 4096, 4096, 3]), (0, [0])):
+            A = SparseRowMatrix.from_dense(sparse_gaussian(n, 3, 16))
+            blocks = list(leverage.row_blocks(A))
+            assert [b.shape[0] for _, b in blocks] == sizes
+            dense = A.to_dense()
+            for rows, block in blocks:
+                np.testing.assert_array_equal(block.toarray(), dense[rows])
+
+    def test_passes_hold_one_block_not_all_rows(self):
+        # every full pass over 40000 x 64 rows peaks well below one n x d
+        # dense array (20 MB); a whole-matrix product would need at least one
+        n, d = 40000, 64
+        A = SparseRowMatrix.from_dense(sparse_gaussian(n, d, 17, density=0.05))
+        dense_b = sparse_gaussian(2000, d, 18, density=0.05)
+        dense_b[:, -8:] = 0.0
+        B = SparseRowMatrix.from_dense(dense_b)
+        passes = {
+            "exact": lambda: exact_leverage_scores(A),
+            "generalized": lambda: generalized_leverage_scores(A, B),
+            "sketched": lambda: approx_generalized_leverage(A, B, 1.0, SketchConfig(seed=1)),
+            "spectral": lambda: spectral_check(A, A, 1.0),
+        }
+        for name, run in passes.items():
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * d * 8 / 2, (name, peak)
+
+    def test_blocked_sketch_matches_whole_matrix_formula(self, rng):
+        # byte for byte: one n x min(k, d) product for the sketched norms and
+        # one n x t product for the probe dots, over all rows at once
+        d, theta, salt = 8, 0.5, ("blocks",)
+        basis = rng.standard_normal((d, 5))
+        B = SparseRowMatrix.from_dense(rng.standard_normal((30, 5)) @ basis.T)
+        mixed = rng.standard_normal((TALL_ROWS, 5)) @ basis.T
+        mixed[::7] += rng.standard_normal((mixed[::7].shape[0], d))
+        A = SparseRowMatrix.from_dense(mixed)
+        cfg = SketchConfig(seed=4)
+        est = approx_generalized_leverage(A, B, theta, cfg, salt=salt)
+        f = factor_gram(B)
+        R = np.linalg.qr(build_projector_sketch(f, theta, cfg, salt=salt), mode="r")
+        probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
+        sketched = A.dot_dense(R.T)
+        vals = d ** theta * np.einsum("ij,ij->i", sketched, sketched)
+        norms = np.sqrt(A.row_norms_sq())
+        dots = np.abs(A.dot_dense(probes.T))
+        infinite = np.any(dots > leverage.KERNEL_TOL * norms[:, None] * source_norms[None, :],
+                          axis=1)
+        assert 0 < infinite.sum() < TALL_ROWS
+        assert est.infinite.tobytes() == infinite.tobytes()
+        assert est.values.tobytes() == np.where(infinite, 0.0, vals).tobytes()
 
 
 class TestScoreVector:

@@ -23,7 +23,7 @@ class TestSketchConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(epsilon=0.0), dict(epsilon=1.0), dict(c=-1.0), dict(theta=0.0),
-        dict(theta=2.0), dict(kernel_probes=0), dict(jl_rows_constant=0.0),
+        dict(theta=2.0),
     ])
     def test_range_validation(self, kwargs):
         with pytest.raises(ValueError):
