@@ -14,17 +14,16 @@ of M, since ||R a_i|| = ||M a_i||: O(min(k, d) nnz(a_i)) per row.  Raw
 sketched norms are multiplied by d^theta so the two-sided distortion turns
 into a one-sided overestimate at the configured confidence.
 
-Rows with components in ker(B) are flagged infinite by dotting against a
-few random kernel-projected probe vectors, in the same pass over A's row
-blocks: one product with [R' | probes'] per block.
+Rows leaning into ker(B) are flagged in the same pass by the rule of the
+exact generalized scores, for entries from about 1e-300 to 1e300: the dots of
+a_i with kernel probes z_t, over ||g_t||, have 2-norm > KERNEL_TOL * ||a_i||.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .leverage import (KERNEL_TOL, PseudoinverseFactor, ScoreVector, factor_gram,
-                       row_blocks)
+from .leverage import PseudoinverseFactor, ScoreVector, _score_rows, factor_gram
 from .matrix import SparseRowMatrix
 from .sampling import SketchConfig, rng_from
 
@@ -85,8 +84,9 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     """Sketched overestimates of tau^B(A) within a d^(2 theta) envelope.
 
     Returns d^theta * ||M a_i||^2 per row (the safety factor making the
-    estimate one-sided), and flags a row infinite when any probe dot
-    |z_t . a_i| exceeds KERNEL_TOL * ||a_i|| * ||g_t|| (see :func:`kernel_probe`).
+    estimate one-sided).  A row is flagged infinite when its probe dots
+    z_t . a_i / ||g_t|| have 2-norm above KERNEL_TOL * ||a_i||, the rule of
+    :func:`generalized_leverage_scores`, for entries from about 1e-300 to 1e300.
     One factorization per call; the solves it spends are
     :func:`estimate_cost`.
     """
@@ -96,14 +96,5 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     M = build_projector_sketch(f, theta, cfg, salt=salt)
     probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
     R = np.linalg.qr(M, mode="r")  # min(k, d) x d with ||R a|| = ||M a||
-    m = R.shape[0]
-    W = np.hstack([R.T, probes.T])
-    vals, infinite = np.empty(A.n_rows), np.empty(A.n_rows, dtype=bool)
-    norms = np.sqrt(A.row_norms_sq())
-    for rows, block in row_blocks(A):
-        P = block @ W  # sketched rows, then probe dots
-        vals[rows] = np.einsum("ij,ij->i", P[:, :m], P[:, :m])
-        limit = KERNEL_TOL * norms[rows, None] * source_norms[None, :]
-        infinite[rows] = np.any(np.abs(P[:, m:]) > limit, axis=1)
-    safety = max(A.n_cols, 2) ** theta
-    return ScoreVector(np.where(infinite, 0.0, safety * vals), infinite)
+    s = _score_rows(A, np.hstack([R.T, probes.T / source_norms]), R.shape[0])
+    return ScoreVector(max(A.n_cols, 2) ** theta * s.values, s.infinite)

@@ -109,6 +109,7 @@ class PseudoinverseFactor:
 # kernel when its component there exceeds KERNEL_TOL * ||a_i||.
 RANK_RTOL = 1e-10
 KERNEL_TOL = 1e-8
+_TINY = np.finfo(np.float64).tiny
 
 # Up to _DENSE_MAX_ROWS rows, A is one block: every sketch the pipelines
 # factor is this small, so their outputs do not depend on the blocking.
@@ -128,6 +129,31 @@ def row_blocks(A: SparseRowMatrix):
     for lo in range(0, A.n_rows, _BLOCK_ROWS):
         rows = slice(lo, min(lo + _BLOCK_ROWS, A.n_rows))
         yield rows, csr[rows]
+
+
+def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
+    """The one scoring pass, P = block @ W per block: row i scores
+    ||P_i[:r]||^2 and is flagged when ||P_i[r:]|| > KERNEL_TOL * ||a_i||, for
+    entries from about 1e-300 to 1e300: a row whose ||a_i||^2 overflows, or
+    makes KERNEL_TOL^2 ||a_i||^2 subnormal, is first divided by its largest |entry|."""
+    vals, infinite = np.empty(A.n_rows), np.zeros(A.n_rows, dtype=bool)
+    for rows, block in row_blocks(A):
+        P = block @ W
+        vals[rows] = np.einsum("ij,ij->i", P[:, :r], P[:, :r])
+        if W.shape[1] == r:
+            continue
+        with np.errstate(over="ignore"):  # overflowed rows are redone below
+            sq = block.power(2) @ np.ones(A.n_cols)
+            ksq = np.einsum("ij,ij->i", P[:, r:], P[:, r:])
+        nonempty = np.diff(block.indptr) > 0
+        odd = np.flatnonzero((sq == np.inf) | (nonempty & (sq < _TINY / KERNEL_TOL ** 2)))
+        if odd.size:
+            dense = block[odd].toarray()
+            top = np.abs(dense).max(axis=1, keepdims=True, initial=_TINY)  # > 0 for stored zeros
+            sq[odd] = ((dense / top) ** 2).sum(axis=1)
+            ksq[odd] = ((P[odd, r:] / top) ** 2).sum(axis=1)
+        infinite[rows] = ksq > KERNEL_TOL ** 2 * sq
+    return ScoreVector(np.where(infinite, 0.0, vals), infinite)
 
 
 def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
@@ -158,11 +184,7 @@ def exact_leverage_scores(A: SparseRowMatrix,
     """tau_i = ||a_i' V diag(1/sigma)||^2, in [0, 1] and summing to rank(A).
     ``factor``, when given, is the caller's ``factor_gram(A)``."""
     f = factor if factor is not None else factor_gram(A)
-    M = f.half_pinv()
-    tau = np.empty(A.n_rows)
-    for rows, block in row_blocks(A):
-        P = block @ M
-        tau[rows] = np.einsum("ij,ij->i", P, P)
+    tau = _score_rows(A, f.half_pinv(), f.rank).values
     return ScoreVector.from_finite(np.clip(tau, 0.0, 1.0))
 
 
@@ -195,25 +217,16 @@ def min_norm_witness(A: SparseRowMatrix, i: int) -> np.ndarray:
 def generalized_leverage_scores(A: SparseRowMatrix, B: SparseRowMatrix) -> ScoreVector:
     """tau^B_i(A) = a_i' (B'B)^+ a_i, flagged infinite when a_i leans into ker(B).
 
-    Each block of A's rows takes one product with [V diag(1/sigma) | N], N an
-    orthonormal basis of ker(B).  A row is flagged when its residual
-    ||N'a_i||, free of the cancellation in ||a_i||^2 - ||V'a_i||^2, exceeds
-    KERNEL_TOL * ||a_i||; the zero row scores 0 and is never flagged.
-    With B = A this reduces to the exact scores.
+    One :func:`_score_rows` pass with [V diag(1/sigma) | N], N an orthonormal
+    basis of ker(B), flags a row when ||N'a_i|| exceeds KERNEL_TOL * ||a_i||
+    for entries from about 1e-300 to 1e300; the zero row scores 0 and is
+    never flagged.  With B = A this reduces to the exact scores.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
     f = factor_gram(B)
-    r = f.rank
-    N = np.linalg.qr(f.right_singular_vectors, mode="complete")[0][:, r:]
-    W = np.hstack([f.half_pinv(), N])
-    vals, resid = np.empty(A.n_rows), np.empty(A.n_rows)
-    for rows, block in row_blocks(A):
-        P = block @ W
-        vals[rows] = np.einsum("ij,ij->i", P[:, :r], P[:, :r])
-        resid[rows] = np.linalg.norm(P[:, r:], axis=1)
-    infinite = resid > KERNEL_TOL * np.sqrt(A.row_norms_sq())
-    return ScoreVector(np.where(infinite, 0.0, vals), infinite)
+    N = np.linalg.qr(f.right_singular_vectors, mode="complete")[0][:, f.rank:]
+    return _score_rows(A, np.hstack([f.half_pinv(), N]), f.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -153,11 +153,6 @@ class SparseRowMatrix:
         out[cols] = vals
         return out
 
-    def row_norms_sq(self) -> np.ndarray:
-        out = np.zeros(self.n_rows)
-        np.add.at(out, np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets)), self.values ** 2)
-        return out
-
     def dot_dense(self, X: np.ndarray) -> np.ndarray:
         """A @ X for a dense vector or d x k block."""
         return self.to_scipy() @ X

@@ -10,10 +10,12 @@ from rowsketch import (ScoreVector, SketchConfig, SparseRowMatrix,
                        approx_generalized_leverage, build_projector_sketch,
                        cross_leverage, exact_leverage_scores, factor_gram,
                        generalized_leverage_scores, kernel_probe, leverage,
-                       min_norm_witness, read_scores, scale_rows,
-                       spectral_check, write_scores)
+                       materialize, min_norm_witness, read_scores,
+                       repeated_halving, scale_rows, spectral_check,
+                       write_scores)
 
-from conftest import (conditioned_matrix, gaussian_matrix, oracle_cross,
+from conftest import (conditioned_matrix, gaussian_matrix,
+                      isolated_direction_matrix, oracle_cross,
                       oracle_generalized, oracle_leverage, oracle_min_norm,
                       power_law_matrix, stacked_identity)
 
@@ -217,10 +219,17 @@ class TestGeneralizedScores:
         assert g.infinite[0]
 
     def test_zero_row_never_flagged(self):
-        A = SparseRowMatrix.from_dense(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        # generalized and sketched scores, on one block and past 16384 rows:
+        # zero rows score 0 and are never flagged, the rest lean into ker(B)
         B = SparseRowMatrix.from_dense(np.array([[0.0, 1.0]]))
-        g = generalized_leverage_scores(A, B)
-        assert not g.infinite[0] and g.values[0] == 0.0
+        for n in (2, TALL_ROWS):
+            dense = np.zeros((n, 2))
+            dense[1::2, 0] = 1.0
+            A = SparseRowMatrix.from_dense(dense)
+            for g in (generalized_leverage_scores(A, B),
+                      approx_generalized_leverage(A, B, 1.0, SketchConfig(seed=2))):
+                np.testing.assert_array_equal(g.infinite, dense[:, 0] != 0.0)
+                assert np.all(g.values == 0.0)
 
     def test_spectral_sandwich_for_verified_approximation(self, rng):
         A = gaussian_matrix(60, 6, 17)
@@ -256,6 +265,41 @@ class TestGeneralizedScores:
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
             generalized_leverage_scores(gaussian_matrix(4, 2, 0), gaussian_matrix(4, 3, 0))
+
+
+class TestScale:
+    """Scaling A and B together by c leaves every score and flag in place,
+    also where ||a_i||^2 over- or underflows (|c| past about 1e+-154) and
+    where the squared limit KERNEL_TOL^2 ||a_i||^2 is subnormal (2e-154)."""
+
+    @pytest.mark.parametrize("n", [3000, 20000])
+    @pytest.mark.parametrize("c", [1e150, 1e-150, 1e200, 1e-200, 2e-154])
+    def test_scores_and_flags_do_not_move(self, c, n):
+        rng = np.random.default_rng(23)
+        basis = rng.standard_normal((6, 3))
+        B = rng.standard_normal((40, 3)) @ basis.T
+        A = rng.standard_normal((n, 3)) @ basis.T
+        A[::3] += rng.standard_normal((A[::3].shape[0], 6))  # kernel rows
+        # rows 1, 8, 15, ... lean into ker(B) by 2e-9 to 2e-7 of their norm,
+        # on both sides of KERNEL_TOL
+        kernel = np.linalg.qr(basis, mode="complete")[0][:, 3]
+        near = A[1::7]
+        near += np.outer(np.geomspace(2e-9, 2e-7, len(near)) * np.linalg.norm(near, axis=1), kernel)
+        A[::5] = 0.0
+        cfg = SketchConfig(seed=6)
+        for score in (generalized_leverage_scores,
+                      lambda A, B: approx_generalized_leverage(A, B, 0.5, cfg)):
+            ref = score(SparseRowMatrix.from_dense(A), SparseRowMatrix.from_dense(B))
+            got = score(SparseRowMatrix.from_dense(c * A), SparseRowMatrix.from_dense(c * B))
+            assert 0 < ref.infinite.sum() < n
+            np.testing.assert_array_equal(got.infinite, ref.infinite)
+            np.testing.assert_allclose(got.values, ref.values, rtol=1e-12, atol=0)
+
+    def test_halving_certifies_a_huge_isolated_matrix(self):
+        A = SparseRowMatrix.from_dense(1e160 * isolated_direction_matrix(2048, 8, 0).to_dense())
+        for seed in range(5):
+            r = repeated_halving(A, SketchConfig(seed=seed))
+            assert spectral_check(A, materialize(A, r.sample), r.check_lambda).passes, seed
 
 
 class TestRowBlocks:
@@ -294,7 +338,9 @@ class TestRowBlocks:
 
     def test_blocked_sketch_matches_whole_matrix_formula(self, rng):
         # byte for byte: one n x min(k, d) product for the sketched norms and
-        # one n x t product for the probe dots, over all rows at once
+        # one n x t product for the probe dots, over all rows at once; a row
+        # is flagged when its probe dots, each over ||g_t||, have 2-norm
+        # above KERNEL_TOL * ||a_i||
         d, theta, salt = 8, 0.5, ("blocks",)
         basis = rng.standard_normal((d, 5))
         B = SparseRowMatrix.from_dense(rng.standard_normal((30, 5)) @ basis.T)
@@ -308,10 +354,8 @@ class TestRowBlocks:
         probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
         sketched = A.dot_dense(R.T)
         vals = d ** theta * np.einsum("ij,ij->i", sketched, sketched)
-        norms = np.sqrt(A.row_norms_sq())
-        dots = np.abs(A.dot_dense(probes.T))
-        infinite = np.any(dots > leverage.KERNEL_TOL * norms[:, None] * source_norms[None, :],
-                          axis=1)
+        dots = np.linalg.norm(A.dot_dense(probes.T / source_norms), axis=1)
+        infinite = dots > leverage.KERNEL_TOL * np.linalg.norm(mixed, axis=1)
         assert 0 < infinite.sum() < TALL_ROWS
         assert est.infinite.tobytes() == infinite.tobytes()
         assert est.values.tobytes() == np.where(infinite, 0.0, vals).tobytes()
