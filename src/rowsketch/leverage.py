@@ -4,10 +4,12 @@ Exact scores tau_i = a_i' (A'A)^+ a_i, cross scores tau_ij, generalized
 scores tau^B_i(A) with explicit kernel handling, and the minimum-norm
 witness characterization.  All of it runs through ``PseudoinverseFactor``,
 a rank-truncated factorization of the Gram matrix from the singular values
-of A.  No Gram matrix is formed, and no n x d array of all of a tall A:
-every pass over A's rows takes them from :func:`row_blocks`, 4096 at a time
-past 16384 rows, and either folds them into a d x d factor (TSQR, in
-:func:`factor_gram`) or reduces one sparse x dense product per block.
+of A.  A'A is never formed from A itself, and no n x d array of all of a
+tall A: every pass over A's rows takes them from :func:`row_blocks`, 4096
+at a time past 16384 rows, and reduces one sparse x dense product per
+block.  :func:`factor_gram` whitens a tall A by a sample of its own rows
+and sums the Gram of the whitened rows, or folds the blocks into TSQR's
+d x d factor where that Gram is not accurate enough.
 """
 
 from __future__ import annotations
@@ -114,20 +116,29 @@ _TINY = np.finfo(np.float64).tiny
 # Up to _DENSE_MAX_ROWS rows, A is one block: every sketch the pipelines
 # factor is this small, so their outputs do not depend on the blocking.
 # Taller matrices go _BLOCK_ROWS rows at a time; a block this size kept the
-# R-folding QRs twice as fast as one of 16384 rows.
+# R-folding QRs twice as fast as one of 16384 rows.  The sample that
+# whitens a tall A is at most one block of its rows.
 _DENSE_MAX_ROWS = 16384
 _BLOCK_ROWS = 4096
+_EPS = np.finfo(np.float64).eps
+# relative accuracy of sigma that the sample-whitened factor must reach, or
+# hand A to TSQR: the dense oracles hold factor_gram to 1e-12
+_ORACLE_RTOL = 1e-12
 
 
 def row_blocks(A: SparseRowMatrix):
     """Yield ``(rows, A[rows] as scipy CSR)`` for slices ``rows`` covering A
     in order: all of A as one block up to 16384 rows, else 4096 at a time."""
-    csr = A.to_scipy()
-    if A.n_rows <= _DENSE_MAX_ROWS:
-        yield slice(0, A.n_rows), csr
+    return _csr_blocks(A.to_scipy())
+
+
+def _csr_blocks(csr):
+    n = csr.shape[0]
+    if n <= _DENSE_MAX_ROWS:
+        yield slice(0, n), csr
         return
-    for lo in range(0, A.n_rows, _BLOCK_ROWS):
-        rows = slice(lo, min(lo + _BLOCK_ROWS, A.n_rows))
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = slice(lo, min(lo + _BLOCK_ROWS, n))
         yield rows, csr[rows]
 
 
@@ -159,24 +170,92 @@ def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
 def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     """Factor A'A with numerical rank cut at sigma > RANK_RTOL * sigma_max.
 
-    The singular values come from an SVD of the rows rather than an
-    eigendecomposition of the Gram matrix: squaring would push the noise
-    floor for sigma to ~1e-8 relative and defeat the 1e-10 cut.  A of at
-    most 16384 rows is one block, densified and factored whole.  Taller A
-    goes through a row-blocked TSQR (Demmel, Grigori, Hoemmen and Langou,
-    arXiv:0808.2664): each block of 4096 dense rows is folded into a running
-    triangular R with A'A = R'R, so sigma and V come from the SVD of the
-    d x d factor R, the condition number is never squared, and no more than
-    one block of A is dense at a time.
+    The singular values come from an SVD of a matrix M with M'M = A'A rather
+    than an eigendecomposition of the Gram matrix: squaring A would push the
+    noise floor for sigma to ~1e-8 relative and defeat the 1e-10 cut.  A of
+    at most 16384 rows is one block, densified and factored whole (M = A).
+    Taller A is whitened by a sample of its own rows and read in one blocked
+    pass (:func:`_sample_whitened`, after Rokhlin and Tygert, PNAS 2008),
+    which gives a d x d M.  Where that pass cannot reach the accuracy of the
+    dense factor, A goes through a row-blocked TSQR instead (Demmel,
+    Grigori, Hoemmen and Langou, arXiv:0808.2664): each block of 4096 dense
+    rows is folded into a running triangular R with A'A = R'R.  Either way
+    the condition number of A is never squared, and no more than one block
+    of A is dense at a time.
     """
-    rows = np.zeros((0, A.n_cols))
-    for _, block in row_blocks(A):
-        rows = np.vstack([rows, block.toarray()])
-        if A.n_rows > _DENSE_MAX_ROWS:  # R with R'R = the rows so far
-            rows = np.linalg.qr(rows, mode="r")
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    csr = A.to_scipy()
+    if A.n_rows <= _DENSE_MAX_ROWS:
+        M = csr.toarray()
+    else:
+        M = _sample_whitened(csr)
+        if M is None:
+            M = _tsqr(csr)
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
     r = int((s > RANK_RTOL * s.max(initial=0.0)).sum())
     return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy())
+
+
+def _tsqr(csr) -> np.ndarray:
+    """The triangular R with R'R = A'A, folded over A's row blocks."""
+    R = np.zeros((0, csr.shape[1]))
+    for _, block in _csr_blocks(csr):
+        R = np.linalg.qr(np.vstack([R, block.toarray()]), mode="r")
+    return R
+
+
+def _sample_whitened(csr) -> np.ndarray | None:
+    """A d x d M with M'M = A'A from one pass over A's rows, or None where
+    that M could miss the 1e-12 accuracy of the dense factor.
+
+    Every ceil(n/4096)-th row forms the sample S, at most one block.  The SVD
+    of its QR factor, S'S = Vs diag(ss^2) Vs', gives the basis
+    Y = Vs diag(1/scale), where scale is ss above the RANK_RTOL cut and
+    ss_max on the sample's null space, so directions the sample misses keep
+    A's magnitude instead of overflowing.  Then G = Y'A'AY is summed as
+    T'T over the blocks T = block @ Y, and A'A = Y^-T G Y^-1 with
+    Y^-1 = diag(scale) Vs'.
+
+    G_kk = (g_k / scale_k)^2 gives the gain g_k = ||A v_k|| of each column
+    v_k of Vs.  A direction with g_k at most d * eps * max(g), the noise
+    floor, is dropped: that perturbs A by no more than the rounding of a
+    dense SVD.  The rest of G is scaled to unit diagonal, H, and factored
+    H = R'R, so M = R diag(g) Vs'.  Row k of M mixes only rows k and later of
+    diag(g) Vs', which fall in size along the sample's spectrum, so the SVD
+    of M resolves small sigma as that of TSQR's R does; M from G's
+    eigenvectors would mix all rows and lose small sigma.  A Cholesky pivot
+    p is the squared sine between a column of T and the span of those
+    before it, and rounding of about d * eps in H moves that direction's
+    sigma^2 by d * eps / p relative.  So a pivot below d * eps / 1e-12,
+    between the noise floor and the kept directions, sends A to TSQR, as do
+    an all-zero sample and a G that is not finite.
+    """
+    n, d = csr.shape
+    sample = csr[::-(-n // _BLOCK_ROWS)].toarray()
+    _, ss, vh = np.linalg.svd(np.linalg.qr(sample, mode="r"))
+    if not ss.size or ss[0] == 0.0:
+        return None
+    scale = np.full(d, ss[0])
+    kept = int((ss > RANK_RTOL * ss[0]).sum())
+    scale[:kept] = ss[:kept]
+    Y = vh.T / scale
+    G = np.zeros((d, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # a G that overflows is refused
+        for _, block in _csr_blocks(csr):
+            T = block @ Y
+            G += T.T @ T
+    if not np.isfinite(G).all():
+        return None
+    norms = np.sqrt(np.diag(G))
+    gain = norms * scale
+    live = np.flatnonzero(gain > d * _EPS * gain.max())
+    H = G[np.ix_(live, live)] / np.outer(norms[live], norms[live])
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return None
+    if np.diag(L).min() ** 2 < d * _EPS / _ORACLE_RTOL:
+        return None
+    return (L.T * gain[live]) @ vh[live]
 
 
 def exact_leverage_scores(A: SparseRowMatrix,

@@ -13,12 +13,12 @@ score estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fastlev import approx_generalized_leverage, estimate_cost
-from .leverage import ScoreVector, factor_gram
+from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import SparseRowMatrix, WeightedRowSample, materialize
 from .sampling import SketchConfig, log_dim, rng_from, sample
 
@@ -452,17 +452,43 @@ def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
     return SolveResult(x, iterations, rel, False)
 
 
+# CG on A'Ax = A'b multiplies up to four entries of A and b together (as in
+# ||A'r||^2); while the largest |entry| of each lies within 2^-200 .. 2^200,
+# those products stay inside the normal range with room for the sums.
+_SOLVE_RANGE = 2.0 ** 200
+
+
+def _binade_shift(values: np.ndarray) -> int:
+    """The exponent e that brings max |values| * 2^e into [1/2, 1), or 0 when
+    max |values| already lies within 2^-200 .. 2^200 (or is zero)."""
+    top = float(np.abs(values).max(initial=0.0))
+    if top == 0.0 or 1.0 / _SOLVE_RANGE <= top <= _SOLVE_RANGE:
+        return 0
+    return -int(np.frexp(top)[1])
+
+
 def precondition_solve(A: SparseRowMatrix, b: np.ndarray, sketch: SketchResult,
                        tol: float = 1e-8, max_iters: int = 200) -> SolveResult:
     """Least squares min ||Ax - b|| preconditioned by the sketch's Gram factor.
 
     A constant-factor sketch bounds the preconditioned condition number by
     its spectral grade, so iteration counts stay small independent of A's
-    conditioning.
+    conditioning.  When A's or b's largest |entry| leaves 2^-200 .. 2^200,
+    CG runs on 2^ea A, 2^eb b and the factor scaled to match, all exact, and
+    x is scaled back by 2^(ea - eb); otherwise A'A or A'b would over- or
+    underflow.
     """
     B = materialize(A, sketch.sample)
     f = factor_gram(B)
     if f.rank == 0:
         raise PipelineError("sketch has rank zero; cannot precondition")
-    return normal_equations_cg(A, b, preconditioner=f.pinv_apply,
-                               tol=tol, max_iters=max_iters)
+    b = np.asarray(b, dtype=np.float64)
+    ea, eb = _binade_shift(A.values), _binade_shift(b)
+    if ea or eb:
+        A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
+                            np.ldexp(A.values, ea))
+        b = np.ldexp(b, eb)
+        f = PseudoinverseFactor(f.right_singular_vectors, np.ldexp(f.singular_values, ea))
+    res = normal_equations_cg(A, b, preconditioner=f.pinv_apply,
+                              tol=tol, max_iters=max_iters)
+    return replace(res, x=np.ldexp(res.x, ea - eb))

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowsketch import (ScoreVector, SketchConfig, SparseRowMatrix,
                        approx_generalized_leverage, build_projector_sketch,
@@ -19,8 +21,9 @@ from conftest import (conditioned_matrix, gaussian_matrix,
                       oracle_generalized, oracle_leverage, oracle_min_norm,
                       power_law_matrix, stacked_identity)
 
-# Past the dense-SVD limit, so factor_gram takes the blocked TSQR path; its
-# last block holds 3 rows, fewer than any column count used below.
+# Past the dense-SVD limit, so factor_gram whitens A by a sample of every
+# 5th row (or falls back to TSQR); its last block holds 3 rows, fewer than
+# any column count used below.
 TALL_ROWS = leverage._DENSE_MAX_ROWS + 3
 
 
@@ -38,6 +41,74 @@ def assert_matches_dense_svd(dense, rank):
     np.testing.assert_allclose(f.singular_values, s[:rank], rtol=1e-12, atol=0)
     V = f.right_singular_vectors
     np.testing.assert_allclose(V @ V.T, vh[:rank].T @ vh[:rank], rtol=0, atol=1e-12)
+
+
+def stride(n):
+    """The step of factor_gram's row sample of a tall A."""
+    return -(-n // leverage._BLOCK_ROWS)
+
+
+def tall_sparse_like(n, d, seed, rare=2, planted=4):
+    """Two nonzeros per row among the first d - rare columns, with Pareto
+    row scales, as in the benchmark's tall-sparse matrix; each of the last
+    ``rare`` columns is held by ``planted`` rows alone, all at odd indices,
+    which the row sample (every 10th row at 40000 rows) never reaches."""
+    rng = np.random.default_rng(seed)
+    cols = np.argsort(rng.random((n, d - rare)), axis=1)[:, :2]
+    vals = rng.standard_normal((n, 2)) * (rng.pareto(3.0, n) + 1.0)[:, None]
+    rows = np.repeat(np.arange(n), 2)
+    held = 2 * rng.choice(n // 2, rare * planted, replace=False) + 1
+    keep = ~np.isin(rows, held)
+    rows = np.concatenate([rows[keep], held])
+    cols = np.concatenate([cols.ravel()[keep], d - rare + np.arange(rare * planted) % rare])
+    vals = np.concatenate([vals.ravel()[keep], 3.0 * rng.standard_normal(rare * planted)])
+    return SparseRowMatrix.from_coo(n, d, rows, cols, vals)
+
+
+def badly_sampled(cond, n=TALL_ROWS, d=16):
+    """A cond-``cond`` matrix whose sampled rows are replaced by small
+    Gaussian rows: the sample then whitens a spectrum A does not have."""
+    dense = conditioned_matrix(cond, n=n, d=d).to_dense()
+    picked = dense[::stride(n)]
+    picked[:] = 1e-3 * np.random.default_rng(3).standard_normal(picked.shape)
+    return dense
+
+
+def relative_sigma_error(f, dense):
+    s = np.linalg.svd(dense, compute_uv=False)[:f.rank]
+    return float(np.max(np.abs(f.singular_values - s) / s))
+
+
+TSQR = leverage._tsqr
+
+
+def tsqr_factor(A):
+    """factor_gram's TSQR path, whatever the sample-whitened pass would do."""
+    _, s, vh = np.linalg.svd(TSQR(A.to_scipy()), full_matrices=False)
+    r = int((s > leverage.RANK_RTOL * s.max(initial=0.0)).sum())
+    return leverage.PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r])
+
+
+# the property test's inputs: n = blocks * 4096 + offset rows
+TALL_CASES = dict(
+    blocks=st.integers(3, 6), offset=st.integers(-3, 3), d=st.integers(1, 8),
+    seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.2, 1.0]),
+    zero_rows=st.sampled_from([0.0, 0.5, 0.95]), distinct=st.sampled_from([0, 1, 3, 7]),
+    isolated=st.integers(0, 3), exponent=st.integers(-150, 150),
+    spread=st.sampled_from([0, 3, 150]))
+
+
+@pytest.fixture
+def tsqr_calls(monkeypatch):
+    """Counts factor_gram's fallbacks to TSQR."""
+    calls = []
+
+    def counted(csr):
+        calls.append(csr.shape)
+        return TSQR(csr)
+
+    monkeypatch.setattr(leverage, "_tsqr", counted)
+    return calls
 
 
 class TestFactorGram:
@@ -106,6 +177,106 @@ class TestFactorGram:
         assert rep.lambda_low == pytest.approx(1.0, abs=1e-6)
         assert rep.lambda_high == pytest.approx(1.0, abs=1e-6)
 
+    def test_sample_whitened_matches_dense_svd(self, tsqr_calls):
+        # every case takes the one-pass factor, none falls back to TSQR
+        for n in (leverage._DENSE_MAX_ROWS + 1, TALL_ROWS):
+            assert stride(n) == 5
+            # rows the sample misses carry the last direction alone
+            isolated = sparse_gaussian(n, 8, 20)
+            isolated[:, -1] = 0.0
+            isolated[1::stride(n)] = np.eye(8)[-1]
+            # a zero column and two duplicate columns: rank 6
+            deficient = sparse_gaussian(n, 8, 21)
+            deficient[:, 3] = 0.0
+            deficient[:, 5] = deficient[:, 1]
+            for scale in (1.0, 1e150, 1e-150):
+                assert_matches_dense_svd(scale * isolated, 8)
+                assert_matches_dense_svd(scale * deficient, 6)
+        # stacked identities whose period divides the stride: every sampled
+        # row is e_0, so the other directions lie outside the sample
+        n = 5 * 3277
+        assert stride(n) == 5
+        assert_matches_dense_svd(np.tile(np.eye(5), (3277, 1)), 5)
+        # the same sample, the other rows cycling through e_1 .. e_7
+        i = np.arange(n)
+        assert_matches_dense_svd(np.eye(8)[np.where(i % 5 == 0, 0, 1 + (i // 5 + i % 5) % 7)], 8)
+        assert tsqr_calls == []
+
+    def test_sample_whitened_near_tsqr_at_cond_1e8(self):
+        # sigma error against numpy at most 10x TSQR's own
+        for dense in (conditioned_matrix(1e8, n=TALL_ROWS).to_dense(), badly_sampled(1e8)):
+            A = SparseRowMatrix.from_dense(dense)
+            f, t = factor_gram(A), tsqr_factor(A)
+            assert f.rank == t.rank == 16
+            assert relative_sigma_error(f, dense) <= 10 * relative_sigma_error(t, dense)
+
+    def test_matches_tsqr_at_cond_1e12(self):
+        for dense in (conditioned_matrix(1e12, n=TALL_ROWS).to_dense(), badly_sampled(1e12)):
+            A = SparseRowMatrix.from_dense(dense)
+            f, t = factor_gram(A), tsqr_factor(A)
+            assert f.rank == t.rank == 13
+            np.testing.assert_allclose(f.singular_values, t.singular_values,
+                                       rtol=0, atol=1e-12 * t.singular_values[0])
+
+    def test_fallback_count(self, tsqr_calls):
+        for scale in (1.0, 1e160, 1e-160):
+            A = tall_sparse_like(40000, 32, 24)
+            A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices, scale * A.values)
+            assert stride(A.n_rows) == 10
+            f = factor_gram(A)
+            assert f.rank == 32 and tsqr_calls == []
+            t = tsqr_factor(A)
+            np.testing.assert_allclose(f.singular_values, t.singular_values, rtol=1e-12, atol=0)
+        # a sample that whitens the wrong spectrum, an all-zero sample, and
+        # a sample of 1e-150 rows among rows of 1e150, where G overflows
+        assert factor_gram(SparseRowMatrix.from_dense(badly_sampled(1e12))).rank == 13
+        assert len(tsqr_calls) == 1
+        skipped = sparse_gaussian(TALL_ROWS, 6, 25)
+        skipped[::stride(TALL_ROWS)] = 0.0
+        assert_matches_dense_svd(skipped, 6)
+        assert len(tsqr_calls) == 2
+        tiny_sample = 1e150 * sparse_gaussian(TALL_ROWS, 6, 26)
+        tiny_sample[::stride(TALL_ROWS)] *= 1e-300
+        assert_matches_dense_svd(tiny_sample, 6)
+        assert len(tsqr_calls) == 3
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(**TALL_CASES)
+    def test_matches_dense_svd_property(self, blocks, offset, d, seed, density, zero_rows,
+                                        distinct, isolated, exponent, spread):
+        """Row counts on both sides of 16384 and of multiples of 4096; zero,
+        duplicate and isolated rows; magnitudes 1e-150 to 1e150, across
+        matrices and, with ``spread``, across the rows of one matrix."""
+        n = blocks * leverage._BLOCK_ROWS + offset
+        rng = np.random.default_rng(seed)
+        dense = sparse_gaussian(n, d, seed, density)
+        if distinct:  # duplicate rows: n copies of a few distinct ones
+            dense = dense[rng.integers(0, distinct, n)]
+        dense[rng.random(n) < zero_rows] = 0.0
+        for col in range(min(isolated, d)):  # a column held by one row alone
+            dense[:, col] = 0.0
+            row = rng.integers(0, n)
+            dense[row] = 0.0
+            dense[row, col] = rng.standard_normal()
+        dense *= 10.0 ** rng.uniform(-spread, spread, n)[:, None]
+        dense = np.clip(dense * 10.0 ** exponent, -1e150, 1e150)
+        f = factor_gram(SparseRowMatrix.from_dense(dense))
+        _, s, vh = np.linalg.svd(dense, full_matrices=False)
+        top = s.max(initial=0.0)
+        cut = leverage.RANK_RTOL * top
+        rank = int((s > cut).sum())
+        # a sigma within 1e-3 of the cut is placed by rounding: 1e-13 of
+        # sigma_max moves it across, so the rank is not pinned there
+        if not np.any(np.abs(s - cut) <= 1e-3 * cut):
+            assert f.rank == rank
+        r = min(f.rank, rank)
+        np.testing.assert_allclose(f.singular_values[:r], s[:r], rtol=1e-12, atol=1e-12 * top)
+        V = f.right_singular_vectors
+        np.testing.assert_allclose(V.T @ V, np.eye(f.rank), rtol=0, atol=1e-12)
+        if top > 0:  # A leaves V's span by no more than its cut singular values
+            unit = dense / top
+            resid = np.linalg.norm(unit - (unit @ V) @ V.T, 2)
+            assert resid <= s[f.rank:].max(initial=0.0) / top + 1e-12
 
 class TestExactScores:
     def test_identity_all_ones(self):

@@ -275,6 +275,17 @@ class TestPreconditionSolve:
         gd = normal_equations_gradient_descent(A, b, tol=1e-8, max_iters=1000)
         assert not gd.converged  # the naive iteration stalls
 
+    def test_extreme_scales_recover_solution(self):
+        # A'b underflows to zero at 1e-170 and A'A overflows at 1e160; the
+        # solve must scale them back into range, not return x = 0 or NaN
+        base = isolated_direction_matrix(2048, 8, 0).to_dense()
+        for scale in (1e-170, 1e160):
+            A = SparseRowMatrix.from_dense(scale * base)
+            b = A.dot_dense(np.ones(8))
+            res = precondition_solve(A, b, repeated_halving(A, SketchConfig(seed=1)))
+            assert res.converged, scale
+            assert np.abs(res.x - 1.0).max() <= 3e-8, scale
+
     def test_cg_reports_non_convergence(self):
         A = gaussian_matrix(100, 5, 12)
         b = np.random.default_rng(3).standard_normal(100)
