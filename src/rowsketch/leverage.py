@@ -222,12 +222,12 @@ def _sample_whitened(csr) -> np.ndarray | None:
     H = R'R, so M = R diag(g) Vs'.  Row k of M mixes only rows k and later of
     diag(g) Vs', which fall in size along the sample's spectrum, so the SVD
     of M resolves small sigma as that of TSQR's R does; M from G's
-    eigenvectors would mix all rows and lose small sigma.  A Cholesky pivot
-    p is the squared sine between a column of T and the span of those
-    before it, and rounding of about d * eps in H moves that direction's
-    sigma^2 by d * eps / p relative.  So a pivot below d * eps / 1e-12,
-    between the noise floor and the kept directions, sends A to TSQR, as do
-    an all-zero sample and a G that is not finite.
+    eigenvectors would mix all rows and lose small sigma.  Rounding of
+    about d * eps in H moves each sigma^2 of M by up to d * eps /
+    lambda_min(H) relative (Demmel and Veselic, SIMAX 1992), and
+    lambda_min(H) = sigma_min(R)^2 can lie far below every pivot of R.  So
+    an H with lambda_min below d * eps / 1e-12 sends A to TSQR, as do an
+    all-zero sample and a G that is not finite.
     """
     n, d = csr.shape
     sample = csr[::-(-n // _BLOCK_ROWS)].toarray()
@@ -253,7 +253,7 @@ def _sample_whitened(csr) -> np.ndarray | None:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return None
-    if np.diag(L).min() ** 2 < d * _EPS / _ORACLE_RTOL:
+    if np.linalg.svd(L, compute_uv=False)[-1] ** 2 < d * _EPS / _ORACLE_RTOL:
         return None
     return (L.T * gain[live]) @ vh[live]
 

@@ -74,12 +74,39 @@ def badly_sampled(cond, n=TALL_ROWS, d=16):
     return dense
 
 
+def graded_kahan(n=TALL_ROWS, d=16):
+    """Sampled rows are small multiples of the columns of a rotation Q,
+    falling in size, so the sample's Vs is Q; the others repeat the rows of
+    K Q', K the identity minus the strict upper triangle of ones.  The
+    whitened Gram, scaled to unit diagonal, is then close to K'K scaled so:
+    its Cholesky pivots stay above 0.09, far above d * eps / 1e-12 = 3.6e-3,
+    but its smallest eigenvalue is about 1.5e-7."""
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((d, d)))[0]
+    K = np.eye(d) - np.triu(np.ones((d, d)), 1)
+    dense = (K @ Q.T)[np.arange(n) % d]
+    picked = dense[::stride(n)]
+    picked[:] = ((1e-3 * 10.0 ** (-np.arange(d) / 4))[:, None] * Q.T)[np.arange(len(picked)) % d]
+    return dense
+
+
 def relative_sigma_error(f, dense):
     s = np.linalg.svd(dense, compute_uv=False)[:f.rank]
     return float(np.max(np.abs(f.singular_values - s) / s))
 
 
 TSQR = leverage._tsqr
+
+
+@pytest.fixture
+def each_path(monkeypatch):
+    """Runs a check twice: as factor_gram takes a tall A, then with the
+    sample-whitened pass refused, so that TSQR factors every tall A."""
+    def run(check):
+        check()
+        with monkeypatch.context() as m:
+            m.setattr(leverage, "_sample_whitened", lambda csr: None)
+            check()
+    return run
 
 
 def tsqr_factor(A):
@@ -149,33 +176,44 @@ class TestFactorGram:
         assert f.singular_values.tobytes() == s.tobytes()
         assert f.right_singular_vectors.tobytes() == np.ascontiguousarray(vh.T).tobytes()
 
-    def test_tsqr_matches_dense_svd(self):
+    # The test_tsqr_* checks run on both paths for a tall A (each_path).
+
+    def test_tsqr_matches_dense_svd(self, each_path):
         d = 8
         assert TALL_ROWS % leverage._BLOCK_ROWS < d
         dense = sparse_gaussian(TALL_ROWS, d, 12)
-        for scale in (1.0, 1e150, 1e-150):
-            assert_matches_dense_svd(dense * scale, d)
 
-    def test_tsqr_exact_rank_with_zero_column_and_duplicate_rows(self):
+        def check():
+            for scale in (1.0, 1e150, 1e-150):
+                assert_matches_dense_svd(dense * scale, d)
+        each_path(check)
+
+    def test_tsqr_exact_rank_with_zero_column_and_duplicate_rows(self, each_path):
         dense = sparse_gaussian(TALL_ROWS, 8, 13)
         dense[:, 3] = 0.0
-        assert_matches_dense_svd(dense, 7)
         distinct = np.random.default_rng(14).standard_normal((5, 8))
-        assert_matches_dense_svd(distinct[np.arange(TALL_ROWS) % 5], 5)
 
-    def test_tsqr_zero_rows_and_blocks(self):
+        def check():
+            assert_matches_dense_svd(dense, 7)
+            assert_matches_dense_svd(distinct[np.arange(TALL_ROWS) % 5], 5)
+        each_path(check)
+
+    def test_tsqr_zero_rows_and_blocks(self, each_path):
         dense = sparse_gaussian(TALL_ROWS, 6, 15)
         dense[::2] = 0.0
         dense[leverage._BLOCK_ROWS:3 * leverage._BLOCK_ROWS] = 0.0  # two whole blocks
-        assert_matches_dense_svd(dense, 6)
+        each_path(lambda: assert_matches_dense_svd(dense, 6))
 
-    def test_tsqr_self_certifies_at_lambda_one(self):
+    def test_tsqr_self_certifies_at_lambda_one(self, each_path):
         # cond 1e6: a squared Gram would lose the small singular values
         A = conditioned_matrix(1e6, n=TALL_ROWS)
-        rep = spectral_check(A, A, 1.0)
-        assert rep.passes, rep
-        assert rep.lambda_low == pytest.approx(1.0, abs=1e-6)
-        assert rep.lambda_high == pytest.approx(1.0, abs=1e-6)
+
+        def check():
+            rep = spectral_check(A, A, 1.0)
+            assert rep.passes, rep
+            assert rep.lambda_low == pytest.approx(1.0, abs=1e-6)
+            assert rep.lambda_high == pytest.approx(1.0, abs=1e-6)
+        each_path(check)
 
     def test_sample_whitened_matches_dense_svd(self, tsqr_calls):
         # every case takes the one-pass factor, none falls back to TSQR
@@ -239,6 +277,11 @@ class TestFactorGram:
         tiny_sample[::stride(TALL_ROWS)] *= 1e-300
         assert_matches_dense_svd(tiny_sample, 6)
         assert len(tsqr_calls) == 3
+        # every Cholesky pivot of the whitened Gram is large, but its
+        # smallest eigenvalue is not: the one-pass sigma_min would be off by
+        # about 5e-10 relative
+        assert_matches_dense_svd(graded_kahan(), 16)
+        assert len(tsqr_calls) == 4
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(**TALL_CASES)

@@ -277,14 +277,17 @@ class TestPreconditionSolve:
 
     def test_extreme_scales_recover_solution(self):
         # A'b underflows to zero at 1e-170 and A'A overflows at 1e160; the
-        # solve must scale them back into range, not return x = 0 or NaN
+        # solve must scale them back into range, not return x = 0 or NaN.
+        # The solution 1 * sb pins the direction and size of the scale-back,
+        # with A and b out of range together, A alone and b alone.
         base = isolated_direction_matrix(2048, 8, 0).to_dense()
-        for scale in (1e-170, 1e160):
-            A = SparseRowMatrix.from_dense(scale * base)
-            b = A.dot_dense(np.ones(8))
+        for sa, sb in ((1e-170, 1.0), (1e160, 1.0), (1e-170, 1e170), (1e160, 1e-160),
+                       (1.0, 1e250), (1.0, 1e-250)):
+            A = SparseRowMatrix.from_dense(sa * base)
+            b = sb * A.dot_dense(np.ones(8))
             res = precondition_solve(A, b, repeated_halving(A, SketchConfig(seed=1)))
-            assert res.converged, scale
-            assert np.abs(res.x - 1.0).max() <= 3e-8, scale
+            assert res.converged, (sa, sb)
+            assert np.abs(res.x / sb - 1.0).max() <= 3e-8, (sa, sb)
 
     def test_cg_reports_non_convergence(self):
         A = gaussian_matrix(100, 5, 12)
