@@ -142,6 +142,16 @@ def _csr_blocks(csr):
         yield rows, csr[rows]
 
 
+def _whitened_gram(csr, W: np.ndarray) -> np.ndarray:
+    """T'T for the whitened rows T = A @ W of the scipy CSR ``csr``, summed
+    over its row blocks, so T is never formed past 16384 rows."""
+    G = np.zeros((W.shape[1], W.shape[1]))
+    for _, block in _csr_blocks(csr):
+        T = block @ W
+        G += T.T @ T
+    return G
+
+
 def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
     """The one scoring pass, P = block @ W per block: row i scores
     ||P_i[:r]||^2 and is flagged when ||P_i[r:]|| > KERNEL_TOL * ||a_i||, for
@@ -237,12 +247,8 @@ def _sample_whitened(csr) -> np.ndarray | None:
     scale = np.full(d, ss[0])
     kept = int((ss > RANK_RTOL * ss[0]).sum())
     scale[:kept] = ss[:kept]
-    Y = vh.T / scale
-    G = np.zeros((d, d))
     with np.errstate(over="ignore", invalid="ignore"):  # a G that overflows is refused
-        for _, block in _csr_blocks(csr):
-            T = block @ Y
-            G += T.T @ T
+        G = _whitened_gram(csr, vh.T / scale)
     if not np.isfinite(G).all():
         return None
     norms = np.sqrt(np.diag(G))

@@ -41,7 +41,9 @@ class SparseRowMatrix:
 
     Invariants (see :meth:`validate`): offsets nondecreasing and bracketing,
     column indices strictly increasing within each row and < n_cols, all
-    values finite.  Arrays are frozen after construction.
+    values finite.  Arrays are frozen after construction.  Index arrays are
+    int32 while n_rows, n_cols and nnz fit, else int64, as scipy would pick,
+    so :meth:`to_scipy` copies nothing.
     """
 
     n_rows: int
@@ -51,9 +53,15 @@ class SparseRowMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets", _frozen(np.ascontiguousarray(self.row_offsets, dtype=np.int64)))
-        object.__setattr__(self, "col_indices", _frozen(np.ascontiguousarray(self.col_indices, dtype=np.int64)))
-        object.__setattr__(self, "values", _frozen(np.ascontiguousarray(self.values, dtype=np.float64)))
+        values = _frozen(np.ascontiguousarray(self.values, dtype=np.float64))
+        i32 = np.iinfo(np.int32)
+        idx = np.int32 if max(self.n_rows, self.n_cols, values.size) <= i32.max else np.int64
+        for name in ("row_offsets", "col_indices"):
+            arr = np.asarray(getattr(self, name))
+            # an entry int32 cannot hold keeps the array int64, for validate() to reject
+            fits = arr.dtype == idx or not arr.size or i32.min <= arr.min() and arr.max() <= i32.max
+            object.__setattr__(self, name, _frozen(np.ascontiguousarray(arr, dtype=idx if fits else np.int64)))
+        object.__setattr__(self, "values", values)
 
     @property
     def nnz(self) -> int:
@@ -90,52 +98,33 @@ class SparseRowMatrix:
         explicit zeros dropped, matching Matrix Market conventions."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
         if rows.size:
             if rows.min() < 0 or rows.max() >= n_rows:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            first = np.ones(rows.size, dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(first) - 1
-            summed = np.zeros(int(group[-1]) + 1, dtype=np.float64)
-            np.add.at(summed, group, vals)
-            rows, cols, vals = rows[first], cols[first], summed
-            keep = vals != 0.0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        offsets = np.cumsum(offsets)
-        out = cls(n_rows, n_cols, offsets, cols, vals)
-        out.validate()
-        return out
+        return cls.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols), dtype=np.float64))
 
     @classmethod
     def from_dense(cls, arr) -> "SparseRowMatrix":
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("expected a 2-d array")
-        rows, cols = np.nonzero(arr)
-        return cls.from_coo(arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols])
+        return cls.from_scipy(arr)
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseRowMatrix":
+        """Canonical CSR of ``mat``: duplicates summed, rows sorted, explicit zeros dropped."""
         csr = sp.csr_matrix(mat, copy=True)
         csr.sum_duplicates()
         csr.eliminate_zeros()
-        csr.sort_indices()
-        out = cls(csr.shape[0], csr.shape[1], csr.indptr.astype(np.int64),
-                  csr.indices.astype(np.int64), csr.data.astype(np.float64))
+        out = cls(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data)
         out.validate()
         return out
 
     def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
-                             shape=(self.n_rows, self.n_cols))
+        """A read-only scipy CSR on this matrix's own arrays."""
+        return sp.csr_matrix((self.values, self.col_indices, self.row_offsets), shape=self.shape)
 
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
@@ -199,24 +188,18 @@ def materialize(A: SparseRowMatrix, S: WeightedRowSample) -> SparseRowMatrix:
     if S.parent_rows != A.n_rows:
         raise ValueError(f"sample built for {S.parent_rows} rows, matrix has {A.n_rows}")
     S.validate()
-    idx, w = S.row_indices, S.weights
-    sub = A.to_scipy()[idx]
-    sub.sort_indices()
-    vals = sub.data * np.repeat(w, np.diff(sub.indptr))
-    return SparseRowMatrix(idx.size, A.n_cols, sub.indptr.astype(np.int64),
-                           sub.indices.astype(np.int64), vals)
+    sub = A.to_scipy()[S.row_indices]  # rows copied whole, so still sorted
+    vals = sub.data * np.repeat(S.weights, np.diff(sub.indptr))
+    return SparseRowMatrix(len(S), A.n_cols, sub.indptr, sub.indices, vals)
 
 
 def scale_rows(A: SparseRowMatrix, w: np.ndarray) -> SparseRowMatrix:
-    """diag(w) @ A with w of length n_rows; zero weights empty their rows."""
+    """diag(w) @ A on A's own index arrays; a row of weight 0 keeps its entries, as zeros."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (A.n_rows,):
         raise ValueError("weight vector length must equal n_rows")
     vals = A.values * np.repeat(w, np.diff(A.row_offsets))
-    scaled = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices, vals)
-    if np.any(w == 0.0):
-        return SparseRowMatrix.from_scipy(scaled.to_scipy())
-    return scaled
+    return SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +274,14 @@ def _read_matrix_market_fast(path: str) -> SparseRowMatrix | None:
             body = _load_body(fh, _COORDINATE_ENTRY if fmt == "coordinate" else np.float64)
     except (ValueError, Warning):
         return None
-    if fmt == "coordinate":
-        n_rows, n_cols, nnz = dims
-        i, j, v = body["i"], body["j"], body["v"]
-        if (body.shape != (nnz,) or i.min() < 1 or i.max() > n_rows
-                or j.min() < 1 or j.max() > n_cols or not np.isfinite(v).all()):
-            return None
-        return SparseRowMatrix.from_coo(n_rows, n_cols, i - 1, j - 1, v)
-    n_rows, n_cols = dims
-    if body.shape != (n_rows * n_cols,) or not np.isfinite(body).all():
-        return None
-    return SparseRowMatrix.from_dense(body.reshape(n_cols, n_rows).T)
+    try:  # an index out of range or a value not finite is left to the scanner
+        if fmt == "array" and body.shape == (dims[0] * dims[1],):
+            return SparseRowMatrix.from_dense(body.reshape(dims[1], dims[0]).T)
+        if fmt == "coordinate" and body.shape == (dims[2],):
+            return SparseRowMatrix.from_coo(*dims[:2], body["i"] - 1, body["j"] - 1, body["v"])
+    except ValueError:
+        pass
+    return None
 
 
 def read_ascii_lines(path: str) -> list[str]:

@@ -13,7 +13,7 @@ score estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -369,12 +369,17 @@ class SolveResult:
     converged: bool
 
 
-def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray, preconditioner=None,
+def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray,
+                        preconditioner: PseudoinverseFactor | None = None,
                         tol: float = 1e-8, max_iters: int = 1000) -> SolveResult:
-    """Conjugate gradients on A'Ax = A'b, optionally preconditioned.
+    """Conjugate gradients on A'Ax = A'b, optionally preconditioned by
+    (B'B)^+ from ``preconditioner``, the Gram factor of a sketch B of A.
 
     Stops when the relative normal-equation residual ||A'(Ax - b)|| /
-    ||A'b|| drops below tol; reports the iterations used either way.
+    ||A'b|| drops below tol; reports the iterations used either way.  When
+    A's or b's largest |entry| leaves 2^-200 .. 2^200, CG runs on 2^ea A,
+    2^eb b and the factor scaled to match, all exact, and x is scaled back
+    by 2^(ea - eb); otherwise A'A or A'b would over- or underflow.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
@@ -383,13 +388,21 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray, preconditioner=None,
         raise ValueError("tol must be nonnegative")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    ea, eb = _binade_shift(A.values), _binade_shift(b)
+    if ea or eb:
+        A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
+                            np.ldexp(A.values, ea))
+        b = np.ldexp(b, eb)
+        if preconditioner is not None:
+            preconditioner = PseudoinverseFactor(preconditioner.right_singular_vectors,
+                                                 np.ldexp(preconditioner.singular_values, ea))
     csr = A.to_scipy()
     rhs = csr.T @ b
     rhs_norm = float(np.linalg.norm(rhs))
     x = np.zeros(A.n_cols)
     if rhs_norm == 0.0:
         return SolveResult(x, 0, 0.0, True)
-    apply_m = preconditioner if preconditioner is not None else (lambda v: v)
+    apply_m = preconditioner.pinv_apply if preconditioner is not None else (lambda v: v)
     r = rhs.copy()
     z = apply_m(r)
     p = z.copy()
@@ -407,12 +420,12 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray, preconditioner=None,
         iterations = k
         rel = float(np.linalg.norm(r)) / rhs_norm
         if rel <= tol:
-            return SolveResult(x, iterations, rel, True)
+            return SolveResult(np.ldexp(x, ea - eb), iterations, rel, True)
         z = apply_m(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return SolveResult(x, iterations, rel, False)
+    return SolveResult(np.ldexp(x, ea - eb), iterations, rel, False)
 
 
 def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
@@ -473,22 +486,10 @@ def precondition_solve(A: SparseRowMatrix, b: np.ndarray, sketch: SketchResult,
 
     A constant-factor sketch bounds the preconditioned condition number by
     its spectral grade, so iteration counts stay small independent of A's
-    conditioning.  When A's or b's largest |entry| leaves 2^-200 .. 2^200,
-    CG runs on 2^ea A, 2^eb b and the factor scaled to match, all exact, and
-    x is scaled back by 2^(ea - eb); otherwise A'A or A'b would over- or
-    underflow.
+    conditioning.
     """
     B = materialize(A, sketch.sample)
     f = factor_gram(B)
     if f.rank == 0:
         raise PipelineError("sketch has rank zero; cannot precondition")
-    b = np.asarray(b, dtype=np.float64)
-    ea, eb = _binade_shift(A.values), _binade_shift(b)
-    if ea or eb:
-        A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
-                            np.ldexp(A.values, ea))
-        b = np.ldexp(b, eb)
-        f = PseudoinverseFactor(f.right_singular_vectors, np.ldexp(f.singular_values, ea))
-    res = normal_equations_cg(A, b, preconditioner=f.pinv_apply,
-                              tol=tol, max_iters=max_iters)
-    return replace(res, x=np.ldexp(res.x, ea - eb))
+    return normal_equations_cg(A, b, preconditioner=f, tol=tol, max_iters=max_iters)

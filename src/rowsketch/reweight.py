@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leverage import ScoreVector, exact_leverage_scores, factor_gram
+from .leverage import ScoreVector, _whitened_gram, exact_leverage_scores, factor_gram
 from .matrix import (MatrixFormatError, SparseRowMatrix, entry_line,
                      read_indexed_column, scale_rows, write_indexed_column)
-from .verify import _whitened_spectrum
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (A.n_rows,) or not np.all(np.isfinite(u)) or np.any(u <= 0):
         raise ValueError("targets must be positive finite reals, one per row")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_sweeps is None:
         max_sweeps = 100 * max(A.n_rows, 1)
@@ -231,7 +230,9 @@ def compare_leverage_bound(A: SparseRowMatrix, W: Reweighting, Wbar: Reweighting
     lhs = float(exact_leverage_scores(Bbar, factor=fbar).values[i])
     B = scale_rows(A, W.weights)
     tau_w = float(exact_leverage_scores(B).values[i])
-    lam_max = float(_whitened_spectrum(fbar, A)[-1]) if fbar.rank else 0.0
+    lam_max = 0.0
+    if fbar.rank:
+        lam_max = float(np.linalg.eigvalsh(_whitened_gram(A.to_scipy(), fbar.half_pinv()))[-1])
     inf_norm = float(np.max(np.abs(W.weights - Wbar.weights)))
     rhs = (wbi / wi) ** 2 * (1.0 + math.sqrt(max(lam_max, 0.0)) * inf_norm) ** 2 * tau_w
     return lhs, rhs

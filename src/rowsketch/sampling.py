@@ -68,8 +68,8 @@ class SketchConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if self.theta is not None and not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
 
@@ -117,8 +117,8 @@ def scaled_sample(u, alpha: float, scale: float, cfg: SketchConfig, n_cols: int,
     With scale = sqrt(a) * sqrt(3/4) and rate 9a this is the undersampling
     operator whose Gram stays below A'A with high probability.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     return sample(u, alpha, cfg, n_cols, salt=salt).scaled(scale)
 
 

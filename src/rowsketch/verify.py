@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .leverage import PseudoinverseFactor, factor_gram, row_blocks
+from .leverage import _whitened_gram, factor_gram
 from .matrix import SparseRowMatrix
 
 
@@ -29,19 +29,6 @@ class SpectralReport:
     rank_atilde: int
 
 
-def _whitened_spectrum(f: PseudoinverseFactor, Atilde: SparseRowMatrix) -> np.ndarray:
-    """Ascending eigenvalues of T'T for the whitened rows T = Atilde W,
-    W = f.half_pinv().  cond(T) <= sqrt(lambda) for a sketch within lambda,
-    so T'T loses nothing; Atilde'Atilde would square Atilde's condition.
-    T'T is summed over ``row_blocks``, so T is never formed past 16384 rows."""
-    W = f.half_pinv()
-    G = np.zeros((f.rank, f.rank))
-    for _, block in row_blocks(Atilde):
-        T = block @ W
-        G += T.T @ T
-    return np.linalg.eigvalsh(G)
-
-
 def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
                    tol: float = 1e-6) -> SpectralReport:
     """Does Atilde satisfy (1/lam) ||Ax||^2 <= ||Atilde x||^2 <= ||Ax||^2 ?
@@ -54,7 +41,7 @@ def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
     """
     if A.n_cols != Atilde.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {Atilde.n_cols}")
-    if lam < 1.0:
+    if not lam >= 1.0:
         raise ValueError("lambda must be at least 1")
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
@@ -63,7 +50,10 @@ def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
     rank_match = rank_atilde == fa.rank
     if fa.rank == 0:
         return SpectralReport(1.0, 1.0, rank_match, rank_match, lam, tol, 0, rank_atilde)
-    eigs = _whitened_spectrum(fa, Atilde)
+    # T = Atilde W with W = fa.half_pinv() has cond(T) <= sqrt(lambda) for a
+    # sketch within lambda, so T'T loses nothing; Atilde'Atilde would square
+    # Atilde's condition number
+    eigs = np.linalg.eigvalsh(_whitened_gram(Atilde.to_scipy(), fa.half_pinv()))
     low, high = float(eigs[0]), float(eigs[-1])
     passes = bool(high <= 1.0 + tol and low >= 1.0 / lam - tol and rank_match)
     return SpectralReport(low, high, passes, rank_match, lam, tol, fa.rank, rank_atilde)

@@ -318,6 +318,28 @@ class TestUsageErrors:
             assert capsys.readouterr().err == f"rowsketch: {message}\n", argv
         assert not (tmp_path / "out.tsv").exists()
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("sketch", "--c", "nan", "c must be positive and finite"),
+        ("sketch", "--c", "inf", "c must be positive and finite"),
+        ("verify", "--lambda", "nan", "lambda must be at least 1"),
+        ("reweight", "--tol", "nan", "tol must be positive"),
+    ])
+    def test_nan_and_infinite_parameters_exit_2(self, tmp_path, identity_mtx, capsys,
+                                                command, flag, value, message):
+        # NaN fails every comparison, so each bound is checked in a form NaN fails
+        from rowsketch import WeightedRowSample, write_sample
+        full = tmp_path / "full.tsv"
+        write_sample(full, WeightedRowSample.identity(6))
+        out, report = tmp_path / "out.tsv", tmp_path / "report.json"
+        argv = {
+            "sketch": ["sketch", identity_mtx, "-o", str(out)],
+            "verify": ["verify", identity_mtx, str(full), "--lambda", "2"],
+            "reweight": ["reweight", identity_mtx, "--alpha", "0.5", "-o", str(out)],
+        }[command]
+        assert main(argv + [flag, value, "--report", str(report)]) == 2
+        assert capsys.readouterr().err == f"rowsketch: {message}\n"
+        assert not out.exists() and not report.exists()
+
 
 class TestBench:
     def test_table_shape_and_determinism(self, tmp_path):

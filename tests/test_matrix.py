@@ -6,13 +6,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 from rowsketch import (MatrixFormatError, Reweighting, ScoreVector,
-                       SparseRowMatrix, WeightedRowSample, materialize,
-                       read_matrix_market, read_sample, scale_rows,
-                       write_matrix_market, write_sample, write_scores,
-                       write_weights)
-from rowsketch import matrix
+                       SparseRowMatrix, WeightedRowSample, exact_leverage_scores,
+                       factor_gram, materialize, read_matrix_market,
+                       read_sample, scale_rows, write_matrix_market,
+                       write_sample, write_scores, write_weights)
+from rowsketch import leverage, matrix
 from rowsketch.matrix import read_indexed_column
 
 from conftest import gaussian_matrix
@@ -502,3 +503,94 @@ def test_row_slicing_matches_dense():
         np.testing.assert_array_equal(A.row_dense(i), dense[i])
     with pytest.raises(IndexError):
         A.row(8)
+
+
+class TestOneCsr:
+    """Every matrix holds the CSR arrays scipy reads: to_scipy() copies nothing."""
+
+    @staticmethod
+    def assert_shared(A):
+        csr = A.to_scipy()
+        for mine, theirs in ((A.row_offsets, csr.indptr), (A.col_indices, csr.indices),
+                             (A.values, csr.data)):
+            assert np.shares_memory(mine, theirs)
+
+    def test_every_constructor_shares_its_arrays(self, tmp_path):
+        dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, -4.0, 0.0]])
+        A = SparseRowMatrix.from_dense(dense)
+        p = tmp_path / "a.mtx"
+        write_matrix_market(p, A)
+        built = {
+            "from_coo": SparseRowMatrix.from_coo(3, 3, [2, 0, 2], [1, 2, 0], [-4.0, 2.0, 3.0]),
+            "from_dense": A,
+            "from_scipy": SparseRowMatrix.from_scipy(scipy.sparse.csr_matrix(dense)),
+            "materialize": materialize(A, WeightedRowSample(3, np.array([2, 0]), np.array([0.5, 2.0]))),
+            "scale_rows": scale_rows(A, np.array([0.0, 1.0, 2.0])),
+            "read_matrix_market": read_matrix_market(p),
+        }
+        for name, B in built.items():
+            assert B.row_offsets.dtype == B.col_indices.dtype == np.int32, name
+            self.assert_shared(B)
+
+    def test_int64_past_int32_columns_still_shared(self):
+        # 2^31 columns do not fit int32; nothing n_cols long is allocated
+        n_cols = 2 ** 31
+        for A in (SparseRowMatrix.from_coo(3, n_cols, [1], [n_cols - 1], [2.5]),
+                  SparseRowMatrix(3, n_cols, np.array([0, 0, 1, 1]), np.array([n_cols - 1]),
+                                  np.array([2.5]))):
+            A.validate()
+            assert A.row_offsets.dtype == A.col_indices.dtype == np.int64
+            self.assert_shared(A)
+            cols, vals = A.row(1)
+            assert cols.tolist() == [n_cols - 1] and vals.tolist() == [2.5]
+
+    def test_index_beyond_int32_is_not_wrapped(self):
+        # 2^32 + 1 would wrap to column 1 as int32; it stays int64 and validate rejects it
+        A = SparseRowMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 2 ** 32 + 1]), np.ones(2))
+        assert A.col_indices.dtype == np.int64
+        with pytest.raises(ValueError, match="column index out of range"):
+            A.validate()
+
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_from_coo_matches_add_at_reference(self, rng, cancel):
+        # 5 shuffled copies of every entry of a 40 x 12 pattern, so rows hold
+        # up to 60 stored entries; with cancel, the copies of some entries sum
+        # to zero and must be dropped.  Multiples of 2^-20 below 2^10 add up
+        # exactly in any order, so the reference's order does not matter.
+        n, d = 40, 12
+        mask = rng.random((n, d)) < 0.6
+        rows, cols = np.nonzero(mask)
+        base = rng.integers(-2 ** 30, 2 ** 30, size=(5, rows.size)) * 2.0 ** -20
+        if cancel:
+            zero = rng.random(rows.size) < 0.3
+            base[4, zero] = -base[:4, zero].sum(axis=0)
+        r, c, v = np.tile(rows, 5), np.tile(cols, 5), base.ravel()
+        order = rng.permutation(r.size)
+        r, c, v = r[order], c[order], v[order]
+        ref = np.zeros((n, d))
+        np.add.at(ref, (r, c), v)
+        A = SparseRowMatrix.from_coo(n, d, r, c, v)
+        A.validate()
+        assert A.nnz == np.count_nonzero(ref)
+        assert not (cancel and A.nnz == rows.size)
+        want_rows, want_cols = np.nonzero(ref)
+        np.testing.assert_array_equal(A.row_offsets, np.searchsorted(want_rows, np.arange(n + 1)))
+        np.testing.assert_array_equal(A.col_indices, want_cols)
+        assert A.values.tobytes() == ref[want_rows, want_cols].tobytes()
+
+    @pytest.mark.parametrize("n", [300, leverage._DENSE_MAX_ROWS + 3])
+    def test_zero_weights_score_as_removed_rows(self, rng, n):
+        # scale_rows keeps zero-weighted rows as stored zeros; scores and the
+        # Gram factor match those of the matrix with the rows removed
+        A = SparseRowMatrix.from_dense(rng.standard_normal((n, 6)) * (rng.random((n, 6)) < 0.5))
+        w = rng.uniform(0.5, 1.0, n)
+        w[rng.random(n) < 0.2] = 0.0
+        B = scale_rows(A, w)
+        assert B.nnz == A.nnz
+        rebuilt = SparseRowMatrix.from_scipy(B.to_scipy())
+        assert rebuilt.nnz < B.nnz
+        fb, fr = factor_gram(B), factor_gram(rebuilt)
+        assert fb.singular_values.tobytes() == fr.singular_values.tobytes()
+        assert fb.right_singular_vectors.tobytes() == fr.right_singular_vectors.tobytes()
+        assert (exact_leverage_scores(B).values.tobytes()
+                == exact_leverage_scores(rebuilt).values.tobytes())

@@ -289,6 +289,17 @@ class TestPreconditionSolve:
             assert res.converged, (sa, sb)
             assert np.abs(res.x / sb - 1.0).max() <= 3e-8, (sa, sb)
 
+    def test_cg_alone_recovers_solution_at_extreme_scales(self):
+        # without a preconditioner, A'b underflows to zero at 1e-170 (x = 0
+        # would read as converged) and A'A overflows at 1e160 (x turns NaN)
+        # unless normal_equations_cg scales A and b itself
+        base = isolated_direction_matrix(2048, 8, 0).to_dense()
+        for scale in (1e-170, 1e160):
+            A = SparseRowMatrix.from_dense(scale * base)
+            res = normal_equations_cg(A, A.dot_dense(np.ones(8)))
+            assert res.converged, scale
+            assert np.abs(res.x - 1.0).max() <= 3e-8, scale
+
     def test_cg_reports_non_convergence(self):
         A = gaussian_matrix(100, 5, 12)
         b = np.random.default_rng(3).standard_normal(100)

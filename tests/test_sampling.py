@@ -113,6 +113,12 @@ class TestScaledSample:
         p = sampling_probabilities(u, 9.0, cfg.c, 8)
         np.testing.assert_allclose(S.weights, scale / np.sqrt(p[S.row_indices]))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        # a NaN scale fails every comparison; it must not make NaN weights
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            scaled_sample(np.full(100, 0.5), 1.0, scale, SketchConfig(seed=1), 4)
+
     def test_gram_domination_with_exact_scores(self):
         # A'S'^2A <= A'A holds in nearly all seeded runs at alpha = 1
         A = gaussian_matrix(300, 8, 1)
