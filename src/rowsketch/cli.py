@@ -16,11 +16,11 @@ import time
 import numpy as np
 
 from .fastlev import approx_generalized_leverage
-from .leverage import (exact_leverage_scores, generalized_leverage_scores,
-                       read_scores, write_scores)
-from .matrix import (MatrixFormatError, SparseRowMatrix, entry_line,
-                     materialize, read_indexed_column, read_matrix_market,
-                     read_sample, write_indexed_column, write_sample)
+from .leverage import (SCORE_HEADER, exact_leverage_scores, generalized_leverage_scores,
+                       write_scores)
+from .matrix import (MatrixFormatError, SparseRowMatrix, _IndexedTsv, materialize,
+                     read_indexed_column, read_matrix_market, read_sample,
+                     write_indexed_column, write_sample)
 from .pipelines import (PRESETS, NonConvergenceError, generic_scheme,
                         input_sparsity_sketch, precondition_solve,
                         refinement_sampling, repeated_halving)
@@ -144,11 +144,10 @@ def cmd_reweight(args) -> int:
             raise MatrixFormatError("--alpha must be positive")
         u = np.full(A.n_rows, args.alpha)
     else:
-        u = read_scores(args.targets).values  # a flagged `inf` row reads 0.0
-        bad = np.flatnonzero(u <= 0.0)
-        if bad.size:
-            raise MatrixFormatError("target must be positive and finite", args.targets,
-                                    entry_line(args.targets, int(bad[0]), 1))
+        tsv = _IndexedTsv(args.targets, SCORE_HEADER)
+        u = tsv.values
+        tsv.check([(~((u > 0.0) & (u < np.inf)),
+                    "target must be positive and finite, not {token!r}")])
         if u.size != A.n_rows:
             raise MatrixFormatError(f"{u.size} targets for a matrix of {A.n_rows} rows",
                                     args.targets)

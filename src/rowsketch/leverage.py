@@ -14,13 +14,11 @@ d x d factor where that Gram is not accurate enough.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import (MatrixFormatError, SparseRowMatrix, read_ascii_lines,
-                     write_indexed_column)
+from .matrix import SparseRowMatrix, _IndexedTsv, write_indexed_column
 
 
 @dataclass(frozen=True)
@@ -327,33 +325,13 @@ def write_scores(path, s: ScoreVector) -> None:
 
 
 def read_scores(path) -> ScoreVector:
-    path = str(path)
-    lines = read_ascii_lines(path)
-    if not lines or lines[0] != SCORE_HEADER:
-        raise MatrixFormatError(f"expected header {SCORE_HEADER!r}", path, 1)
-    vals, flags = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split("\t")
-        if len(parts) != 2:
-            raise MatrixFormatError("expected 'row_index<TAB>score'", path, lineno)
-        try:
-            consecutive = int(parts[0]) == len(vals)
-        except ValueError:
-            consecutive = False
-        if not consecutive:
-            raise MatrixFormatError("row indices must be consecutive from 0", path, lineno)
-        tok = parts[1]
-        try:
-            val = 0.0 if tok == "inf" else float(tok)
-        except ValueError:
-            val = math.nan
-        if not 0.0 <= val < math.inf:
-            raise MatrixFormatError(f"score must be 'inf' or a nonnegative real, not {tok!r}",
-                                    path, lineno)
-        vals.append(val)
-        flags.append(tok == "inf")
-    out = ScoreVector(np.asarray(vals), np.asarray(flags, dtype=bool))
-    out.validate()
-    return out
+    """The scores in a TSV written by :func:`write_scores`.  Only the literal
+    token ``inf`` flags a row; any other score that is not a nonnegative
+    real is an error at its line."""
+    tsv = _IndexedTsv(path, SCORE_HEADER)
+    v = tsv.values
+    flags = np.isposinf(v)
+    flags[flags] = [tsv.token(k) == "inf" for k in np.flatnonzero(flags).tolist()]
+    tsv.check([(~(v >= 0.0) | (np.isinf(v) & ~flags),
+                "score must be 'inf' or a nonnegative real, not {token!r}")])
+    return ScoreVector(np.where(flags, 0.0, v), flags)

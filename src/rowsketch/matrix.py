@@ -1,10 +1,15 @@
-"""Sparse row-major matrix storage, Matrix Market I/O, and row surgery.
+"""Sparse row-major matrix storage, Matrix Market and TSV I/O, and row surgery.
 
 The two carrier types are ``SparseRowMatrix`` (CSR arrays, immutable) and
 ``WeightedRowSample`` (a diagonal row-selection/reweighting operator stored
 as index/weight pairs).  Everything downstream operates on rows, so the
 layout gives O(1) row slicing.  Column count d is assumed small enough that
 dense d x d work is cheap; n-length dense vectors must fit in memory.
+
+Readers try numpy's C reader, then a line scanner that locates every fault
+at ``path:line``.  Every TSV goes through :class:`_IndexedTsv`, each format
+a few vectorized rules over it.  Numbers follow numpy's grammar, so
+Python's ``_`` digit separators are refused.
 """
 
 from __future__ import annotations
@@ -284,22 +289,28 @@ def _read_matrix_market_fast(path: str) -> SparseRowMatrix | None:
     return None
 
 
-def read_ascii_lines(path: str) -> list[str]:
-    """The lines of an ASCII text file; a non-ASCII byte is an error at its line."""
+def _ascii_lines(path: str) -> tuple[list[str], MatrixFormatError | None]:
+    """The lines of a text file before its first non-ASCII byte, and the
+    error locating that byte (None if there is none)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("ascii").splitlines()
+        return data.decode("ascii").splitlines(), None
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("ascii") + "x").splitlines())
-        raise MatrixFormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", path, line) from None
+        lines = (data[:exc.start].decode("ascii") + "x").splitlines()
+        return lines[:-1], MatrixFormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", path, len(lines))
 
 
-def entry_line(path: str, k: int, n_header: int) -> int:
-    """The line number of entry k (from 0) of a TSV with ``n_header``
-    header lines, blank lines skipped as its readers skip them."""
-    lines = read_ascii_lines(path)
-    return [no for no, ln in enumerate(lines[n_header:], start=n_header + 1) if ln.strip()][k]
+def _parse(kind, tok: str, message: str, path: str, line: int | None):
+    """``kind(tok)`` for ``kind`` int or float, as numpy's reader takes it:
+    the ``_`` digit separators Python allows are refused.  A token that does
+    not parse is ``message.format(tok)`` at ``path:line``."""
+    try:
+        if "_" not in tok:
+            return kind(tok)
+    except ValueError:
+        pass
+    raise MatrixFormatError(message.format(tok), path, line)
 
 
 def _mm_header(header: list[str], path: str) -> str:
@@ -325,10 +336,7 @@ def _mm_size(toks: list[str], fmt: str, path: str, lineno: int | None) -> tuple[
     """``(rows, cols, nnz)`` or ``(rows, cols)`` from the tokens of the size line."""
     if len(toks) != len(_SIZE_LINE[fmt].split()):
         raise MatrixFormatError(f"{fmt} size line must be '{_SIZE_LINE[fmt]}'", path, lineno)
-    try:
-        return tuple(int(t) for t in toks)
-    except ValueError:
-        raise MatrixFormatError("bad size line", path, lineno) from None
+    return tuple(_parse(int, t, "bad size line", path, lineno) for t in toks)
 
 
 def _scan_matrix_market(path: str) -> SparseRowMatrix:
@@ -337,16 +345,15 @@ def _scan_matrix_market(path: str) -> SparseRowMatrix:
     It defines what :func:`read_matrix_market` accepts; the fast path must
     return exactly what this returns, or defer to it.
     """
-    lines = read_ascii_lines(path)
+    lines, fault = _ascii_lines(path)
+    if fault is not None:
+        raise fault
     if not lines:
         raise MatrixFormatError("empty file", path, 1)
     fmt = _mm_header(lines[0].split(), path)
 
     def parse_real(tok: str, lineno: int) -> float:
-        try:
-            v = float(tok)
-        except ValueError:
-            raise MatrixFormatError(f"bad numeric value {tok!r}", path, lineno) from None
+        v = _parse(float, tok, "bad numeric value {!r}", path, lineno)
         if not np.isfinite(v):
             raise MatrixFormatError(f"non-finite value {tok!r}", path, lineno)
         return v
@@ -370,10 +377,7 @@ def _scan_matrix_market(path: str) -> SparseRowMatrix:
             parts = ln.split()
             if len(parts) != 3:
                 raise MatrixFormatError("coordinate entry must be 'row col value'", path, lineno)
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MatrixFormatError("bad index", path, lineno) from None
+            i, j = (_parse(int, t, "bad index", path, lineno) for t in parts[:2])
             if not (1 <= i <= n_rows and 1 <= j <= n_cols):
                 raise MatrixFormatError(f"index ({i}, {j}) outside {n_rows} x {n_cols}", path, lineno)
             rows[k], cols[k] = i - 1, j - 1
@@ -441,36 +445,81 @@ def _read_tsv_fast(path: str, n_header: int):
     return head, body["i"].copy(), body["v"].copy()
 
 
+class _IndexedTsv:
+    """The reader of every TSV: ``n_header`` header lines, the last of them
+    ``header``, then ``index<TAB>value`` lines, blank lines skipped.
+
+    ``indices`` and ``values`` hold the entries up to the first line that
+    does not parse.  numpy reads a well-formed file with finite values; the
+    line scanner reads any other, or one in which :meth:`check` finds a
+    fault, and keeps each entry's line and value token.
+    """
+
+    def __init__(self, path, header: str, n_header: int = 1, consecutive: bool = True):
+        self.path, self.header, self.n_header, self.consecutive = str(path), header, n_header, consecutive
+        self._layout = ("consecutive " if consecutive else "") + repr(header).replace(r"\t", "<TAB>")
+        self._tokens = self._fault = None
+        fast = _read_tsv_fast(self.path, n_header)
+        self.head, self.indices, self.values = fast if fast is not None else self._scan()
+
+    def _scan(self):
+        """``(head, indices, values)`` read line by line; keeps each entry's
+        line and token, and the first line that does not parse."""
+        lines, self._fault = _ascii_lines(self.path)
+        if self._fault is not None and self._fault.line <= self.n_header:
+            raise self._fault
+        path, idx, vals, where, tokens = self.path, [], [], [], []
+        expected, bad = f"expected {self._layout}", "bad " + self.header.partition("\t")[2] + " {!r}"
+        try:
+            for lineno, ln in enumerate(lines[self.n_header:], start=self.n_header + 1):
+                if not ln.strip():
+                    continue
+                parts = ln.split("\t")
+                if len(parts) != 2:
+                    raise MatrixFormatError(expected, path, lineno)
+                i = _parse(int, parts[0], expected, path, lineno)
+                vals.append(_parse(float, parts[1], bad, path, lineno))
+                idx.append(i)
+                where.append(lineno)
+                tokens.append(parts[1])
+        except MatrixFormatError as exc:
+            self._fault = exc
+        self._lines, self._tokens = where, tokens
+        head = (lines + [""] * self.n_header)[:self.n_header]
+        return head, np.array(idx, dtype=np.int64), np.array(vals, dtype=np.float64)
+
+    def token(self, k: int) -> str:
+        """The value of entry k as the file spells it."""
+        if self._tokens is None:
+            self._scan()
+        return self._tokens[k]
+
+    def check(self, rules=()) -> None:
+        """Raise the first fault in file order: a last header line other than
+        ``header``, an entry that breaks a rule, or a line that does not
+        parse.  A rule is a mask, true where an entry breaks it, and a
+        message with that entry's ``{index}`` and ``{token}``; at one entry
+        the first rule wins.  With ``consecutive`` indices must run 0, 1, ...
+        """
+        if self.head[-1] != self.header:
+            raise MatrixFormatError(f"expected header {self.header!r}", self.path, self.n_header)
+        if self.consecutive:
+            rules = [(self.indices != np.arange(self.indices.size), f"expected {self._layout}"), *rules]
+        broken = [(int(bad.argmax()), r) for r, (bad, _) in enumerate(rules) if bad.any()]
+        if broken:
+            k, r = min(broken)
+            message = rules[r][1].format(index=int(self.indices[k]), token=self.token(k))
+            raise MatrixFormatError(message, self.path, self._lines[k])
+        if self._fault is not None:
+            raise self._fault
+
+
 def read_indexed_column(path, column: str) -> np.ndarray:
     """Finite values of a TSV with header ``row_index<TAB><column>`` whose
     row indices run 0, 1, 2, ... in order; blank lines are skipped."""
-    path = str(path)
-    header = f"row_index\t{column}"
-    fast = _read_tsv_fast(path, 1)
-    if fast is not None and fast[0] == [header] and np.array_equal(fast[1], np.arange(fast[1].size)):
-        return fast[2]
-    lines = read_ascii_lines(path)
-    if not lines or lines[0] != header:
-        raise MatrixFormatError(f"expected header {header!r}", path, 1)
-    vals = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split("\t")
-        try:
-            consecutive = len(parts) == 2 and int(parts[0]) == len(vals)
-        except ValueError:
-            consecutive = False
-        if not consecutive:
-            raise MatrixFormatError(f"expected consecutive 'row_index<TAB>{column}'", path, lineno)
-        try:
-            val = float(parts[1])
-        except ValueError:
-            raise MatrixFormatError(f"bad {column} {parts[1]!r}", path, lineno) from None
-        if not np.isfinite(val):
-            raise MatrixFormatError(f"non-finite {column} {parts[1]!r}", path, lineno)
-        vals.append(val)
-    return np.asarray(vals, dtype=np.float64)
+    tsv = _IndexedTsv(path, f"row_index\t{column}")
+    tsv.check([(~np.isfinite(tsv.values), f"non-finite {column} {{token!r}}")])
+    return tsv.values
 
 
 def write_indexed_column(dest, header: str, values, indices=None, infinite=None) -> None:
@@ -511,45 +560,16 @@ def read_sample(path) -> WeightedRowSample:
     """The sample in a TSV written by :func:`write_sample`.  An entry whose
     index is repeated or outside the parent, or whose weight is not positive
     and finite, is an error at its line."""
-    path = str(path)
-    fast = _read_tsv_fast(path, 2)
-    lines = fast[0] if fast is not None else read_ascii_lines(path)
-    if not lines or not lines[0].startswith("# parent_rows="):
-        raise MatrixFormatError("missing '# parent_rows=' line", path, 1)
-    try:
-        parent = int(lines[0].split("=", 1)[1])
-    except ValueError:
-        raise MatrixFormatError("bad parent_rows value", path, 1) from None
+    tsv = _IndexedTsv(path, SAMPLE_HEADER, n_header=2, consecutive=False)
+    if not tsv.head[0].startswith("# parent_rows="):
+        raise MatrixFormatError("missing '# parent_rows=' line", tsv.path, 1)
+    parent = _parse(int, tsv.head[0].split("=", 1)[1], "bad parent_rows value", tsv.path, 1)
     if parent < 0:
-        raise MatrixFormatError(f"parent_rows must be nonnegative, not {parent}", path, 1)
-    if len(lines) < 2 or lines[1] != SAMPLE_HEADER:
-        raise MatrixFormatError(f"expected header {SAMPLE_HEADER!r}", path, 2)
-    if fast is not None:
-        out = WeightedRowSample(parent, fast[1], fast[2])
-        try:
-            out.validate()
-            return out
-        except ValueError:
-            lines = read_ascii_lines(path)  # the scanner locates the bad entry
-    idx, wts, seen = [], [], set()
-    for lineno, ln in enumerate(lines[2:], start=3):
-        if not ln.strip():
-            continue
-        parts = ln.split("\t")
-        if len(parts) != 2:
-            raise MatrixFormatError("expected 'row_index<TAB>weight'", path, lineno)
-        try:
-            i, w = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise MatrixFormatError("bad entry", path, lineno) from None
-        if not 0 <= i < parent:
-            raise MatrixFormatError(f"row index {i} outside 0..{parent - 1}", path, lineno)
-        if i in seen:
-            raise MatrixFormatError(f"duplicate row index {i}", path, lineno)
-        if not 0.0 < w < np.inf:
-            raise MatrixFormatError(f"weight must be positive and finite, not {parts[1]!r}",
-                                    path, lineno)
-        seen.add(i)
-        idx.append(i)
-        wts.append(w)
-    return WeightedRowSample(parent, np.asarray(idx, dtype=np.int64), np.asarray(wts))
+        raise MatrixFormatError(f"parent_rows must be nonnegative, not {parent}", tsv.path, 1)
+    idx, w = tsv.indices, tsv.values
+    repeat = np.ones(idx.size, dtype=bool)
+    repeat[np.unique(idx, return_index=True)[1]] = False
+    tsv.check([((idx < 0) | (idx >= parent), f"row index {{index}} outside 0..{parent - 1}"),
+               (repeat, "duplicate row index {index}"),
+               (~((w > 0.0) & (w < np.inf)), "weight must be positive and finite, not {token!r}")])
+    return WeightedRowSample(parent, idx, w)

@@ -376,10 +376,8 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray,
     (B'B)^+ from ``preconditioner``, the Gram factor of a sketch B of A.
 
     Stops when the relative normal-equation residual ||A'(Ax - b)|| /
-    ||A'b|| drops below tol; reports the iterations used either way.  When
-    A's or b's largest |entry| leaves 2^-200 .. 2^200, CG runs on 2^ea A,
-    2^eb b and the factor scaled to match, all exact, and x is scaled back
-    by 2^(ea - eb); otherwise A'A or A'b would over- or underflow.
+    ||A'b|| drops below tol; reports the iterations used either way.  A, b
+    and the factor are first scaled into range by :func:`_shifted`.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
@@ -388,14 +386,10 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray,
         raise ValueError("tol must be nonnegative")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    ea, eb = _binade_shift(A.values), _binade_shift(b)
-    if ea or eb:
-        A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
-                            np.ldexp(A.values, ea))
-        b = np.ldexp(b, eb)
-        if preconditioner is not None:
-            preconditioner = PseudoinverseFactor(preconditioner.right_singular_vectors,
-                                                 np.ldexp(preconditioner.singular_values, ea))
+    A, b, ea, eb = _shifted(A, b)
+    if ea and preconditioner is not None:
+        preconditioner = PseudoinverseFactor(preconditioner.right_singular_vectors,
+                                             np.ldexp(preconditioner.singular_values, ea))
     csr = A.to_scipy()
     rhs = csr.T @ b
     rhs_norm = float(np.linalg.norm(rhs))
@@ -436,11 +430,12 @@ def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
     The step is 1/lambda_max(A'A) (ten power iterations), giving the
     textbook contraction of 1 - 1/cond(A'A) per sweep; on ill-conditioned
     instances this stalls, which is exactly what sketch preconditioning
-    repairs.
+    repairs.  A and b are first scaled into range by :func:`_shifted`.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError("right-hand side length must equal n_rows")
+    A, b, ea, eb = _shifted(A, b)
     csr = A.to_scipy()
     rhs = csr.T @ b
     rhs_norm = float(np.linalg.norm(rhs))
@@ -460,9 +455,9 @@ def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
         iterations = k
         rel = float(np.linalg.norm(r)) / rhs_norm
         if rel <= tol:
-            return SolveResult(x, iterations - 1, rel, True)
+            return SolveResult(np.ldexp(x, ea - eb), iterations - 1, rel, True)
         x = x + step * r
-    return SolveResult(x, iterations, rel, False)
+    return SolveResult(np.ldexp(x, ea - eb), iterations, rel, False)
 
 
 # CG on A'Ax = A'b multiplies up to four entries of A and b together (as in
@@ -478,6 +473,17 @@ def _binade_shift(values: np.ndarray) -> int:
     if top == 0.0 or 1.0 / _SOLVE_RANGE <= top <= _SOLVE_RANGE:
         return 0
     return -int(np.frexp(top)[1])
+
+
+def _shifted(A: SparseRowMatrix, b: np.ndarray):
+    """``(2^ea A, 2^eb b, ea, eb)`` by :func:`_binade_shift`, so that A'A
+    and A'b neither over- nor underflow; all exact, and the solution is
+    2^(ea - eb) times that of the shifted system."""
+    ea, eb = _binade_shift(A.values), _binade_shift(b)
+    if ea:
+        A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
+                            np.ldexp(A.values, ea))
+    return A, np.ldexp(b, eb), ea, eb
 
 
 def precondition_solve(A: SparseRowMatrix, b: np.ndarray, sketch: SketchResult,

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leverage import ScoreVector, _whitened_gram, exact_leverage_scores, factor_gram
-from .matrix import (MatrixFormatError, SparseRowMatrix, entry_line,
-                     read_indexed_column, scale_rows, write_indexed_column)
+from .matrix import SparseRowMatrix, _IndexedTsv, scale_rows, write_indexed_column
 
 
 @dataclass(frozen=True)
@@ -253,11 +252,8 @@ def write_weights(path, W: Reweighting) -> None:
 def read_weights(path) -> Reweighting:
     """The reweighting in a TSV written by :func:`write_weights`; a weight
     outside [0, 1] is an error at its line."""
-    path = str(path)
-    w = read_indexed_column(path, "weight")
-    bad = np.flatnonzero((w < 0.0) | (w > 1.0))
-    if bad.size:
-        k = int(bad[0])
-        raise MatrixFormatError(f"weight must lie in [0, 1], not {float(w[k])!r}",
-                                path, entry_line(path, k, 1))
+    tsv = _IndexedTsv(path, WEIGHT_HEADER)
+    w = tsv.values
+    tsv.check([(~np.isfinite(w), "non-finite weight {token!r}"),
+               (~((w >= 0.0) & (w <= 1.0)), "weight must lie in [0, 1], not {token!r}")])
     return Reweighting(w)

@@ -231,6 +231,15 @@ class TestReweight:
         assert capsys.readouterr().err.startswith(f"rowsketch: {targets}:3: ")
         assert not w_p.exists()
 
+    def test_target_fault_named_before_a_later_syntax_fault(self, identity_mtx, tmp_path, capsys):
+        targets = tmp_path / "t.tsv"
+        targets.write_text("row_index\tscore\n0\t1\n1\t0\nx\t1\n")
+        w_p = tmp_path / "w.tsv"
+        assert main(["reweight", identity_mtx, "--targets", str(targets), "-o", str(w_p)]) == 2
+        assert capsys.readouterr().err == (
+            f"rowsketch: {targets}:3: target must be positive and finite, not '0'\n")
+        assert not w_p.exists()
+
 
     def test_targets_for_another_matrix_exit_2_naming_file(self, identity_mtx, tmp_path, capsys):
         targets = tmp_path / "t.tsv"

@@ -1,6 +1,7 @@
 """Matrix storage, Matrix Market parsing, sample materialization, TSV I/O."""
 
 import io
+import re
 import warnings
 
 import numpy as np
@@ -11,8 +12,9 @@ import scipy.sparse
 from rowsketch import (MatrixFormatError, Reweighting, ScoreVector,
                        SparseRowMatrix, WeightedRowSample, exact_leverage_scores,
                        factor_gram, materialize, read_matrix_market,
-                       read_sample, scale_rows, write_matrix_market,
-                       write_sample, write_scores, write_weights)
+                       read_sample, read_scores, read_weights, scale_rows,
+                       write_matrix_market, write_sample, write_scores,
+                       write_weights)
 from rowsketch import leverage, matrix
 from rowsketch.matrix import read_indexed_column
 
@@ -155,6 +157,8 @@ MM_CORPUS = [
     ("overflow", COORD + "1 1 1\n1 1 1e400\n", False),
     ("hex", COORD + "1 1 1\n1 1 0x10\n", False),
     ("underscore", COORD + "1 1 1\n1 1 1_0\n", False),
+    ("underscore-index", COORD + "20 2 1\n1_0 1 1\n", False),
+    ("underscore-size-line", COORD + "1_0 2 1\n1 1 1\n", False),
     ("fortran-exponent", COORD + "1 1 1\n1 1 1.5D0\n", False),
     ("float-index", COORD + "2 2 1\n1.5 1 1\n", False),
     ("zero-index", COORD + "2 2 1\n0 1 1\n", False),
@@ -215,6 +219,10 @@ def _outcome(fn, path):
         return ("matrix", out.shape, out.row_offsets.tobytes(), out.col_indices.tobytes(), out.values.tobytes())
     if isinstance(out, WeightedRowSample):
         return ("sample", out.parent_rows, out.row_indices.tobytes(), out.weights.tobytes())
+    if isinstance(out, ScoreVector):
+        return ("scores", out.values.tobytes(), out.infinite.tobytes())
+    if isinstance(out, Reweighting):
+        return ("weights", out.weights.tobytes())
     return ("values", out.dtype, out.tobytes())
 
 
@@ -269,6 +277,8 @@ class TestReaderMatchesScanner:
 
 SAMPLE = "# parent_rows=5\nrow_index\tweight\n"
 VALUE = "row_index\tvalue\n"
+SCORE = "row_index\tscore\n"
+WEIGHT = "row_index\tweight\n"
 
 # (id, file text, whether numpy's reader should take it)
 TSV_CORPUS = [
@@ -293,6 +303,12 @@ TSV_CORPUS = [
     ("duplicate-index", "0\t1.5\n1\t2\n0\t3\n", True),
     ("index-out-of-range", "0\t1.5\n5\t2\n", True),
     ("zero-weight", "0\t1.5\n1\t0\n", True),
+    ("fractions", "0\t0.5\n1\t1\n2\t0\n", True),
+    ("underscore-value", "0\t0.5\n1\t1_5\n", False),
+    ("underscore-index", "0\t0.5\n1_0\t1\n", False),
+    ("Infinity", "0\t0.5\n1\tInfinity\n", False),
+    ("INF", "0\t0.5\n1\tINF\n", False),
+    ("inf-then-bad-value", "0\tinf\n1\tx\n", False),
 ]
 
 
@@ -322,6 +338,84 @@ class TestTsvReadersMatchScanner:
         got, scanned = self._both(monkeypatch, lambda q: read_indexed_column(q, "value"), p)
         assert got == scanned
         assert (matrix._read_tsv_fast(str(p), 1) is not None) == fast
+
+    @pytest.mark.parametrize("body,fast", [c[1:] for c in TSV_CORPUS], ids=[c[0] for c in TSV_CORPUS])
+    def test_scores_corpus(self, tmp_path, monkeypatch, body, fast):
+        p = tmp_path / "scores.tsv"
+        p.write_bytes((SCORE + body).encode("latin-1"))
+        got, scanned = self._both(monkeypatch, read_scores, p)
+        assert got == scanned
+        assert (matrix._read_tsv_fast(str(p), 1) is not None) == fast
+
+    @pytest.mark.parametrize("body,fast", [c[1:] for c in TSV_CORPUS], ids=[c[0] for c in TSV_CORPUS])
+    def test_weights_corpus(self, tmp_path, monkeypatch, body, fast):
+        p = tmp_path / "w.tsv"
+        p.write_bytes((WEIGHT + body).encode("latin-1"))
+        got, scanned = self._both(monkeypatch, read_weights, p)
+        assert got == scanned
+        assert (matrix._read_tsv_fast(str(p), 1) is not None) == fast
+
+    def test_only_the_literal_inf_flags_a_score(self, tmp_path):
+        p = tmp_path / "scores.tsv"
+        p.write_text(SCORE + "0\t0.5\n1\tinf\n2\t0\n")
+        s = read_scores(p)
+        np.testing.assert_array_equal(s.values, [0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(s.infinite, [False, True, False])
+        for tok in ("Infinity", "INF", "+inf", "-inf", "nan"):
+            p.write_text(SCORE + f"0\t0.5\n1\t{tok}\n")
+            with pytest.raises(MatrixFormatError, match=re.escape(f"not '{tok}'")) as err:
+                read_scores(p)
+            assert err.value.line == 3, tok
+
+    @pytest.mark.parametrize("read,head,body,message,line", [
+        (read_sample, SAMPLE, "0\t1\n0\t1\nx\t1\n", "duplicate row index 0", 4),
+        (read_sample, SAMPLE, "0\t0\n1\t1\t1\n", "weight must be positive and finite, not '0'", 3),
+        (lambda q: read_indexed_column(q, "value"), VALUE, "0\t1\n\n2\t1\n3\tx\n",
+         "expected consecutive 'row_index<TAB>value'", 4),
+        (lambda q: read_indexed_column(q, "value"), VALUE, "0\tnan\n1\t1 1\n", "non-finite value 'nan'", 2),
+        (read_weights, WEIGHT, "0\t1\n1\t1.25\n2\tx\n", r"weight must lie in \[0, 1\], not '1.25'", 3),
+        (read_weights, WEIGHT, "0\t1\n1\t-inf\n2\n", "non-finite weight '-inf'", 3),
+        (read_scores, SCORE, "0\t-1\n1\tx\n", "score must be 'inf' or a nonnegative real, not '-1'", 2),
+        (read_scores, SCORE, "0\t1\n0\t1\n\xe9\n", "expected consecutive 'row_index<TAB>score'", 3),
+    ], ids=["sample-duplicate", "sample-weight", "value-index", "value-nan", "weight-range",
+            "weight-infinite", "score-negative", "score-index-then-non-ascii"])
+    def test_rule_fault_before_syntax_fault_is_named(self, tmp_path, monkeypatch, read, head, body,
+                                                      message, line):
+        # the first fault in file order wins, whether it breaks a rule of
+        # the format or the syntax of every TSV
+        p = tmp_path / "f.tsv"
+        p.write_bytes((head + body).encode("latin-1"))
+        got, scanned = self._both(monkeypatch, read, p)
+        assert got == scanned
+        with pytest.raises(MatrixFormatError, match=message) as err:
+            read(p)
+        assert err.value.line == line
+
+    def test_underscore_numerals_are_errors(self, tmp_path):
+        # Python's int() and float() read 1_5 as 15; numpy's reader refuses it
+        p = tmp_path / "f"
+        corpus = {c[0]: c[1] for c in MM_CORPUS}
+        for text, read, line in ((corpus["underscore"], read_matrix_market, 3),
+                                 (corpus["underscore-index"], read_matrix_market, 3),
+                                 (corpus["underscore-size-line"], read_matrix_market, 2),
+                                 (ARRAY + "1 1\n1_5\n", read_matrix_market, 3),
+                                 ("# parent_rows=1_0\nrow_index\tweight\n0\t1\n", read_sample, 1),
+                                 (SAMPLE + "0\t1_5\n", read_sample, 3),
+                                 (SAMPLE + "1_0\t1\n", read_sample, 3),
+                                 (WEIGHT + "0\t0.5\n1\t0_5\n", read_weights, 3),
+                                 (SCORE + "0\t1_5\n", read_scores, 2),
+                                 (VALUE + "0\t1\n1\t1_5\n", lambda q: read_indexed_column(q, "value"), 3)):
+            p.write_text(text)
+            with pytest.raises(MatrixFormatError) as err:
+                read(p)
+            assert err.value.line == line, text
+
+    def test_non_ascii_header_byte_is_named(self, tmp_path):
+        p = tmp_path / "s.tsv"
+        p.write_bytes(b"# parent_rows=5\nrow_index\tweight\xe9\n0\t1\n")
+        with pytest.raises(MatrixFormatError, match="non-ASCII byte 0xe9") as err:
+            read_sample(p)
+        assert err.value.line == 2
 
     def test_errors_are_located(self, tmp_path):
         p = tmp_path / "v.tsv"

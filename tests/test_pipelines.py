@@ -300,6 +300,23 @@ class TestPreconditionSolve:
             assert res.converged, scale
             assert np.abs(res.x - 1.0).max() <= 3e-8, scale
 
+    def test_gradient_descent_matches_unscaled_run_at_extreme_scales(self):
+        # the baseline scales A and b as CG does; unscaled, it returned x = 0
+        # as converged after 0 iterations at 1e-170, and a NaN x at 1e160
+        base = isolated_direction_matrix(2048, 8, 0).to_dense()
+
+        def run(scale):
+            A = SparseRowMatrix.from_dense(scale * base)
+            return normal_equations_gradient_descent(A, A.dot_dense(np.ones(8)), max_iters=50)
+
+        ref = run(1.0)
+        assert (ref.converged, ref.iterations) == (False, 50)
+        for scale in (1e-170, 1e160):
+            res = run(scale)
+            assert (res.converged, res.iterations) == (False, 50), scale
+            assert np.isfinite(res.x).all(), scale
+            assert np.linalg.norm(res.x - ref.x) <= 1e-10 * np.linalg.norm(ref.x), scale
+
     def test_cg_reports_non_convergence(self):
         A = gaussian_matrix(100, 5, 12)
         b = np.random.default_rng(3).standard_normal(100)
