@@ -1,8 +1,9 @@
 """A constant-factor sketch is a great least-squares preconditioner.
 
-The sketch's small Gram factor pulls the normal equations' condition number
-down to its spectral grade, so conjugate gradients converges in a handful
-of iterations even when the data matrix is pathologically conditioned.
+The sketch's small Gram factor W = V diag(1/sigma) pulls the condition number
+of A W down to the square root of its spectral grade, so conjugate gradients
+on A W converges in a handful of iterations even when the data matrix is
+pathologically conditioned.
 
 Run:  python3 demos/05_preconditioned_solver.py
 """

@@ -372,54 +372,40 @@ class SolveResult:
 def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray,
                         preconditioner: PseudoinverseFactor | None = None,
                         tol: float = 1e-8, max_iters: int = 1000) -> SolveResult:
-    """Conjugate gradients on A'Ax = A'b, optionally preconditioned by
-    (B'B)^+ from ``preconditioner``, the Gram factor of a sketch B of A.
+    """Least squares min ||Ax - b|| by CGLS (conjugate gradients on the
+    normal equations in least-squares form) on A W, returning x = W y.
 
-    Stops when the relative normal-equation residual ||A'(Ax - b)|| /
-    ||A'b|| drops below tol; reports the iterations used either way.  A, b
-    and the factor are first scaled into range by :func:`_shifted`.
+    W = V diag(1/sigma) from ``preconditioner``, the Gram factor of a sketch
+    of A, or the identity without one.  The loop updates the residual
+    r = b - Ax and stops once ||A'r|| <= tol ||A'b||; see :func:`_prologue`
+    and :func:`_epilogue` for the scaling and the reported residual.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.n_rows,):
-        raise ValueError("right-hand side length must equal n_rows")
-    if not tol >= 0.0:
-        raise ValueError("tol must be nonnegative")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    A, b, ea, eb = _shifted(A, b)
-    if ea and preconditioner is not None:
-        preconditioner = PseudoinverseFactor(preconditioner.right_singular_vectors,
-                                             np.ldexp(preconditioner.singular_values, ea))
-    csr = A.to_scipy()
-    rhs = csr.T @ b
-    rhs_norm = float(np.linalg.norm(rhs))
-    x = np.zeros(A.n_cols)
-    if rhs_norm == 0.0:
-        return SolveResult(x, 0, 0.0, True)
-    apply_m = preconditioner.pinv_apply if preconditioner is not None else (lambda v: v)
-    r = rhs.copy()
-    z = apply_m(r)
-    p = z.copy()
-    rz = float(r @ z)
+    csr, b, rhs, ea, eb = _prologue(A, b, tol, max_iters)
+    W = (np.eye(A.n_cols) if preconditioner is None else
+         preconditioner.right_singular_vectors / np.ldexp(preconditioner.singular_values, ea))
+    bound = tol * float(np.linalg.norm(rhs))
+    y = np.zeros(W.shape[1])
+    r = b
+    s = W.T @ rhs
+    p, gamma = s, float(s @ s)
     iterations = 0
-    rel = 1.0
     for k in range(1, max_iters + 1):
-        q = csr.T @ (csr @ p)
-        denom = float(p @ q)
-        if denom <= 0.0:
+        q = csr @ (W @ p)
+        delta = float(q @ q)
+        if delta <= 0.0:
             break
-        step = rz / denom
-        x = x + step * p
+        step = gamma / delta
+        y = y + step * p
         r = r - step * q
         iterations = k
-        rel = float(np.linalg.norm(r)) / rhs_norm
-        if rel <= tol:
-            return SolveResult(np.ldexp(x, ea - eb), iterations, rel, True)
-        z = apply_m(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return SolveResult(np.ldexp(x, ea - eb), iterations, rel, False)
+        g = csr.T @ r
+        if float(np.linalg.norm(g)) <= bound:
+            break
+        s = W.T @ g
+        gamma_new = float(s @ s)
+        p = s + (gamma_new / gamma) * p
+        gamma = gamma_new
+    return _epilogue(csr, b, rhs, W @ y, iterations, tol, ea - eb)
 
 
 def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
@@ -430,69 +416,77 @@ def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
     The step is 1/lambda_max(A'A) (ten power iterations), giving the
     textbook contraction of 1 - 1/cond(A'A) per sweep; on ill-conditioned
     instances this stalls, which is exactly what sketch preconditioning
-    repairs.  A and b are first scaled into range by :func:`_shifted`.
+    repairs.  Stops, checks, scales and reports as :func:`normal_equations_cg`.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.n_rows,):
-        raise ValueError("right-hand side length must equal n_rows")
-    A, b, ea, eb = _shifted(A, b)
-    csr = A.to_scipy()
-    rhs = csr.T @ b
-    rhs_norm = float(np.linalg.norm(rhs))
+    csr, b, rhs, ea, eb = _prologue(A, b, tol, max_iters)
+    bound = tol * float(np.linalg.norm(rhs))
     x = np.zeros(A.n_cols)
-    if rhs_norm == 0.0:
-        return SolveResult(x, 0, 0.0, True)
-    v = rng_from(0, "power-iteration").standard_normal(A.n_cols)
-    for _ in range(10):
-        v = csr.T @ (csr @ v)
-        v /= np.linalg.norm(v)
-    lam_max = float(v @ (csr.T @ (csr @ v)))
-    step = 1.0 / lam_max
-    rel = 1.0
     iterations = 0
-    for k in range(1, max_iters + 1):
-        r = rhs - csr.T @ (csr @ x)
-        iterations = k
-        rel = float(np.linalg.norm(r)) / rhs_norm
-        if rel <= tol:
-            return SolveResult(np.ldexp(x, ea - eb), iterations - 1, rel, True)
-        x = x + step * r
-    return SolveResult(np.ldexp(x, ea - eb), iterations, rel, False)
+    if rhs.any():  # else x = 0 solves it, and A may be all zero
+        v = rng_from(0, "power-iteration").standard_normal(A.n_cols)
+        for _ in range(10):
+            v = csr.T @ (csr @ v)
+            v /= np.linalg.norm(v)
+        step = 1.0 / float(v @ (csr.T @ (csr @ v)))
+        while iterations < max_iters:
+            g = csr.T @ (b - csr @ x)
+            if float(np.linalg.norm(g)) <= bound:
+                break
+            x = x + step * g
+            iterations += 1
+    return _epilogue(csr, b, rhs, x, iterations, tol, ea - eb)
 
 
-# CG on A'Ax = A'b multiplies up to four entries of A and b together (as in
-# ||A'r||^2); while the largest |entry| of each lies within 2^-200 .. 2^200,
-# those products stay inside the normal range with room for the sums.
-_SOLVE_RANGE = 2.0 ** 200
+# CGLS's ||A A'r||^2 multiplies up to six entries of A and b together; while
+# the largest |entry| of each lies within 2^-128 .. 2^128, those products stay
+# inside the normal range with room for the sums.
+_SOLVE_RANGE = 2.0 ** 128
 
 
 def _binade_shift(values: np.ndarray) -> int:
     """The exponent e that brings max |values| * 2^e into [1/2, 1), or 0 when
-    max |values| already lies within 2^-200 .. 2^200 (or is zero)."""
+    max |values| already lies within 2^-128 .. 2^128 (or is zero)."""
     top = float(np.abs(values).max(initial=0.0))
     if top == 0.0 or 1.0 / _SOLVE_RANGE <= top <= _SOLVE_RANGE:
         return 0
     return -int(np.frexp(top)[1])
 
 
-def _shifted(A: SparseRowMatrix, b: np.ndarray):
-    """``(2^ea A, 2^eb b, ea, eb)`` by :func:`_binade_shift`, so that A'A
-    and A'b neither over- nor underflow; all exact, and the solution is
-    2^(ea - eb) times that of the shifted system."""
+def _prologue(A: SparseRowMatrix, b: np.ndarray, tol: float, max_iters: int):
+    """Check a solver's arguments; return ``(2^ea A as scipy CSR, 2^eb b,
+    their A'b, ea, eb)`` with the shifts of :func:`_binade_shift`.  That is
+    exact, and the solution is 2^(ea - eb) times that of the shifted system."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (A.n_rows,):
+        raise ValueError("right-hand side length must equal n_rows")
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     ea, eb = _binade_shift(A.values), _binade_shift(b)
     if ea:
         A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
                             np.ldexp(A.values, ea))
-    return A, np.ldexp(b, eb), ea, eb
+    csr = A.to_scipy()
+    b = np.ldexp(b, eb)
+    return csr, b, csr.T @ b, ea, eb
+
+
+def _epilogue(csr, b, rhs, x, iterations: int, tol: float, shift: int) -> SolveResult:
+    """x of the shifted system scaled back by 2^shift, with ||A'(b - Ax)|| /
+    ||A'b|| recomputed on it (0 when A'b = 0) deciding ``converged``."""
+    rhs_norm = float(np.linalg.norm(rhs))
+    rel = float(np.linalg.norm(csr.T @ (b - csr @ x))) / rhs_norm if rhs_norm else 0.0
+    return SolveResult(np.ldexp(x, shift), iterations, rel, rel <= tol)
 
 
 def precondition_solve(A: SparseRowMatrix, b: np.ndarray, sketch: SketchResult,
                        tol: float = 1e-8, max_iters: int = 200) -> SolveResult:
-    """Least squares min ||Ax - b|| preconditioned by the sketch's Gram factor.
+    """Least squares min ||Ax - b|| by :func:`normal_equations_cg` on A W,
+    with W = V diag(1/sigma) from the Gram factor of the sketch's rows.
 
-    A constant-factor sketch bounds the preconditioned condition number by
-    its spectral grade, so iteration counts stay small independent of A's
-    conditioning.
+    For a sketch of spectral grade lambda, A W has condition at most
+    sqrt(lambda), so iteration counts stay small whatever A's conditioning.
     """
     B = materialize(A, sketch.sample)
     f = factor_gram(B)

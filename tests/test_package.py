@@ -38,10 +38,13 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
         r = rowsketch.repeated_halving(A, rowsketch.SketchConfig(seed=1))
         tracer.begin_op("verify")
         rowsketch.spectral_check(A, rowsketch.materialize(A, r.sample), r.check_lambda)
+        tracer.begin_op("solve")
+        sol = rowsketch.precondition_solve(A, A.dot_dense(np.ones(6)), r)
         m = tracer.metrics()
     finally:
         tracer.uninstall()
     assert m["pipelines.solve_count"][0] == r.solve_count
+    assert m["pipelines.cg_iterations"][0] == sol.iterations
     assert m["fastlev.approx_generalized_leverage.calls"][0] > 0
     assert m["fastlev.gaussian_sketch.mentries"][0] > 0
     assert m["verify.spectral_check.self_s"][0] > 0

@@ -19,7 +19,7 @@ from rowsketch.fastlev import sketch_rows
 from rowsketch.pipelines import normal_equations_gradient_descent
 from rowsketch.sampling import log_dim
 
-from conftest import (gaussian_matrix, isolated_direction_matrix,
+from conftest import (conditioned_matrix, gaussian_matrix, isolated_direction_matrix,
                       power_law_matrix, stacked_identity)
 
 
@@ -328,6 +328,88 @@ class TestPreconditionSolve:
         sk = make_verified_sketch(A, eps=0.5)
         with pytest.raises(ValueError):
             precondition_solve(A, np.ones(9), sk)
+
+    @pytest.mark.parametrize("solver", [normal_equations_cg, normal_equations_gradient_descent])
+    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"max_iters": -3},
+                                     {"tol": float("nan")}, {"tol": -1.0}])
+    def test_solver_arguments_validated(self, solver, bad):
+        # unchecked, max_iters <= 0 runs no iteration and a nan or negative
+        # tol runs every one
+        A = gaussian_matrix(50, 4, 0)
+        with pytest.raises(ValueError):
+            solver(A, np.ones(50), **bad)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-2], ids=["consistent", "noisy"])
+    def test_accuracy_against_dense_lstsq_at_condition_1e8(self, noise):
+        # CG on A'A squares the condition number, and its error in x then
+        # reaches 3 (consistent) and 11 (noisy) here
+        A = conditioned_matrix(1e8, n=20000)
+        dense = A.to_dense()
+        rng = np.random.default_rng(1)
+        b = dense @ rng.standard_normal(16) + noise * rng.standard_normal(20000)
+        x_ref = np.linalg.lstsq(dense, b, rcond=None)[0]
+        res = precondition_solve(A, b, repeated_halving(A, SketchConfig(seed=4)), tol=1e-15)
+        assert np.linalg.norm(res.x - x_ref) <= 1e-4 * np.linalg.norm(x_ref)
+
+    def test_accuracy_on_criterion_11_matrix(self):
+        dense, b = _criterion_11_system()
+        A = SparseRowMatrix.from_dense(dense)
+        x_ref = np.linalg.lstsq(dense, b, rcond=None)[0]
+        res = precondition_solve(A, b, repeated_halving(A, SketchConfig(seed=4)), tol=1e-12)
+        assert res.converged and res.iterations <= 50
+        assert np.linalg.norm(res.x - x_ref) <= 1e-6 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("solver, tol", [("cg", 1e-12), ("sketch", 1e-9), ("gd", 1e-8)])
+    def test_reported_residual_is_recomputed_on_the_returned_x(self, solver, tol):
+        # a recursively updated residual drifts from the returned x's, here by
+        # 2e-3 (plain CG on A'A), 0.24 (left-preconditioned) and 4e-3 (a
+        # gradient step's residual read before the step)
+        dense, b = _criterion_11_system(1e8)
+        A = SparseRowMatrix.from_dense(dense)
+        res = {"cg": lambda: normal_equations_cg(A, b, tol=tol),
+               "sketch": lambda: precondition_solve(A, b, repeated_halving(A, SketchConfig(seed=4)), tol=tol),
+               "gd": lambda: normal_equations_gradient_descent(A, b, tol=tol, max_iters=300)}[solver]()
+        value = _oracle_normal_residual(dense, res.x, b)
+        assert res.relative_residual == pytest.approx(value, rel=1e-6, abs=0.0)
+        assert res.converged == (value <= tol)
+
+    @pytest.mark.parametrize("cond", [1e6, 1e8])
+    def test_tol_below_the_residual_floor_is_not_converged(self, cond):
+        # the returned x's residual bottoms out between 1e-14 and 1e-10 here;
+        # reporting convergence at tol 1e-15 is a silent wrong answer.  At
+        # that floor the value is mostly the rounding of its own
+        # recomputation, which moves with the summation order by 1e-4.
+        dense, b = _criterion_11_system(cond)
+        A = SparseRowMatrix.from_dense(dense)
+        res = precondition_solve(A, b, repeated_halving(A, SketchConfig(seed=4)), tol=1e-15)
+        value = _oracle_normal_residual(dense, res.x, b)
+        assert value > 1e-15 and not res.converged
+        assert res.relative_residual == pytest.approx(value, rel=1e-2, abs=0.0)
+
+    def test_cg_alone_recovers_solution_inside_the_unshifted_range(self):
+        # ||A A'r||^2 multiplies six entries of A and b, which overflow at
+        # 1e59 and vanish at 1e-59 unless A and b are scaled there too
+        base = isolated_direction_matrix(2048, 8, 0).to_dense()
+        for scale in (1e59, 1e-59):
+            A = SparseRowMatrix.from_dense(scale * base)
+            res = normal_equations_cg(A, A.dot_dense(np.ones(8)))
+            assert res.converged, scale
+            assert np.abs(res.x - 1.0).max() <= 3e-8, scale
+
+
+def _criterion_11_system(cond=1e6):
+    """Criterion 11's 4096 x 16 construction at condition ``cond``, with
+    its consistent right-hand side."""
+    rng = np.random.default_rng(21)
+    u, _ = np.linalg.qr(rng.standard_normal((4096, 16)))
+    v, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    dense = u @ np.diag(np.logspace(0, np.log10(cond), 16)) @ v.T
+    return dense, dense @ rng.standard_normal(16)
+
+
+def _oracle_normal_residual(dense, x, b):
+    """||A'(Ax - b)|| / ||A'b||, in dense arithmetic."""
+    return float(np.linalg.norm(dense.T @ (dense @ x - b)) / np.linalg.norm(dense.T @ b))
 
 
 # ---------------------------------------------------------------------------
