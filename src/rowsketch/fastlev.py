@@ -36,7 +36,8 @@ def sketch_rows(theta: float, cfg: SketchConfig) -> int:
 
 def estimate_cost(theta: float, cfg: SketchConfig) -> int:
     """Solves one :func:`approx_generalized_leverage` call spends: one Gram
-    factorization, k sketch rows and ``cfg.kernel_probes`` kernel probes."""
+    factorization, k sketch rows and ``cfg.kernel_probes`` kernel probes.
+    The factorization counts once per call, also where calls share one."""
     return 1 + sketch_rows(theta, cfg) + cfg.kernel_probes
 
 
@@ -80,19 +81,23 @@ def kernel_probe(f: PseudoinverseFactor, t_probes: int, cfg: SketchConfig,
 
 
 def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
-                                cfg: SketchConfig, salt=()) -> ScoreVector:
+                                cfg: SketchConfig, salt=(),
+                                factor: PseudoinverseFactor | None = None) -> ScoreVector:
     """Sketched overestimates of tau^B(A) within a d^(2 theta) envelope.
 
     Returns d^theta * ||M a_i||^2 per row (the safety factor making the
     estimate one-sided).  A row is flagged infinite when its probe dots
     z_t . a_i / ||g_t|| have 2-norm above KERNEL_TOL * ||a_i||, the rule of
     :func:`generalized_leverage_scores`, for entries from about 1e-300 to 1e300.
-    One factorization per call; the solves it spends are
-    :func:`estimate_cost`.
+    ``factor``, when given, is the caller's ``factor_gram(B)``, so estimates
+    against one B share one factorization; without it the call factors B.
+    The solves it spends are :func:`estimate_cost` either way.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
-    f = factor_gram(B)
+    if factor is not None and factor.n_cols != A.n_cols:
+        raise ValueError(f"factor column mismatch: {factor.n_cols} vs {A.n_cols}")
+    f = factor if factor is not None else factor_gram(B)
     M = build_projector_sketch(f, theta, cfg, salt=salt)
     probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
     R = np.linalg.qr(M, mode="r")  # min(k, d) x d with ||R a|| = ||M a||

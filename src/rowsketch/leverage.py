@@ -7,9 +7,12 @@ a rank-truncated factorization of the Gram matrix from the singular values
 of A.  A'A is never formed from A itself, and no n x d array of all of a
 tall A: every pass over A's rows takes them from :func:`row_blocks`, 4096
 at a time past 16384 rows, and reduces one sparse x dense product per
-block.  :func:`factor_gram` whitens a tall A by a sample of its own rows
-and sums the Gram of the whitened rows, or folds the blocks into TSQR's
-d x d factor where that Gram is not accurate enough.
+block.  :func:`factor_gram` takes the SVD of a d x d M with M'M = A'A: the
+QR factor R of a one-block A of at least 2d rows, or, for a tall A, the
+Gram of its rows whitened by a sample of its own rows, or TSQR's d x d
+factor where that Gram is not accurate enough.  A caller that scores
+several row sets against one reference factors it once and passes the
+factor on.
 """
 
 from __future__ import annotations
@@ -181,10 +184,14 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     The singular values come from an SVD of a matrix M with M'M = A'A rather
     than an eigendecomposition of the Gram matrix: squaring A would push the
     noise floor for sigma to ~1e-8 relative and defeat the 1e-10 cut.  A of
-    at most 16384 rows is one block, densified and factored whole (M = A).
-    Taller A is whitened by a sample of its own rows and read in one blocked
-    pass (:func:`_sample_whitened`, after Rokhlin and Tygert, PNAS 2008),
-    which gives a d x d M.  Where that pass cannot reach the accuracy of the
+    at most 16384 rows is one block, densified whole.  From 2d rows on, M is
+    its d x d triangular factor R, A = QR, so the SVD never forms the n x d
+    U it would throw away (Chan's R-SVD, ACM TOMS 8(1), 1982); LAPACK's
+    ``gesdd`` QR-factors any input past about 11d/6 rows the same way
+    first, so sigma and V keep the bits of ``np.linalg.svd(A)``.  Below 2d
+    rows M = A.  Taller A is whitened by a sample of its own rows and read
+    in one blocked pass (:func:`_sample_whitened`, after Rokhlin and
+    Tygert, PNAS 2008), which gives a d x d M.  Where that pass cannot reach the accuracy of the
     dense factor, A goes through a row-blocked TSQR instead (Demmel,
     Grigori, Hoemmen and Langou, arXiv:0808.2664): each block of 4096 dense
     rows is folded into a running triangular R with A'A = R'R.  Either way
@@ -194,6 +201,8 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     csr = A.to_scipy()
     if A.n_rows <= _DENSE_MAX_ROWS:
         M = csr.toarray()
+        if M.shape[0] >= 2 * M.shape[1]:
+            M = np.linalg.qr(M, mode="r")
     else:
         M = _sample_whitened(csr)
         if M is None:
@@ -328,7 +337,7 @@ def read_scores(path) -> ScoreVector:
     """The scores in a TSV written by :func:`write_scores`.  Only the literal
     token ``inf`` flags a row; any other score that is not a nonnegative
     real is an error at its line."""
-    tsv = _IndexedTsv(path, SCORE_HEADER)
+    tsv = _IndexedTsv(path, SCORE_HEADER, non_finite=True)
     v = tsv.values
     flags = np.isposinf(v)
     flags[flags] = [tsv.token(k) == "inf" for k in np.flatnonzero(flags).tolist()]

@@ -173,9 +173,13 @@ class WeightedRowSample:
         if idx.shape != w.shape or idx.ndim != 1:
             raise ValueError("indices and weights must be 1-d and aligned")
         if idx.size:
-            if idx.min() < 0 or idx.max() >= self.parent_rows:
+            # the pipelines' samples are sorted: strictly increasing indices
+            # are unique and bounded by their two ends
+            increasing = bool((idx[1:] > idx[:-1]).all())
+            lo, hi = (idx[0], idx[-1]) if increasing else (idx.min(), idx.max())
+            if lo < 0 or hi >= self.parent_rows:
                 raise ValueError("sample index out of parent range")
-            if np.unique(idx).size != idx.size:
+            if not increasing and np.unique(idx).size != idx.size:
                 raise ValueError("sample indices must be unique")
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise ValueError("sample weights must be positive and finite")
@@ -428,10 +432,13 @@ def write_matrix_market(path, A: SparseRowMatrix) -> None:
 _INDEXED_ENTRY = np.dtype([("i", "<i8"), ("v", "<f8")])
 
 
-def _read_tsv_fast(path: str, n_header: int):
-    """``(header lines, indices, values)`` of an index/value TSV read by
-    numpy, or None to leave the file to its scanner.  Files with any
-    non-finite value go to the scanner too."""
+def _read_tsv_fast(path: str, n_header: int, non_finite: bool = False):
+    """``(header lines, indices, values, tokens)`` of an index/value TSV read
+    by numpy, or None to leave the file to its scanner.  A file with a value
+    that is not finite goes to the scanner too, unless ``non_finite``: then
+    numpy's arrays are kept, and ``tokens`` maps each such entry to its value
+    as the file spells it, cut from the file's lines but not parsed again.
+    ``tokens`` is empty where every value is finite."""
     if not _plain_text(path):
         return None
     try:
@@ -440,9 +447,16 @@ def _read_tsv_fast(path: str, n_header: int):
             body = _load_body(fh, _INDEXED_ENTRY, "\t")
     except (ValueError, Warning):
         return None
-    if not np.isfinite(body["v"]).all():
-        return None
-    return head, body["i"].copy(), body["v"].copy()
+    odd = np.flatnonzero(~np.isfinite(body["v"])).tolist()
+    tokens = {}
+    if odd:
+        if not non_finite:
+            return None
+        entries = [ln for ln in _ascii_lines(path)[0][n_header:] if ln.strip()]
+        if len(entries) != body.size:
+            return None
+        tokens = {k: entries[k].split("\t")[1] for k in odd}
+    return head, body["i"].copy(), body["v"].copy(), tokens
 
 
 class _IndexedTsv:
@@ -450,17 +464,21 @@ class _IndexedTsv:
     ``header``, then ``index<TAB>value`` lines, blank lines skipped.
 
     ``indices`` and ``values`` hold the entries up to the first line that
-    does not parse.  numpy reads a well-formed file with finite values; the
-    line scanner reads any other, or one in which :meth:`check` finds a
-    fault, and keeps each entry's line and value token.
+    does not parse.  numpy reads a well-formed file whose values are finite,
+    or any well-formed file where ``non_finite`` (a format such as the
+    scores, in which a value like ``inf`` can be valid); the line scanner
+    reads any other, or one in which :meth:`check` finds a fault, and keeps
+    each entry's line and value token.
     """
 
-    def __init__(self, path, header: str, n_header: int = 1, consecutive: bool = True):
+    def __init__(self, path, header: str, n_header: int = 1, consecutive: bool = True,
+                 non_finite: bool = False):
         self.path, self.header, self.n_header, self.consecutive = str(path), header, n_header, consecutive
         self._layout = ("consecutive " if consecutive else "") + repr(header).replace(r"\t", "<TAB>")
         self._tokens = self._fault = None
-        fast = _read_tsv_fast(self.path, n_header)
-        self.head, self.indices, self.values = fast if fast is not None else self._scan()
+        fast = _read_tsv_fast(self.path, n_header, non_finite)
+        self.head, self.indices, self.values, self._odd_tokens = \
+            fast if fast is not None else (*self._scan(), {})
 
     def _scan(self):
         """``(head, indices, values)`` read line by line; keeps each entry's
@@ -491,6 +509,8 @@ class _IndexedTsv:
     def token(self, k: int) -> str:
         """The value of entry k as the file spells it."""
         if self._tokens is None:
+            if k in self._odd_tokens:
+                return self._odd_tokens[k]
             self._scan()
         return self._tokens[k]
 
@@ -508,6 +528,8 @@ class _IndexedTsv:
         broken = [(int(bad.argmax()), r) for r, (bad, _) in enumerate(rules) if bad.any()]
         if broken:
             k, r = min(broken)
+            if self._tokens is None:
+                self._scan()
             message = rules[r][1].format(index=int(self.indices[k]), token=self.token(k))
             raise MatrixFormatError(message, self.path, self._lines[k])
         if self._fault is not None:

@@ -41,8 +41,9 @@ class SketchResult:
 
     ``sum_estimates_history`` records the L1 mass of the score estimates at
     each sampling round; ``solve_count`` is the factorizations and solves
-    this run's score estimates spent; ``check_lambda`` is the spectral grade
-    the output targets.
+    this run's score estimates spent, one factorization per estimate even
+    where two estimates against one reference share it; ``check_lambda``
+    is the spectral grade the output targets.
     """
 
     sample: WeightedRowSample
@@ -73,21 +74,24 @@ class _Run:
     solves: int = 0
 
     def estimate(self, A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
-                 cfg: SketchConfig, salt: tuple) -> ScoreVector:
-        u = approx_generalized_leverage(A, B, theta, cfg, salt=salt)
+                 cfg: SketchConfig, salt: tuple,
+                 factor: PseudoinverseFactor | None = None) -> ScoreVector:
+        u = approx_generalized_leverage(A, B, theta, cfg, salt=salt, factor=factor)
         self.solves += estimate_cost(theta, cfg)
         return u
 
 
 def _resample(A: SparseRowMatrix, target: WeightedRowSample | None,
               B: SparseRowMatrix, theta: float, rate, cfg: SketchConfig,
-              salts: tuple[tuple, tuple], run: _Run, record: bool = True) -> WeightedRowSample:
+              salts: tuple[tuple, tuple], run: _Run, record: bool = True,
+              factor: PseudoinverseFactor | None = None) -> WeightedRowSample:
     """Score the rows of ``target`` (None: all of A, in place) against B,
-    record the estimate mass in ``run`` (if ``record``), sample at ``rate``
-    (a number or a function of the mass) with ``salts`` = (estimate salt,
-    draw salt), and return the kept rows as a sample of A."""
+    whose ``factor_gram`` is ``factor`` if given, record the estimate mass
+    in ``run`` (if ``record``), sample at ``rate`` (a number or a function
+    of the mass) with ``salts`` = (estimate salt, draw salt), and return the
+    kept rows as a sample of A."""
     T = A if target is None else materialize(A, target)
-    u = run.estimate(T, B, theta, cfg, salts[0]).with_infinite_as(1.0)
+    u = run.estimate(T, B, theta, cfg, salts[0], factor).with_infinite_as(1.0)
     mass = float(u.sum())
     if record:
         run.history.append(mass)
@@ -149,11 +153,14 @@ def _halve(A: SparseRowMatrix, idx: np.ndarray, level: int, cfg: SketchConfig,
         return _resample(A, target, B, theta_fine, alpha, cfg,
                          ((*salt, level, "jl"), (*salt, level, "sample")), run), depth + 1
     # coarse pass: cheap d^theta estimates, larger intermediate sample
+    f = factor_gram(B)
     big = _resample(A, target, B, theta_coarse, alpha, cfg,
-                    ((*salt, level, "coarse"), (*salt, level, "big")), run, record=False)
+                    ((*salt, level, "coarse"), (*salt, level, "big")), run, record=False,
+                    factor=f)
     # fine pass: re-estimate the kept rows at constant distortion, cut again
     return _resample(A, big, B, theta_fine, alpha, cfg,
-                     ((*salt, level, "fine"), (*salt, level, "small")), run), depth + 1
+                     ((*salt, level, "fine"), (*salt, level, "small")), run,
+                     factor=f), depth + 1
 
 
 def repeated_halving(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
@@ -330,11 +337,12 @@ def input_sparsity_sketch(A: SparseRowMatrix, theta: float, epsilon: float,
         # nothing to do at this size: the matrix is its own sketch
         return _finish(s1, run, levels, cfg, lam, None)
     B1 = materialize(A, s1)
+    f1 = factor_gram(B1)
     alpha_half = (epsilon / 2.0) ** -2
     S_a = _resample(A, None, B1, theta, alpha_half, cfg,
-                    (("isparse", "s2a"), ("isparse", "s2a-draw")), run)
+                    (("isparse", "s2a"), ("isparse", "s2a-draw")), run, factor=f1)
     final = _resample(A, S_a, B1, theta_fine, alpha_half, cfg,
-                      (("isparse", "s2b"), ("isparse", "s2b-draw")), run)
+                      (("isparse", "s2b"), ("isparse", "s2b-draw")), run, factor=f1)
     return _finish(final, run, levels + 2, cfg, lam, epsilon / 2.0)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rowsketch.fastlev as fastlev
+import rowsketch.pipelines as pl
 from rowsketch import (SketchConfig, SparseRowMatrix,
                        approx_generalized_leverage, build_projector_sketch,
                        exact_leverage_scores, factor_gram,
@@ -200,3 +201,53 @@ class TestApproxGeneralized:
         with pytest.raises(ValueError):
             approx_generalized_leverage(gaussian_matrix(4, 2, 0),
                                         gaussian_matrix(4, 3, 0), 0.5, SketchConfig())
+
+
+class TestFactorReuse:
+    """Estimates against one reference share its factor_gram: handing the
+    factor in moves no bit, and each pipeline reference is factored once."""
+
+    @pytest.mark.parametrize("case", ["full-rank", "rank-deficient"])
+    def test_given_factor_changes_no_bit(self, case, rng):
+        d, cfg = 8, SketchConfig(seed=4)
+        A = gaussian_matrix(300, d, 21)
+        B = A
+        if case == "rank-deficient":
+            # A's rows lean into ker(B), so the kernel flags are exercised too
+            B = SparseRowMatrix.from_dense(rng.standard_normal((40, d - 3))
+                                           @ rng.standard_normal((d - 3, d)))
+        for theta in (0.5, 1.0 / 3.0):
+            plain = approx_generalized_leverage(A, B, theta, cfg, ("s", theta))
+            given = approx_generalized_leverage(A, B, theta, cfg, ("s", theta),
+                                                factor=factor_gram(B))
+            assert given.values.tobytes() == plain.values.tobytes()
+            assert given.infinite.tobytes() == plain.infinite.tobytes()
+            assert plain.has_infinite == (case == "rank-deficient")
+
+    def test_factor_of_another_width_refused(self):
+        A = gaussian_matrix(20, 4, 0)
+        with pytest.raises(ValueError, match="factor column mismatch"):
+            approx_generalized_leverage(A, A, 0.5, SketchConfig(),
+                                        factor=factor_gram(gaussian_matrix(20, 5, 0)))
+
+    def test_input_sparsity_factors_each_reference_once(self, monkeypatch):
+        factored, estimates = [], []
+
+        def counting_factor_gram(B):
+            factored.append(B)
+            return factor_gram(B)
+
+        def recording_estimate(A, B, theta, cfg, salt=(), factor=None):
+            estimates.append((B, theta))
+            return approx_generalized_leverage(A, B, theta, cfg, salt=salt, factor=factor)
+
+        for mod in (fastlev, pl):
+            monkeypatch.setattr(mod, "factor_gram", counting_factor_gram)
+        monkeypatch.setattr(pl, "approx_generalized_leverage", recording_estimate)
+        cfg = SketchConfig(seed=3)
+        r = pl.input_sparsity_sketch(gaussian_matrix(8192, 8, 2), 0.5, 0.5, cfg)
+        # the list keeps every reference alive, so ids are distinct
+        references = {id(B) for B, _ in estimates}
+        assert len(estimates) > len(references) > 1  # coarse/fine and stage 2 share
+        assert sorted(id(B) for B in factored) == sorted(references)
+        assert r.solve_count == sum(estimate_cost(theta, cfg) for _, theta in estimates)

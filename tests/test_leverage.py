@@ -32,6 +32,19 @@ def sparse_gaussian(n, d, seed, density=0.3):
     return rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
 
 
+def assert_keeps_numpy_svd_bytes(dense):
+    """factor_gram of the one-block ``dense`` against numpy's SVD of all its
+    rows as the CSR densifies them (a -0.0 reads +0.0, which can move the
+    bits of an SVD), cut at the same rank: sigma and V byte for byte."""
+    A = SparseRowMatrix.from_dense(dense)
+    f = factor_gram(A)
+    _, s, vh = np.linalg.svd(A.to_dense(), full_matrices=False)
+    r = int((s > leverage.RANK_RTOL * s.max(initial=0.0)).sum())
+    assert f.rank == r
+    assert f.singular_values.tobytes() == s[:r].tobytes()
+    assert f.right_singular_vectors.tobytes() == np.ascontiguousarray(vh[:r].T).tobytes()
+
+
 def assert_matches_dense_svd(dense, rank):
     """factor_gram of ``dense`` against numpy's SVD of all its rows: the
     rank, sigma to 1e-12 relative, and the row-space projector V V'."""
@@ -175,6 +188,25 @@ class TestFactorGram:
         assert f.rank == 6
         assert f.singular_values.tobytes() == s.tobytes()
         assert f.right_singular_vectors.tobytes() == np.ascontiguousarray(vh.T).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 16, 32])
+    @pytest.mark.parametrize("rows", ["d+1", "2d-1", "2d", "2d+1", "3d", "4096"])
+    def test_qr_switch_keeps_numpy_svd_bytes(self, d, rows):
+        # from 2d rows on, sigma and V come from the SVD of A's R factor;
+        # they must keep the bits of numpy's SVD of all of A's rows.  Up to
+        # about 11d/6 rows numpy's SVD takes no R factor of its own, so
+        # there (d + 1) the factor of A's R would move bits
+        m = {"d+1": d + 1, "2d-1": 2 * d - 1, "2d": 2 * d, "2d+1": 2 * d + 1, "3d": 3 * d, "4096": 4096}[rows]
+        assert_keeps_numpy_svd_bytes(sparse_gaussian(m, d, 100 * d + m, density=0.7))
+
+    @pytest.mark.parametrize("m", [31, 32, 33, 4096])
+    def test_qr_switch_keeps_numpy_svd_bytes_at_rank_deficiency(self, m):
+        # rank 9 of 16 columns, one of them zero; the rank cut drops the rest
+        rng = np.random.default_rng(m)
+        dense = rng.standard_normal((m, 9)) @ rng.standard_normal((9, 16))
+        dense[:, 5] = 0.0
+        assert factor_gram(SparseRowMatrix.from_dense(dense)).rank == 9
+        assert_keeps_numpy_svd_bytes(dense)
 
     # The test_tsqr_* checks run on both paths for a tall A (each_path).
 

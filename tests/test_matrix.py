@@ -367,6 +367,32 @@ class TestTsvReadersMatchScanner:
                 read_scores(p)
             assert err.value.line == 3, tok
 
+    def test_flagged_scores_are_not_scanned(self, tmp_path, monkeypatch):
+        # numpy's arrays are kept; only the flagged lines' tokens are cut out
+        p = tmp_path / "scores.tsv"
+        flags = np.arange(9) % 4 == 1
+        write_scores(p, ScoreVector(np.where(flags, 0.0, np.arange(9) / 8), flags))
+        p.write_text(p.read_text().replace("\n3\t", "\n\n3\t"))  # a blank line to skip
+        monkeypatch.setattr(matrix._IndexedTsv, "_scan", lambda self: pytest.fail("scanned"))
+        s = read_scores(p)
+        np.testing.assert_array_equal(s.infinite, flags)
+        np.testing.assert_array_equal(s.values, np.where(flags, 0.0, np.arange(9) / 8))
+
+    @pytest.mark.parametrize("body,message,line", [
+        ("0\tinf\n\n1\t-inf\n", "not '-inf'", 4),
+        ("0\tinf\n1\tInfinity\n", "not 'Infinity'", 3),
+        ("0\tnan\n1\tinf\n", "not 'nan'", 2),
+        ("0\tinf\n2\tinf\n", "expected consecutive", 3),
+    ], ids=["minus-inf", "Infinity", "nan", "index"])
+    def test_score_faults_beside_flags_match_scanner(self, tmp_path, monkeypatch, body, message, line):
+        p = tmp_path / "scores.tsv"
+        p.write_text(SCORE + body)
+        got, scanned = self._both(monkeypatch, read_scores, p)
+        assert got == scanned
+        with pytest.raises(MatrixFormatError, match=message) as err:
+            read_scores(p)
+        assert err.value.line == line
+
     @pytest.mark.parametrize("read,head,body,message,line", [
         (read_sample, SAMPLE, "0\t1\n0\t1\nx\t1\n", "duplicate row index 0", 4),
         (read_sample, SAMPLE, "0\t0\n1\t1\t1\n", "weight must be positive and finite, not '0'", 3),
@@ -479,6 +505,29 @@ class TestMaterialize:
         A = gaussian_matrix(4, 2, 0)
         with pytest.raises(ValueError):
             materialize(A, WeightedRowSample(4, np.array([4]), np.ones(1)))
+
+
+class TestSampleValidate:
+    """Strictly increasing indices skip the uniqueness sort and take their
+    range from the two ends; any other order takes the full checks."""
+
+    @pytest.mark.parametrize("idx", [[3, 0, 2], [4], [0, 1, 2, 4], []], ids=str)
+    def test_unique_indices_accepted(self, idx):
+        WeightedRowSample(5, np.array(idx, dtype=np.int64), np.ones(len(idx))).validate()
+
+    @pytest.mark.parametrize("idx,message", [
+        ([2, 0, 2], "unique"),
+        ([0, 1, 1, 2], "unique"),
+        ([3, 3], "unique"),
+        ([-1, 0, 2], "out of parent range"),
+        ([0, 2, 5], "out of parent range"),
+        ([5, 0, 2], "out of parent range"),
+        ([0, 4, -1], "out of parent range"),
+    ], ids=str)
+    def test_repeat_or_out_of_range_rejected(self, idx, message):
+        S = WeightedRowSample(5, np.array(idx), np.ones(len(idx)))
+        with pytest.raises(ValueError, match=message):
+            S.validate()
 
 
 class TestSampleIO:
