@@ -337,7 +337,7 @@ def read_scores(path) -> ScoreVector:
     """The scores in a TSV written by :func:`write_scores`.  Only the literal
     token ``inf`` flags a row; any other score that is not a nonnegative
     real is an error at its line."""
-    tsv = _IndexedTsv(path, SCORE_HEADER, non_finite=True)
+    tsv = _IndexedTsv(path, SCORE_HEADER)
     v = tsv.values
     flags = np.isposinf(v)
     flags[flags] = [tsv.token(k) == "inf" for k in np.flatnonzero(flags).tolist()]

@@ -432,13 +432,12 @@ def write_matrix_market(path, A: SparseRowMatrix) -> None:
 _INDEXED_ENTRY = np.dtype([("i", "<i8"), ("v", "<f8")])
 
 
-def _read_tsv_fast(path: str, n_header: int, non_finite: bool = False):
+def _read_tsv_fast(path: str, n_header: int):
     """``(header lines, indices, values, tokens)`` of an index/value TSV read
-    by numpy, or None to leave the file to its scanner.  A file with a value
-    that is not finite goes to the scanner too, unless ``non_finite``: then
-    numpy's arrays are kept, and ``tokens`` maps each such entry to its value
-    as the file spells it, cut from the file's lines but not parsed again.
-    ``tokens`` is empty where every value is finite."""
+    by numpy, or None to leave the file to its scanner.  ``tokens`` maps each
+    entry whose value is not finite to that value as the file spells it, cut
+    from the file's lines but not parsed again; it is empty where every
+    value is finite."""
     if not _plain_text(path):
         return None
     try:
@@ -450,8 +449,6 @@ def _read_tsv_fast(path: str, n_header: int, non_finite: bool = False):
     odd = np.flatnonzero(~np.isfinite(body["v"])).tolist()
     tokens = {}
     if odd:
-        if not non_finite:
-            return None
         entries = [ln for ln in _ascii_lines(path)[0][n_header:] if ln.strip()]
         if len(entries) != body.size:
             return None
@@ -464,19 +461,16 @@ class _IndexedTsv:
     ``header``, then ``index<TAB>value`` lines, blank lines skipped.
 
     ``indices`` and ``values`` hold the entries up to the first line that
-    does not parse.  numpy reads a well-formed file whose values are finite,
-    or any well-formed file where ``non_finite`` (a format such as the
-    scores, in which a value like ``inf`` can be valid); the line scanner
-    reads any other, or one in which :meth:`check` finds a fault, and keeps
-    each entry's line and value token.
+    does not parse.  numpy reads a well-formed file; the line scanner reads
+    any other, or one in which :meth:`check` finds a fault, and keeps each
+    entry's line and value token.
     """
 
-    def __init__(self, path, header: str, n_header: int = 1, consecutive: bool = True,
-                 non_finite: bool = False):
+    def __init__(self, path, header: str, n_header: int = 1, consecutive: bool = True):
         self.path, self.header, self.n_header, self.consecutive = str(path), header, n_header, consecutive
         self._layout = ("consecutive " if consecutive else "") + repr(header).replace(r"\t", "<TAB>")
         self._tokens = self._fault = None
-        fast = _read_tsv_fast(self.path, n_header, non_finite)
+        fast = _read_tsv_fast(self.path, n_header)
         self.head, self.indices, self.values, self._odd_tokens = \
             fast if fast is not None else (*self._scan(), {})
 

@@ -289,8 +289,8 @@ TSV_CORPUS = [
     ("crlf", "0\t1.5\r\n1\t2\r\n", True),
     ("no-final-newline", "0\t1.5\n1\t2", True),
     ("plus-signs", "+0\t+1.5\n1\t2\n", True),
-    ("nan", "0\tnan\n1\t2\n", False),
-    ("inf", "0\tinf\n1\t2\n", False),
+    ("nan", "0\tnan\n1\t2\n", True),
+    ("inf", "0\tinf\n1\t2\n", True),
     ("bad-index", "x\t1.5\n", False),
     ("bad-value", "0\tx\n", False),
     ("skipped-index", "0\t1.5\n2\t2\n", True),
@@ -306,8 +306,8 @@ TSV_CORPUS = [
     ("fractions", "0\t0.5\n1\t1\n2\t0\n", True),
     ("underscore-value", "0\t0.5\n1\t1_5\n", False),
     ("underscore-index", "0\t0.5\n1_0\t1\n", False),
-    ("Infinity", "0\t0.5\n1\tInfinity\n", False),
-    ("INF", "0\t0.5\n1\tINF\n", False),
+    ("Infinity", "0\t0.5\n1\tInfinity\n", True),
+    ("INF", "0\t0.5\n1\tINF\n", True),
     ("inf-then-bad-value", "0\tinf\n1\tx\n", False),
 ]
 
