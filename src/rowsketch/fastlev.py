@@ -17,13 +17,18 @@ into a one-sided overestimate at the configured confidence.
 Rows leaning into ker(B) are flagged in the same pass by the rule of the
 exact generalized scores, for entries from about 1e-300 to 1e300: the dots of
 a_i with kernel probes z_t, over ||g_t||, have 2-norm > KERNEL_TOL * ||a_i||.
+Probes are drawn only when ker(B) != {0}, that is when B's rank is below d.
+Against a B of full column rank a probe is rounding, ||z_t|| below about
+d * eps * ||g_t||, so no row could be flagged; the estimate then scores
+through R alone.  Probes draw from their own stream, so skipping them moves
+no other draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .leverage import PseudoinverseFactor, ScoreVector, _score_rows, factor_gram
+from .leverage import PseudoinverseFactor, ScoreVector, _r_factor, _score_rows, factor_gram
 from .matrix import SparseRowMatrix
 from .sampling import SketchConfig, rng_from
 
@@ -37,7 +42,8 @@ def sketch_rows(theta: float, cfg: SketchConfig) -> int:
 def estimate_cost(theta: float, cfg: SketchConfig) -> int:
     """Solves one :func:`approx_generalized_leverage` call spends: one Gram
     factorization, k sketch rows and ``cfg.kernel_probes`` kernel probes.
-    The factorization counts once per call, also where calls share one."""
+    The factorization counts once per call, also where calls share one, and
+    the probe budget counts also where ker(B) = {0} and none are drawn."""
     return 1 + sketch_rows(theta, cfg) + cfg.kernel_probes
 
 
@@ -89,6 +95,7 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     estimate one-sided).  A row is flagged infinite when its probe dots
     z_t . a_i / ||g_t|| have 2-norm above KERNEL_TOL * ||a_i||, the rule of
     :func:`generalized_leverage_scores`, for entries from about 1e-300 to 1e300.
+    A B of full column rank gets no probes and flags no row.
     ``factor``, when given, is the caller's ``factor_gram(B)``, so estimates
     against one B share one factorization; without it the call factors B.
     The solves it spends are :func:`estimate_cost` either way.
@@ -98,8 +105,10 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     if factor is not None and factor.n_cols != A.n_cols:
         raise ValueError(f"factor column mismatch: {factor.n_cols} vs {A.n_cols}")
     f = factor if factor is not None else factor_gram(B)
-    M = build_projector_sketch(f, theta, cfg, salt=salt)
-    probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
-    R = np.linalg.qr(M, mode="r")  # min(k, d) x d with ||R a|| = ||M a||
-    s = _score_rows(A, np.hstack([R.T, probes.T / source_norms]), R.shape[0])
+    R = _r_factor(build_projector_sketch(f, theta, cfg, salt=salt))  # ||R a|| = ||M a||
+    W = R.T
+    if f.rank < f.n_cols:
+        probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
+        W = np.hstack([W, probes.T / source_norms])
+    s = _score_rows(A, W, R.shape[0])
     return ScoreVector(max(A.n_cols, 2) ** theta * s.values, s.infinite)

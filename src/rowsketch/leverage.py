@@ -12,7 +12,9 @@ QR factor R of a one-block A of at least 2d rows, or, for a tall A, the
 Gram of its rows whitened by a sample of its own rows, or TSQR's d x d
 factor where that Gram is not accurate enough.  A caller that scores
 several row sets against one reference factors it once and passes the
-factor on.
+factor on.  Every triangular factor R here comes from :func:`_r_factor`,
+LAPACK's ``dgeqrf`` called directly up to 128 columns: it keeps the bits
+of ``np.linalg.qr(M, mode="r")`` without numpy's copies of M.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .matrix import SparseRowMatrix, _IndexedTsv, write_indexed_column
 
@@ -125,6 +129,36 @@ _EPS = np.finfo(np.float64).eps
 # relative accuracy of sigma that the sample-whitened factor must reach, or
 # hand A to TSQR: the dense oracles hold factor_gram to 1e-12
 _ORACLE_RTOL = 1e-12
+# A one-block A of at least this many entries (1 MiB) is densified in
+# Fortran order for its QR, which LAPACK then reads in place; from C order
+# the QR first takes a strided transposing copy (12000 x 32: 8.2 -> 4.0 ms).
+# Smaller blocks densify faster in C order and factor as fast.
+_FORTRAN_MIN_ENTRIES = 1 << 17
+# dgeqrf's crossover (LAPACK's ilaenv for xGEQRF): up to min(m, n) = 128 it
+# runs unblocked Householder steps, whose bits the OpenBLAS builds of numpy
+# and scipy share at any thread count.  Past it their threaded blocked
+# updates round differently (4096 x 129 on 2 threads), so numpy factors
+# those itself.
+_QR_UNBLOCKED_MAX = 128
+
+
+def _r_factor(M: np.ndarray) -> np.ndarray:
+    """The min(m, n) x n triangular factor R of the float64 m x n ``M``,
+    bit for bit ``np.linalg.qr(M, mode="r")``: the same ``dgeqrf`` with
+    numpy's workspace size, so the same blocking, but no copy of a
+    Fortran-ordered M and one copy of a C-ordered one, where numpy's
+    wrapper takes three.  M may be overwritten."""
+    m, n = M.shape
+    k = min(m, n)
+    if k == 0:
+        return np.zeros((0, n))
+    if k > _QR_UNBLOCKED_MAX:
+        return np.linalg.qr(M, mode="r")
+    lwork = max(1, n, int(lapack.dgeqrf_lwork(m, n)[0]))
+    qr, _, _, info = lapack.dgeqrf(M, lwork=lwork, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf refused argument {-info}")
+    return np.triu(qr[:k])
 
 
 def row_blocks(A: SparseRowMatrix):
@@ -134,13 +168,18 @@ def row_blocks(A: SparseRowMatrix):
 
 
 def _csr_blocks(csr):
+    """:func:`row_blocks` of a scipy CSR.  Past 16384 rows each block
+    shares the CSR's entry arrays, so only its row pointers are copied."""
     n = csr.shape[0]
     if n <= _DENSE_MAX_ROWS:
         yield slice(0, n), csr
         return
     for lo in range(0, n, _BLOCK_ROWS):
-        rows = slice(lo, min(lo + _BLOCK_ROWS, n))
-        yield rows, csr[rows]
+        hi = min(lo + _BLOCK_ROWS, n)
+        first, last = csr.indptr[lo], csr.indptr[hi]
+        yield slice(lo, hi), sp.csr_matrix(
+            (csr.data[first:last], csr.indices[first:last], csr.indptr[lo:hi + 1] - first),
+            shape=(hi - lo, csr.shape[1]), copy=False)
 
 
 def _whitened_gram(csr, W: np.ndarray) -> np.ndarray:
@@ -157,24 +196,30 @@ def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
     """The one scoring pass, P = block @ W per block: row i scores
     ||P_i[:r]||^2 and is flagged when ||P_i[r:]|| > KERNEL_TOL * ||a_i||, for
     entries from about 1e-300 to 1e300: a row whose ||a_i||^2 overflows, or
-    makes KERNEL_TOL^2 ||a_i||^2 subnormal, is first divided by its largest |entry|."""
+    makes KERNEL_TOL^2 ||a_i||^2 subnormal, is first divided by its largest
+    |entry|.  The ||a_i||^2 are summed once for all of A, before the blocks."""
+    csr = A.to_scipy()
     vals, infinite = np.empty(A.n_rows), np.zeros(A.n_rows, dtype=bool)
-    for rows, block in row_blocks(A):
+    kernel = W.shape[1] > r
+    if kernel:
+        with np.errstate(over="ignore"):  # overflowed rows are redone below
+            sq = csr.power(2) @ np.ones(A.n_cols)
+        odd = (sq == np.inf) | ((np.diff(csr.indptr) > 0) & (sq < _TINY / KERNEL_TOL ** 2))
+    for rows, block in _csr_blocks(csr):
         P = block @ W
         vals[rows] = np.einsum("ij,ij->i", P[:, :r], P[:, :r])
-        if W.shape[1] == r:
+        if not kernel:
             continue
-        with np.errstate(over="ignore"):  # overflowed rows are redone below
-            sq = block.power(2) @ np.ones(A.n_cols)
+        with np.errstate(over="ignore"):
             ksq = np.einsum("ij,ij->i", P[:, r:], P[:, r:])
-        nonempty = np.diff(block.indptr) > 0
-        odd = np.flatnonzero((sq == np.inf) | (nonempty & (sq < _TINY / KERNEL_TOL ** 2)))
-        if odd.size:
-            dense = block[odd].toarray()
+        block_sq = sq[rows]
+        redo = np.flatnonzero(odd[rows])
+        if redo.size:
+            dense = block[redo].toarray()
             top = np.abs(dense).max(axis=1, keepdims=True, initial=_TINY)  # > 0 for stored zeros
-            sq[odd] = ((dense / top) ** 2).sum(axis=1)
-            ksq[odd] = ((P[odd, r:] / top) ** 2).sum(axis=1)
-        infinite[rows] = ksq > KERNEL_TOL ** 2 * sq
+            block_sq[redo] = ((dense / top) ** 2).sum(axis=1)
+            ksq[redo] = ((P[redo, r:] / top) ** 2).sum(axis=1)
+        infinite[rows] = ksq > KERNEL_TOL ** 2 * block_sq
     return ScoreVector(np.where(infinite, 0.0, vals), infinite)
 
 
@@ -188,7 +233,9 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     its d x d triangular factor R, A = QR, so the SVD never forms the n x d
     U it would throw away (Chan's R-SVD, ACM TOMS 8(1), 1982); LAPACK's
     ``gesdd`` QR-factors any input past about 11d/6 rows the same way
-    first, so sigma and V keep the bits of ``np.linalg.svd(A)``.  Below 2d
+    first, so sigma and V keep the bits of ``np.linalg.svd(A)``.  R comes
+    from :func:`_r_factor`, the bits of ``np.linalg.qr(A, mode="r")``, with
+    a block of 2^17 entries or more densified in Fortran order.  Below 2d
     rows M = A.  Taller A is whitened by a sample of its own rows and read
     in one blocked pass (:func:`_sample_whitened`, after Rokhlin and
     Tygert, PNAS 2008), which gives a d x d M.  Where that pass cannot reach the accuracy of the
@@ -200,9 +247,11 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     """
     csr = A.to_scipy()
     if A.n_rows <= _DENSE_MAX_ROWS:
-        M = csr.toarray()
-        if M.shape[0] >= 2 * M.shape[1]:
-            M = np.linalg.qr(M, mode="r")
+        n, d = csr.shape
+        if n >= 2 * d:
+            M = _r_factor(csr.toarray(order="F" if n * d >= _FORTRAN_MIN_ENTRIES else "C"))
+        else:
+            M = csr.toarray()
     else:
         M = _sample_whitened(csr)
         if M is None:
@@ -216,7 +265,7 @@ def _tsqr(csr) -> np.ndarray:
     """The triangular R with R'R = A'A, folded over A's row blocks."""
     R = np.zeros((0, csr.shape[1]))
     for _, block in _csr_blocks(csr):
-        R = np.linalg.qr(np.vstack([R, block.toarray()]), mode="r")
+        R = _r_factor(np.vstack([R, block.toarray()]))
     return R
 
 
@@ -248,7 +297,7 @@ def _sample_whitened(csr) -> np.ndarray | None:
     """
     n, d = csr.shape
     sample = csr[::-(-n // _BLOCK_ROWS)].toarray()
-    _, ss, vh = np.linalg.svd(np.linalg.qr(sample, mode="r"))
+    _, ss, vh = np.linalg.svd(_r_factor(sample))
     if not ss.size or ss[0] == 0.0:
         return None
     scale = np.full(d, ss[0])

@@ -189,7 +189,7 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
                 state.refresh()
         if not changed:
             state.refresh()  # drift check: confirm against exact scores
-            if float(np.max(state.tau - u)) <= tol:
+            if float(np.max(state.tau - u, initial=-np.inf)) <= tol:  # no row, no violation
                 converged = True
                 break
 

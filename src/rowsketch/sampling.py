@@ -101,13 +101,12 @@ def sample(u, alpha: float, cfg: SketchConfig, n_cols: int, salt=()) -> Weighted
     carries weight 1/sqrt(p_i).  Expected size is at most
     alpha * c * log d * sum(u).
     """
-    u = _finite_scores(u)
-    p = sampling_probabilities(u, alpha, cfg.c, n_cols)
-    draws = rng_from(cfg.seed, *salt).random(u.shape[0])
+    p = sampling_probabilities(u, alpha, cfg.c, n_cols)  # checks u, once
+    draws = rng_from(cfg.seed, *salt).random(p.shape[0])
     keep = draws < p
     idx = np.flatnonzero(keep).astype(np.int64)
     weights = 1.0 / np.sqrt(p[keep])
-    return WeightedRowSample(u.shape[0], idx, weights)
+    return WeightedRowSample(p.shape[0], idx, weights)
 
 
 def scaled_sample(u, alpha: float, scale: float, cfg: SketchConfig, n_cols: int,

@@ -219,6 +219,14 @@ class TestReweight:
                      "-o", str(w_p), "--report", str(tmp_path / "c.json")]) == 0
         np.testing.assert_array_equal(read_weights(w_p).weights, np.ones(6))
 
+    def test_zero_row_matrix_gives_empty_weights(self, tmp_path, capsys):
+        mtx = tmp_path / "empty.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n0 5 0\n")
+        w_p = tmp_path / "w.tsv"
+        assert main(["reweight", str(mtx), "--alpha", "0.5", "-o", str(w_p)]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
+        assert len(read_weights(w_p)) == 0
+
     def test_requires_exactly_one_target_flag(self, identity_mtx, tmp_path):
         assert main(["reweight", identity_mtx, "-o", str(tmp_path / "w.tsv")]) == 2
 

@@ -9,7 +9,8 @@ import rowsketch.pipelines as pl
 from rowsketch import (SketchConfig, SparseRowMatrix,
                        approx_generalized_leverage, build_projector_sketch,
                        exact_leverage_scores, factor_gram,
-                       generalized_leverage_scores, kernel_probe, scale_rows)
+                       generalized_leverage_scores, kernel_probe, leverage,
+                       scale_rows)
 from rowsketch.fastlev import estimate_cost, sketch_rows
 
 from conftest import gaussian_matrix
@@ -251,3 +252,52 @@ class TestFactorReuse:
         assert len(estimates) > len(references) > 1  # coarse/fine and stage 2 share
         assert sorted(id(B) for B in factored) == sorted(references)
         assert r.solve_count == sum(estimate_cost(theta, cfg) for _, theta in estimates)
+
+
+class TestProbesOnlyForKernel:
+    """Kernel probes are drawn only when ker(B) != {0}."""
+
+    @staticmethod
+    def counted_probes(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel_probe(*args, **kwargs)
+
+        monkeypatch.setattr(fastlev, "kernel_probe", counting)
+        return calls
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_full_rank_reference_draws_no_probe(self, monkeypatch, rng, scale):
+        # byte for byte the with-probes formula over all rows at once (see
+        # TestRowBlocks::test_blocked_sketch_matches_whole_matrix_formula),
+        # whose flags all read false against a B of full column rank
+        d, theta, salt, cfg = 8, 0.5, ("full",), SketchConfig(seed=6)
+        dense = scale * rng.standard_normal((leverage._DENSE_MAX_ROWS + 3, d))
+        dense[::11] = 0.0
+        A = SparseRowMatrix.from_dense(dense)
+        B = SparseRowMatrix.from_dense(scale * rng.standard_normal((40, d)))
+        f = factor_gram(B)
+        assert f.rank == d
+        R = np.linalg.qr(build_projector_sketch(f, theta, cfg, salt=salt), mode="r")
+        probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
+        sketched = A.dot_dense(R.T)
+        vals = d ** theta * np.einsum("ij,ij->i", sketched, sketched)
+        dots = np.linalg.norm(A.dot_dense(probes.T / source_norms), axis=1)
+        assert not (dots > leverage.KERNEL_TOL * np.linalg.norm(dense, axis=1)).any()
+        calls = self.counted_probes(monkeypatch)
+        est = approx_generalized_leverage(A, B, theta, cfg, salt=salt)
+        assert calls == []
+        assert not est.has_infinite
+        assert est.values.tobytes() == vals.tobytes()
+
+    def test_rank_deficient_reference_draws_its_probes(self, monkeypatch, rng):
+        d, cfg = 8, SketchConfig(seed=6)
+        A = gaussian_matrix(300, d, 21)
+        B = SparseRowMatrix.from_dense(rng.standard_normal((30, d - 3))
+                                       @ rng.standard_normal((d - 3, d)))
+        calls = self.counted_probes(monkeypatch)
+        est = approx_generalized_leverage(A, B, 0.5, cfg)
+        assert len(calls) == 1 and calls[0][1] == cfg.kernel_probes
+        assert est.has_infinite

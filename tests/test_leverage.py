@@ -151,6 +151,47 @@ def tsqr_calls(monkeypatch):
     return calls
 
 
+class TestRFactor:
+    """leverage._r_factor against np.linalg.qr(mode="r"), byte for byte."""
+
+    @staticmethod
+    def assert_numpy_bytes(M):
+        want = np.linalg.qr(M, mode="r")
+        for order in "CF":
+            got = leverage._r_factor(np.array(M, order=order))  # may overwrite its input
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 8, 32, 33, 64, 129])
+    @pytest.mark.parametrize("rows", ["0", "1", "d-1", "d", "d+1", "2d", "5d+3", "4096"])
+    @pytest.mark.parametrize("kind", ["gaussian", "zero-columns", "scaled"])
+    def test_keeps_numpy_bytes(self, d, rows, kind):
+        m = {"0": 0, "1": 1, "d-1": d - 1, "d": d, "d+1": d + 1, "2d": 2 * d,
+             "5d+3": 5 * d + 3, "4096": 4096}[rows]
+        rng = np.random.default_rng(1000 * d + m)
+        M = rng.standard_normal((m, d))
+        if kind == "zero-columns":
+            M[:, ::3] = 0.0
+        elif kind == "scaled":  # rows at 1e-150 and 1e150
+            M *= 10.0 ** rng.choice([-150.0, 150.0], size=(m, 1))
+        self.assert_numpy_bytes(M)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (3, 7), (1, 40), (100, 200)])
+    def test_empty_and_wide_shapes(self, shape):
+        self.assert_numpy_bytes(np.random.default_rng(7).standard_normal(shape))
+
+    def test_non_finite_entries_propagate_as_numpy_does(self):
+        M = np.random.default_rng(3).standard_normal((50, 6))
+        M[4, 2], M[9, 5] = np.nan, np.inf
+        self.assert_numpy_bytes(M)
+
+    def test_tall_unblocked_limit(self):
+        # the widest input LAPACK factors unblocked, tall enough that the
+        # Householder updates are threaded at default BLAS threads
+        d = leverage._QR_UNBLOCKED_MAX
+        self.assert_numpy_bytes(np.random.default_rng(5).standard_normal((8 * d, d)))
+
+
 class TestFactorGram:
     def test_identity(self):
         f = factor_gram(SparseRowMatrix.from_dense(np.eye(4)))
@@ -188,6 +229,12 @@ class TestFactorGram:
         assert f.rank == 6
         assert f.singular_values.tobytes() == s.tobytes()
         assert f.right_singular_vectors.tobytes() == np.ascontiguousarray(vh.T).tobytes()
+
+    @pytest.mark.parametrize("m, d", [(8192, 16), (12000, 32), (16384, 8)])
+    def test_fortran_densified_block_keeps_numpy_svd_bytes(self, m, d):
+        # a one-block A of 2^17 entries or more is densified in Fortran order
+        assert m * d >= leverage._FORTRAN_MIN_ENTRIES
+        assert_keeps_numpy_svd_bytes(sparse_gaussian(m, d, m + d, density=0.5))
 
     @pytest.mark.parametrize("d", [1, 3, 8, 16, 32])
     @pytest.mark.parametrize("rows", ["d+1", "2d-1", "2d", "2d+1", "3d", "4096"])

@@ -141,6 +141,12 @@ class TestComputeReweighting:
             assert cert.max_violation > cert.tol
         assert full_cert.converged
 
+    def test_zero_row_matrix_converges_with_empty_weights(self):
+        W, cert = compute_reweighting(SparseRowMatrix.from_coo(0, 5, [], [], []), np.ones(0))
+        assert cert.converged and cert.sweeps_used == 1
+        assert len(W) == 0 and cert.achieved.shape == (0,)
+        assert cert.max_violation == 0.0 and cert.reweighted_count == 0
+
     def test_targets_validated(self):
         A = gaussian_matrix(5, 2, 0)
         for bad in (np.zeros(5), np.full(5, -1.0), np.ones(4)):

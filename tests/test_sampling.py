@@ -10,6 +10,7 @@ from rowsketch import (SketchConfig, SparseRowMatrix, WeightedRowSample,
                        scaled_sample, sherman_morrison_check, spectral_check,
                        undersample_refine, uniform_leverage_estimates,
                        uniform_no_reweight_estimates)
+from rowsketch import sampling
 from rowsketch.leverage import ScoreVector
 from rowsketch.sampling import log_dim
 
@@ -67,6 +68,19 @@ class TestSample:
         np.testing.assert_array_equal(a.weights, b.weights)
         c = sample(u, 1.0, cfg, 8, salt=("other",))
         assert len(c) != len(a) or not np.array_equal(c.row_indices, a.row_indices)
+
+    def test_scores_checked_once(self, monkeypatch):
+        checked = []
+        real = sampling._finite_scores
+        monkeypatch.setattr(sampling, "_finite_scores", lambda u: checked.append(u) or real(u))
+        cfg = SketchConfig(seed=9)
+        u = np.full(300, 0.02)
+        S = sample(u, 1.0, cfg, 8, salt=("once",))
+        assert len(checked) == 1
+        p = np.minimum(1.0, cfg.c * log_dim(8) * u)
+        keep = sampling.rng_from(cfg.seed, "once").random(300) < p
+        assert S.row_indices.tobytes() == np.flatnonzero(keep).astype(np.int64).tobytes()
+        assert S.weights.tobytes() == (1.0 / np.sqrt(p[keep])).tobytes()
 
     def test_infinite_scores_rejected(self):
         s = ScoreVector(np.array([0.0]), np.array([True]))
