@@ -12,9 +12,10 @@ QR factor R of a one-block A of at least 2d rows, or, for a tall A, the
 Gram of its rows whitened by a sample of its own rows, or TSQR's d x d
 factor where that Gram is not accurate enough.  A caller that scores
 several row sets against one reference factors it once and passes the
-factor on.  Every triangular factor R here comes from :func:`_r_factor`,
-LAPACK's ``dgeqrf`` called directly up to 128 columns: it keeps the bits
-of ``np.linalg.qr(M, mode="r")`` without numpy's copies of M.
+factor on.  Every triangular factor R here comes from :func:`_r_factor`:
+the bits of ``np.linalg.qr(M, mode="r")``, through LAPACK's ``dgeqrf``
+called directly, without numpy's copies of M, up to 128 columns and
+wherever scipy's LAPACK is seen to round as numpy's does.
 """
 
 from __future__ import annotations
@@ -129,36 +130,65 @@ _EPS = np.finfo(np.float64).eps
 # relative accuracy of sigma that the sample-whitened factor must reach, or
 # hand A to TSQR: the dense oracles hold factor_gram to 1e-12
 _ORACLE_RTOL = 1e-12
-# A one-block A of at least this many entries (1 MiB) is densified in
-# Fortran order for its QR, which LAPACK then reads in place; from C order
-# the QR first takes a strided transposing copy (12000 x 32: 8.2 -> 4.0 ms).
-# Smaller blocks densify faster in C order and factor as fast.
-_FORTRAN_MIN_ENTRIES = 1 << 17
+# A one-block A with at most this share of its entries stored is densified
+# in Fortran order for its QR, which LAPACK then reads in place.  Densifying
+# in Fortran order goes through a CSC copy of the stored entries, which
+# costs less than the transposing copy the QR takes of a C-ordered block
+# only where few entries are stored (2-core Xeon, densify and QR: 8192 x 16,
+# all stored, C 0.85 ms, F 1.58 ms; 12000 x 32, 6% stored, C 5.0 ms, F 3.6 ms).
+_FORTRAN_MAX_DENSITY = 0.25
 # dgeqrf's crossover (LAPACK's ilaenv for xGEQRF): up to min(m, n) = 128 it
 # runs unblocked Householder steps, whose bits the OpenBLAS builds of numpy
-# and scipy share at any thread count.  Past it their threaded blocked
-# updates round differently (4096 x 129 on 2 threads), so numpy factors
-# those itself.
+# and scipy share at any thread count where their kernels agree.  Past it
+# their threaded blocked updates round differently (4096 x 129 on 2
+# threads), so numpy factors those itself.
 _QR_UNBLOCKED_MAX = 128
 
 
-def _r_factor(M: np.ndarray) -> np.ndarray:
-    """The min(m, n) x n triangular factor R of the float64 m x n ``M``,
-    bit for bit ``np.linalg.qr(M, mode="r")``: the same ``dgeqrf`` with
-    numpy's workspace size, so the same blocking, but no copy of a
-    Fortran-ordered M and one copy of a C-ordered one, where numpy's
-    wrapper takes three.  M may be overwritten."""
+def _dgeqrf_r(M: np.ndarray) -> np.ndarray:
+    """R of the nonempty M through scipy's ``dgeqrf`` with numpy's workspace
+    size, so numpy's blocking; M may be overwritten."""
     m, n = M.shape
-    k = min(m, n)
-    if k == 0:
-        return np.zeros((0, n))
-    if k > _QR_UNBLOCKED_MAX:
-        return np.linalg.qr(M, mode="r")
     lwork = max(1, n, int(lapack.dgeqrf_lwork(m, n)[0]))
     qr, _, _, info = lapack.dgeqrf(M, lwork=lwork, overwrite_a=True)
     if info:
         raise np.linalg.LinAlgError(f"dgeqrf refused argument {-info}")
-    return np.triu(qr[:k])
+    return np.triu(qr[:min(m, n)])
+
+
+def _dgeqrf_keeps_numpy_bits() -> bool:
+    """Whether scipy's ``dgeqrf`` gives the bits of ``np.linalg.qr`` here.
+
+    numpy and scipy link separate LAPACK builds, and the unblocked
+    Householder steps agree only where the two run the same BLAS kernels
+    (``dnrm2``, ``dgemv``, ``dger``) on this CPU.  So this factors a few
+    fixed matrices both ways, up to 128 columns and large enough for
+    threaded kernels, with rows at 1e-150 and 1e150."""
+    rng = np.random.default_rng(0)
+    for m, n in ((7, 3), (300, 33), (400, _QR_UNBLOCKED_MAX)):
+        M = rng.standard_normal((m, n)) * 10.0 ** rng.choice([-150.0, 0.0, 150.0], size=(m, 1))
+        if _dgeqrf_r(np.asfortranarray(M)).tobytes() != np.linalg.qr(M, mode="r").tobytes():
+            return False
+    return True
+
+
+# asked once, at import (3 ms on one BLAS thread)
+_DGEQRF_KEEPS_NUMPY_BITS = _dgeqrf_keeps_numpy_bits()
+
+
+def _r_factor(M: np.ndarray) -> np.ndarray:
+    """The min(m, n) x n triangular factor R of the float64 m x n ``M``,
+    bit for bit ``np.linalg.qr(M, mode="r")``.  Up to 128 columns, and where
+    :func:`_dgeqrf_keeps_numpy_bits` held at import, it calls the same ``dgeqrf`` through
+    scipy, with no copy of a Fortran-ordered M and one copy of a C-ordered
+    one, where numpy's wrapper takes three; otherwise it calls numpy.
+    M may be overwritten."""
+    m, n = M.shape
+    if min(m, n) == 0:
+        return np.zeros((0, n))
+    if min(m, n) > _QR_UNBLOCKED_MAX or not _DGEQRF_KEEPS_NUMPY_BITS:
+        return np.linalg.qr(M, mode="r")
+    return _dgeqrf_r(M)
 
 
 def row_blocks(A: SparseRowMatrix):
@@ -168,8 +198,9 @@ def row_blocks(A: SparseRowMatrix):
 
 
 def _csr_blocks(csr):
-    """:func:`row_blocks` of a scipy CSR.  Past 16384 rows each block
-    shares the CSR's entry arrays, so only its row pointers are copied."""
+    """:func:`row_blocks` of a scipy CSR.  Past 16384 rows each block is
+    built from contiguous slices of the CSR's arrays, which scipy copies
+    whole, without the work of its row slicing."""
     n = csr.shape[0]
     if n <= _DENSE_MAX_ROWS:
         yield slice(0, n), csr
@@ -196,30 +227,24 @@ def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
     """The one scoring pass, P = block @ W per block: row i scores
     ||P_i[:r]||^2 and is flagged when ||P_i[r:]|| > KERNEL_TOL * ||a_i||, for
     entries from about 1e-300 to 1e300: a row whose ||a_i||^2 overflows, or
-    makes KERNEL_TOL^2 ||a_i||^2 subnormal, is first divided by its largest
-    |entry|.  The ||a_i||^2 are summed once for all of A, before the blocks."""
-    csr = A.to_scipy()
+    makes KERNEL_TOL^2 ||a_i||^2 subnormal, is first divided by its largest |entry|."""
     vals, infinite = np.empty(A.n_rows), np.zeros(A.n_rows, dtype=bool)
-    kernel = W.shape[1] > r
-    if kernel:
-        with np.errstate(over="ignore"):  # overflowed rows are redone below
-            sq = csr.power(2) @ np.ones(A.n_cols)
-        odd = (sq == np.inf) | ((np.diff(csr.indptr) > 0) & (sq < _TINY / KERNEL_TOL ** 2))
-    for rows, block in _csr_blocks(csr):
+    for rows, block in row_blocks(A):
         P = block @ W
         vals[rows] = np.einsum("ij,ij->i", P[:, :r], P[:, :r])
-        if not kernel:
+        if W.shape[1] == r:
             continue
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # overflowed rows are redone below
+            sq = block.power(2) @ np.ones(A.n_cols)
             ksq = np.einsum("ij,ij->i", P[:, r:], P[:, r:])
-        block_sq = sq[rows]
-        redo = np.flatnonzero(odd[rows])
-        if redo.size:
-            dense = block[redo].toarray()
+        nonempty = np.diff(block.indptr) > 0
+        odd = np.flatnonzero((sq == np.inf) | (nonempty & (sq < _TINY / KERNEL_TOL ** 2)))
+        if odd.size:
+            dense = block[odd].toarray()
             top = np.abs(dense).max(axis=1, keepdims=True, initial=_TINY)  # > 0 for stored zeros
-            block_sq[redo] = ((dense / top) ** 2).sum(axis=1)
-            ksq[redo] = ((P[redo, r:] / top) ** 2).sum(axis=1)
-        infinite[rows] = ksq > KERNEL_TOL ** 2 * block_sq
+            sq[odd] = ((dense / top) ** 2).sum(axis=1)
+            ksq[odd] = ((P[odd, r:] / top) ** 2).sum(axis=1)
+        infinite[rows] = ksq > KERNEL_TOL ** 2 * sq
     return ScoreVector(np.where(infinite, 0.0, vals), infinite)
 
 
@@ -235,7 +260,8 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     ``gesdd`` QR-factors any input past about 11d/6 rows the same way
     first, so sigma and V keep the bits of ``np.linalg.svd(A)``.  R comes
     from :func:`_r_factor`, the bits of ``np.linalg.qr(A, mode="r")``, with
-    a block of 2^17 entries or more densified in Fortran order.  Below 2d
+    a block that stores at most a quarter of its entries densified in
+    Fortran order.  Below 2d
     rows M = A.  Taller A is whitened by a sample of its own rows and read
     in one blocked pass (:func:`_sample_whitened`, after Rokhlin and
     Tygert, PNAS 2008), which gives a d x d M.  Where that pass cannot reach the accuracy of the
@@ -249,7 +275,8 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     if A.n_rows <= _DENSE_MAX_ROWS:
         n, d = csr.shape
         if n >= 2 * d:
-            M = _r_factor(csr.toarray(order="F" if n * d >= _FORTRAN_MIN_ENTRIES else "C"))
+            sparse = csr.nnz <= _FORTRAN_MAX_DENSITY * n * d
+            M = _r_factor(csr.toarray(order="F" if sparse else "C"))
         else:
             M = csr.toarray()
     else:
@@ -296,8 +323,7 @@ def _sample_whitened(csr) -> np.ndarray | None:
     all-zero sample and a G that is not finite.
     """
     n, d = csr.shape
-    sample = csr[::-(-n // _BLOCK_ROWS)].toarray()
-    _, ss, vh = np.linalg.svd(_r_factor(sample))
+    _, ss, vh = np.linalg.svd(_r_factor(csr[::-(-n // _BLOCK_ROWS)].toarray()))
     if not ss.size or ss[0] == 0.0:
         return None
     scale = np.full(d, ss[0])

@@ -185,6 +185,15 @@ class TestRFactor:
         M[4, 2], M[9, 5] = np.nan, np.inf
         self.assert_numpy_bytes(M)
 
+    def test_numpy_factors_where_lapack_rounds_otherwise(self, monkeypatch):
+        # a scipy LAPACK that misses numpy's bits on the fixed matrices is
+        # never used, and R keeps numpy's bits
+        lapack_r = leverage._dgeqrf_r
+        monkeypatch.setattr(leverage, "_dgeqrf_r", lambda M: np.nextafter(lapack_r(M), np.inf))
+        assert not leverage._dgeqrf_keeps_numpy_bits()
+        monkeypatch.setattr(leverage, "_DGEQRF_KEEPS_NUMPY_BITS", False)
+        self.assert_numpy_bytes(np.random.default_rng(9).standard_normal((200, 16)))
+
     def test_tall_unblocked_limit(self):
         # the widest input LAPACK factors unblocked, tall enough that the
         # Householder updates are threaded at default BLAS threads
@@ -232,9 +241,11 @@ class TestFactorGram:
 
     @pytest.mark.parametrize("m, d", [(8192, 16), (12000, 32), (16384, 8)])
     def test_fortran_densified_block_keeps_numpy_svd_bytes(self, m, d):
-        # a one-block A of 2^17 entries or more is densified in Fortran order
-        assert m * d >= leverage._FORTRAN_MIN_ENTRIES
-        assert_keeps_numpy_svd_bytes(sparse_gaussian(m, d, m + d, density=0.5))
+        # a one-block A that stores few of its entries is densified in
+        # Fortran order
+        dense = sparse_gaussian(m, d, m + d, density=0.1)
+        assert np.count_nonzero(dense) <= leverage._FORTRAN_MAX_DENSITY * m * d
+        assert_keeps_numpy_svd_bytes(dense)
 
     @pytest.mark.parametrize("d", [1, 3, 8, 16, 32])
     @pytest.mark.parametrize("rows", ["d+1", "2d-1", "2d", "2d+1", "3d", "4096"])
@@ -608,26 +619,28 @@ class TestRowBlocks:
 
     def test_passes_hold_one_block_not_all_rows(self):
         # every full pass over 40000 x 64 rows peaks well below one n x d
-        # dense array (20 MB); a whole-matrix product would need at least one
+        # dense array (20 MB); a whole-matrix product would need at least
+        # one, and a whole-matrix copy of a dense-stored A (30 MB) more
         n, d = 40000, 64
-        A = SparseRowMatrix.from_dense(sparse_gaussian(n, d, 17, density=0.05))
         dense_b = sparse_gaussian(2000, d, 18, density=0.05)
         dense_b[:, -8:] = 0.0
         B = SparseRowMatrix.from_dense(dense_b)
-        passes = {
-            "exact": lambda: exact_leverage_scores(A),
-            "generalized": lambda: generalized_leverage_scores(A, B),
-            "sketched": lambda: approx_generalized_leverage(A, B, 1.0, SketchConfig(seed=1)),
-            "spectral": lambda: spectral_check(A, A, 1.0),
-        }
-        for name, run in passes.items():
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < n * d * 8 / 2, (name, peak)
+        for density in (0.05, 1.0):
+            A = SparseRowMatrix.from_dense(sparse_gaussian(n, d, 17, density=density))
+            passes = {
+                "exact": lambda: exact_leverage_scores(A),
+                "generalized": lambda: generalized_leverage_scores(A, B),
+                "sketched": lambda: approx_generalized_leverage(A, B, 1.0, SketchConfig(seed=1)),
+                "spectral": lambda: spectral_check(A, A, 1.0),
+            }
+            for name, run in passes.items():
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < n * d * 8 / 2, (density, name, peak)
 
     def test_blocked_sketch_matches_whole_matrix_formula(self, rng):
         # byte for byte: one n x min(k, d) product for the sketched norms and
