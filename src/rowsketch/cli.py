@@ -3,7 +3,8 @@
 All randomness flows from --seed (default 42); reruns with identical flags
 produce byte-identical outputs apart from the wall_time_s report field.
 Reports are sorted-key JSON; tabular outputs are TSV.  Exit status is 0
-exactly when every requested check passed.
+exactly when every requested check passed, 1 when one failed, and 2 on bad
+input, a matrix the pipelines cannot sketch included, with the file named.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .leverage import (SCORE_HEADER, exact_leverage_scores, generalized_leverage
 from .matrix import (MatrixFormatError, SparseRowMatrix, _IndexedTsv, materialize,
                      read_indexed_column, read_matrix_market, read_sample,
                      write_indexed_column, write_sample)
-from .pipelines import (PRESETS, NonConvergenceError, generic_scheme,
-                        input_sparsity_sketch, precondition_solve,
+from .pipelines import (PRESETS, NonConvergenceError, PipelineError, SketchResult,
+                        generic_scheme, input_sparsity_sketch, precondition_solve,
                         refinement_sampling, repeated_halving)
 from .reweight import compute_reweighting, write_weights
 from .sampling import SketchConfig
@@ -76,6 +77,19 @@ def cmd_scores(args) -> int:
 _METHODS = ("halving", "refinement", "generic", "input-sparsity")
 
 
+def _sketch(method: str, A: SparseRowMatrix, cfg: SketchConfig, preset: str | None = None,
+            theta: float | None = None) -> SketchResult:
+    """Run one of :data:`_METHODS`; generic defaults to preset head and
+    input-sparsity to theta 0.5."""
+    if method == "halving":
+        return repeated_halving(A, cfg)
+    if method == "refinement":
+        return refinement_sampling(A, cfg)
+    if method == "generic":
+        return generic_scheme(A, preset or "head", cfg)
+    return input_sparsity_sketch(A, theta if theta is not None else 0.5, cfg.epsilon, cfg)
+
+
 def cmd_sketch(args) -> int:
     if args.preset is not None and args.method != "generic":
         raise MatrixFormatError("--preset requires --method generic")
@@ -86,15 +100,7 @@ def cmd_sketch(args) -> int:
     cfg = _config(args)
     start = time.perf_counter()
     try:
-        if args.method == "halving":
-            result = repeated_halving(A, cfg)
-        elif args.method == "refinement":
-            result = refinement_sampling(A, cfg)
-        elif args.method == "generic":
-            result = generic_scheme(A, args.preset or "head", cfg)
-        else:
-            theta = args.theta if args.theta is not None else 0.5
-            result = input_sparsity_sketch(A, theta, cfg.epsilon, cfg)
+        result = _sketch(args.method, A, cfg, args.preset, args.theta)
     except NonConvergenceError as exc:
         _emit({"error": str(exc), "history": exc.history, "seed": args.seed},
               args.report)
@@ -186,12 +192,7 @@ def cmd_solve(args) -> int:
 
 def _bench_case(name: str, A, cfg) -> dict:
     start = time.perf_counter()
-    if name == "halving":
-        result = repeated_halving(A, cfg)
-    elif name == "refinement":
-        result = refinement_sampling(A, cfg)
-    else:
-        result = input_sparsity_sketch(A, 0.5, cfg.epsilon, cfg)
+    result = _sketch(name, A, cfg)
     elapsed = time.perf_counter() - start
     report = spectral_check(A, materialize(A, result.sample), result.check_lambda)
     return {
@@ -303,10 +304,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
-        print(f"rowsketch: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError, PipelineError) as exc:
+        if isinstance(exc, PipelineError):  # a matrix the pipelines cannot sketch
+            exc = MatrixFormatError(str(exc), getattr(args, "matrix", None))
         print(f"rowsketch: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -5,9 +5,9 @@ scores tau^B_i(A) with explicit kernel handling, and the minimum-norm
 witness characterization.  All of it runs through ``PseudoinverseFactor``,
 a rank-truncated factorization of the Gram matrix from the singular values
 of A.  A'A is never formed from A itself, and no n x d array of all of a
-tall A: every pass over A's rows takes them from :func:`row_blocks`, 4096
-at a time past 16384 rows, and reduces one sparse x dense product per
-block.  :func:`factor_gram` takes the SVD of a d x d M with M'M = A'A: the
+tall A: every pass over A's rows takes them from :func:`row_blocks` (or,
+from a scipy CSR, :func:`_csr_blocks`), 4096 at a time past 16384 rows,
+and reduces one sparse x dense product per block.  :func:`factor_gram` takes the SVD of a d x d M with M'M = A'A: the
 QR factor R of a one-block A of at least 2d rows, or, for a tall A, the
 Gram of its rows whitened by a sample of its own rows, or TSQR's d x d
 factor where that Gram is not accurate enough.  A caller that scores

@@ -215,6 +215,32 @@ def scale_rows(A: SparseRowMatrix, w: np.ndarray) -> SparseRowMatrix:
 # Matrix Market I/O (coordinate and array formats, real-valued, general)
 # ---------------------------------------------------------------------------
 
+# CGLS's ||A A'r||^2 multiplies up to six entries of A and b together, and
+# a Gram pseudoinverse (A'A)^+ scales as the inverse square of A; while the
+# largest |entry| lies within 2^-128 .. 2^128, both stay inside the normal
+# range with room for the sums.
+_SHIFT_RANGE = 2.0 ** 128
+
+
+def _binade_shift(values: np.ndarray) -> int:
+    """The exponent e that brings max |values| * 2^e into [1/2, 1), or 0 when
+    max |values| already lies within 2^-128 .. 2^128 (or is zero)."""
+    top = float(np.abs(values).max(initial=0.0))
+    if top == 0.0 or 1.0 / _SHIFT_RANGE <= top <= _SHIFT_RANGE:
+        return 0
+    return -int(np.frexp(top)[1])
+
+
+def _binade_shifted(A: SparseRowMatrix) -> tuple[SparseRowMatrix, int]:
+    """``(2^e A, e)`` with e from :func:`_binade_shift` of A's values: exact,
+    and A itself when e = 0."""
+    e = _binade_shift(A.values)
+    if e:
+        A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
+                            np.ldexp(A.values, e))
+    return A, e
+
+
 def read_matrix_market(path) -> SparseRowMatrix:
     """Parse a Matrix Market file.
 

@@ -7,7 +7,9 @@ sampling stage, so a successful run satisfies the canonical one-sided
 spectral sandwich at its configured lambda.  Intermediate sketches are left
 unnormalized: they are unbiased for their parents, and normalizing them
 would compound a deterministic (1 + eps) inflation into every downstream
-score estimate.
+score estimate.  Each run keeps one ``_Run`` record: the estimate masses,
+solves and levels (or iterations) it reports, which the recursions add to
+as they go rather than return.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .fastlev import approx_generalized_leverage, estimate_cost
 from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
-from .matrix import SparseRowMatrix, WeightedRowSample, materialize
+from .matrix import (SparseRowMatrix, WeightedRowSample, _binade_shift, _binade_shifted,
+                     materialize)
 from .sampling import SketchConfig, log_dim, rng_from, sample
 
 
@@ -67,11 +70,13 @@ def _compose(parent: WeightedRowSample, local: WeightedRowSample) -> WeightedRow
 
 @dataclass
 class _Run:
-    """One sketch run's accounting: the estimate masses it records and the
-    solves its score estimates spend."""
+    """The record of one sketch run: the estimate masses it records, the
+    solves its score estimates spend and the levels or iterations it
+    completes.  Every sketcher keeps one and hands it to :func:`_finish`."""
 
     history: list[float] = field(default_factory=list)
     solves: int = 0
+    levels: int = 0
 
     def estimate(self, A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
                  cfg: SketchConfig, salt: tuple,
@@ -100,6 +105,20 @@ def _resample(A: SparseRowMatrix, target: WeightedRowSample | None,
     return local if target is None else _compose(target, local)
 
 
+def _coarse_fine(A: SparseRowMatrix, target: WeightedRowSample | None,
+                 B: SparseRowMatrix, theta_coarse: float, theta_fine: float,
+                 alpha: float, cfg: SketchConfig, salts: tuple[tuple, ...],
+                 run: _Run, record_coarse: bool) -> WeightedRowSample:
+    """Factor B once; keep rows of ``target`` by cheap d^theta_coarse
+    estimates, then re-estimate the kept rows at theta_fine and cut again,
+    both at rate ``alpha``.  ``salts`` holds the coarse pass's pair, then
+    the fine pass's; the coarse mass is recorded if ``record_coarse``."""
+    f = factor_gram(B)
+    big = _resample(A, target, B, theta_coarse, alpha, cfg, salts[:2], run,
+                    record=record_coarse, factor=f)
+    return _resample(A, big, B, theta_fine, alpha, cfg, salts[2:], run, factor=f)
+
+
 # Recursions pass operands of at most 20 d ln d rows through at weight 1;
 # refinement stops once its estimate mass is at most 20 d.
 _BASE_ROWS_FACTOR = 20.0
@@ -114,7 +133,7 @@ def _depth_cap(n: int, d: int) -> int:
     return int(math.ceil(math.log2(max(n / max(d, 1), 2.0)))) + 8
 
 
-def _finish(sample_: WeightedRowSample, run: _Run, levels: int, cfg: SketchConfig,
+def _finish(sample_: WeightedRowSample, run: _Run, cfg: SketchConfig,
             check_lambda: float, normalize_eps: float | None) -> SketchResult:
     if normalize_eps is not None:
         sample_ = sample_.scaled(1.0 / math.sqrt(1.0 + normalize_eps))
@@ -122,7 +141,7 @@ def _finish(sample_: WeightedRowSample, run: _Run, levels: int, cfg: SketchConfi
         sample=sample_,
         rows_kept=len(sample_),
         sum_estimates_history=tuple(run.history),
-        levels_or_iterations=levels,
+        levels_or_iterations=run.levels,
         solve_count=run.solves,
         seed=cfg.seed,
         check_lambda=check_lambda,
@@ -130,37 +149,34 @@ def _finish(sample_: WeightedRowSample, run: _Run, levels: int, cfg: SketchConfi
 
 
 # ---------------------------------------------------------------------------
-# Repeated halving (with an optional coarse/fine two-stage refinement step,
-# reused by the input-sparsity composition)
+# Repeated halving (each level one pass, or the coarse/fine pair)
 # ---------------------------------------------------------------------------
 
 def _halve(A: SparseRowMatrix, idx: np.ndarray, level: int, cfg: SketchConfig,
            theta_fine: float, theta_coarse: float | None, alpha: float,
-           base_rows: int, depth_cap: int, run: _Run,
-           salt: tuple) -> tuple[WeightedRowSample, int]:
-    """Recursive halving on A[idx] (idx sorted); returns (sample into A, levels)."""
+           run: _Run, salt: tuple) -> WeightedRowSample:
+    """Recursive halving on A[idx] (idx sorted) at recursion depth
+    ``level``; returns a sample of A and counts each level it resamples
+    in ``run``."""
     m = idx.size
-    if m <= base_rows:
-        return WeightedRowSample(A.n_rows, idx, np.ones(m)), 0
-    if level >= depth_cap:
-        raise PipelineError(f"halving recursion exceeded depth cap {depth_cap}")
+    if m <= _base_rows(A.n_cols):
+        return WeightedRowSample(A.n_rows, idx, np.ones(m))
+    cap = _depth_cap(A.n_rows, A.n_cols)
+    if level >= cap:
+        raise PipelineError(f"halving recursion exceeded depth cap {cap}")
     draws = rng_from(cfg.seed, *salt, level, "uniform").random(m)
-    sub, depth = _halve(A, idx[draws < 0.5], level + 1, cfg, theta_fine,
-                        theta_coarse, alpha, base_rows, depth_cap, run, salt)
+    sub = _halve(A, idx[draws < 0.5], level + 1, cfg, theta_fine, theta_coarse, alpha,
+                 run, salt)
     B = materialize(A, sub)
     target = None if m == A.n_rows else WeightedRowSample(A.n_rows, idx, np.ones(m))
+    run.levels += 1
     if theta_coarse is None:
         return _resample(A, target, B, theta_fine, alpha, cfg,
-                         ((*salt, level, "jl"), (*salt, level, "sample")), run), depth + 1
-    # coarse pass: cheap d^theta estimates, larger intermediate sample
-    f = factor_gram(B)
-    big = _resample(A, target, B, theta_coarse, alpha, cfg,
-                    ((*salt, level, "coarse"), (*salt, level, "big")), run, record=False,
-                    factor=f)
-    # fine pass: re-estimate the kept rows at constant distortion, cut again
-    return _resample(A, big, B, theta_fine, alpha, cfg,
-                     ((*salt, level, "fine"), (*salt, level, "small")), run,
-                     factor=f), depth + 1
+                         ((*salt, level, "jl"), (*salt, level, "sample")), run)
+    return _coarse_fine(A, target, B, theta_coarse, theta_fine, alpha, cfg,
+                        ((*salt, level, "coarse"), (*salt, level, "big"),
+                         (*salt, level, "fine"), (*salt, level, "small")), run,
+                        record_coarse=False)
 
 
 def repeated_halving(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
@@ -171,15 +187,11 @@ def repeated_halving(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     The output targets a (1+eps)/(1-eps) spectral grade with
     O(d log d / eps^2) rows.
     """
-    d = A.n_cols
-    theta = cfg.resolve_theta(d)
     run = _Run()
-    out, levels = _halve(
-        A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta, None,
-        cfg.epsilon ** -2, _base_rows(d), _depth_cap(A.n_rows, d),
-        run, ("halving",))
+    out = _halve(A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, cfg.resolve_theta(A.n_cols),
+                 None, cfg.epsilon ** -2, run, ("halving",))
     lam = (1.0 + cfg.epsilon) / (1.0 - cfg.epsilon)
-    return _finish(out, run, levels, cfg, lam, cfg.epsilon if levels else None)
+    return _finish(out, run, cfg, lam, cfg.epsilon if run.levels else None)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +216,20 @@ def refinement_sampling(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     cap = 4 * int(math.ceil(math.log2(max(n / max(d, 1), 2.0)))) + 16
     tau = np.ones(n)
     run = _Run([float(n)])
-    iters = 0
     while tau.sum() > stop:
-        if iters >= cap:
+        if run.levels >= cap:
             raise NonConvergenceError(
                 f"refinement failed to reach {stop:g} within {cap} iterations", run.history)
         alpha = 6.0 * d / float(tau.sum())
         scale = math.sqrt(alpha) * math.sqrt(3.0 / 4.0)
-        S = sample(tau, 9.0 * alpha, cfg, d, salt=("refine", iters, "draw")).scaled(scale)
-        u = run.estimate(A, materialize(A, S), theta, cfg, ("refine", iters, "jl"))
+        S = sample(tau, 9.0 * alpha, cfg, d, salt=("refine", run.levels, "draw")).scaled(scale)
+        u = run.estimate(A, materialize(A, S), theta, cfg, ("refine", run.levels, "jl"))
         tau = np.where(u.infinite, tau, np.minimum(tau, u.values))
         run.history.append(float(tau.sum()))
-        iters += 1
+        run.levels += 1
     final = sample(tau, cfg.epsilon ** -2, cfg, d, salt=("refine", "final"))
     lam = (1.0 + cfg.epsilon) / (1.0 - cfg.epsilon)
-    return _finish(final, run, iters, cfg, lam, cfg.epsilon)
+    return _finish(final, run, cfg, lam, cfg.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +255,16 @@ def _preset_sizes(preset: str, n: int, d: int) -> tuple[int, int]:
 
 
 def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
-             preset: str, cfg: SketchConfig, base_rows: int,
-             depth_cap: int, run: _Run) -> tuple[WeightedRowSample, int]:
-    if depth >= depth_cap:
-        raise PipelineError(f"generic scheme exceeded depth cap {depth_cap}")
-    nhat = len(current)
+             preset: str, cfg: SketchConfig, run: _Run) -> WeightedRowSample:
+    """One level of the generic scheme on ``current`` at recursion depth
+    ``depth``; returns a sample of A and counts each level in ``run``."""
     d = A.n_cols
+    cap = _depth_cap(A.n_rows, d)
+    if depth >= cap:
+        raise PipelineError(f"generic scheme exceeded depth cap {cap}")
+    run.levels += 1
+    nhat = len(current)
+    base_rows = _base_rows(d)
     n1, n3 = _preset_sizes(preset, nhat, d)
 
     # line 1: uniform cut of the current rows
@@ -258,10 +273,7 @@ def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
     a1 = WeightedRowSample(A.n_rows, current.row_indices[draws < rate],
                            current.weights[draws < rate])
     # line 2: approximate the cut recursively when it is still large
-    if len(a1) <= base_rows:
-        a2, lv2 = a1, 0
-    else:
-        a2, lv2 = _generic(A, a1, depth + 1, preset, cfg, base_rows, depth_cap, run)
+    a2 = a1 if len(a1) <= base_rows else _generic(A, a1, depth + 1, preset, cfg, run)
 
     # line 3: estimate scores against the approximation, sample n3 rows.
     # tail draws from the current operand, sqrt from all of A.  A current
@@ -274,9 +286,8 @@ def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
                    (("generic", depth, "jl"), ("generic", depth, "sample")), run)
     # line 4: recurse when the result is still large and actually shrank
     if len(a3) <= base_rows or len(a3) >= nhat:
-        return a3, lv2 + 1
-    a4, lv4 = _generic(A, a3, depth + 1, preset, cfg, base_rows, depth_cap, run)
-    return a4, lv2 + lv4 + 1
+        return a3
+    return _generic(A, a3, depth + 1, preset, cfg, run)
 
 
 def generic_scheme(A: SparseRowMatrix, preset: str, cfg: SketchConfig) -> SketchResult:
@@ -299,11 +310,9 @@ def generic_scheme(A: SparseRowMatrix, preset: str, cfg: SketchConfig) -> Sketch
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r} ({', '.join(PRESETS)})")
     run = _Run()
-    out, levels = _generic(
-        A, WeightedRowSample.identity(A.n_rows), 0, preset, cfg,
-        _base_rows(A.n_cols), _depth_cap(A.n_rows, A.n_cols), run)
+    out = _generic(A, WeightedRowSample.identity(A.n_rows), 0, preset, cfg, run)
     eps = _COUNT_DRIVEN_OUTPUT_EPS
-    return _finish(out, run, levels, cfg, (1.0 + eps) / (1.0 - eps), eps)
+    return _finish(out, run, cfg, (1.0 + eps) / (1.0 - eps), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +337,19 @@ def input_sparsity_sketch(A: SparseRowMatrix, theta: float, epsilon: float,
     d = A.n_cols
     theta_fine = 1.0 / log_dim(d)
     run = _Run()
-    s1, levels = _halve(
-        A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta_fine, theta,
-        cfg.epsilon ** -2, _base_rows(d), _depth_cap(A.n_rows, d),
-        run, ("isparse",))
+    s1 = _halve(A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta_fine, theta,
+                cfg.epsilon ** -2, run, ("isparse",))
     lam = (1.0 + epsilon) / (1.0 - epsilon / 20.0)
-    if levels == 0:
+    if run.levels == 0:
         # nothing to do at this size: the matrix is its own sketch
-        return _finish(s1, run, levels, cfg, lam, None)
-    B1 = materialize(A, s1)
-    f1 = factor_gram(B1)
-    alpha_half = (epsilon / 2.0) ** -2
-    S_a = _resample(A, None, B1, theta, alpha_half, cfg,
-                    (("isparse", "s2a"), ("isparse", "s2a-draw")), run, factor=f1)
-    final = _resample(A, S_a, B1, theta_fine, alpha_half, cfg,
-                      (("isparse", "s2b"), ("isparse", "s2b-draw")), run, factor=f1)
-    return _finish(final, run, levels + 2, cfg, lam, epsilon / 2.0)
+        return _finish(s1, run, cfg, lam, None)
+    final = _coarse_fine(A, None, materialize(A, s1), theta, theta_fine,
+                         (epsilon / 2.0) ** -2, cfg,
+                         (("isparse", "s2a"), ("isparse", "s2a-draw"),
+                          ("isparse", "s2b"), ("isparse", "s2b-draw")), run,
+                         record_coarse=True)
+    run.levels += 2
+    return _finish(final, run, cfg, lam, epsilon / 2.0)
 
 
 def final_refinement(A: SparseRowMatrix, sketch: SketchResult, epsilon: float,
@@ -358,11 +364,12 @@ def final_refinement(A: SparseRowMatrix, sketch: SketchResult, epsilon: float,
     d = A.n_cols
     run = _Run()
     if d * log_dim(d) * epsilon ** -2 >= A.n_rows:
-        return _finish(WeightedRowSample.identity(A.n_rows), run, 0, cfg, 1.0, None)
+        return _finish(WeightedRowSample.identity(A.n_rows), run, cfg, 1.0, None)
     S = _resample(A, None, materialize(A, sketch.sample), 1.0 / log_dim(d),
                   epsilon ** -2, cfg, (("final-refine",), ("final-refine", "draw")), run)
+    run.levels += 1
     lam = (1.0 + epsilon) / (1.0 - epsilon) if epsilon < 1.0 else math.inf
-    return _finish(S, run, 1, cfg, lam, epsilon)
+    return _finish(S, run, cfg, lam, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -445,21 +452,6 @@ def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
     return _epilogue(csr, b, rhs, x, iterations, tol, ea - eb)
 
 
-# CGLS's ||A A'r||^2 multiplies up to six entries of A and b together; while
-# the largest |entry| of each lies within 2^-128 .. 2^128, those products stay
-# inside the normal range with room for the sums.
-_SOLVE_RANGE = 2.0 ** 128
-
-
-def _binade_shift(values: np.ndarray) -> int:
-    """The exponent e that brings max |values| * 2^e into [1/2, 1), or 0 when
-    max |values| already lies within 2^-128 .. 2^128 (or is zero)."""
-    top = float(np.abs(values).max(initial=0.0))
-    if top == 0.0 or 1.0 / _SOLVE_RANGE <= top <= _SOLVE_RANGE:
-        return 0
-    return -int(np.frexp(top)[1])
-
-
 def _prologue(A: SparseRowMatrix, b: np.ndarray, tol: float, max_iters: int):
     """Check a solver's arguments; return ``(2^ea A as scipy CSR, 2^eb b,
     their A'b, ea, eb)`` with the shifts of :func:`_binade_shift`.  That is
@@ -471,10 +463,8 @@ def _prologue(A: SparseRowMatrix, b: np.ndarray, tol: float, max_iters: int):
         raise ValueError("tol must be nonnegative")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    ea, eb = _binade_shift(A.values), _binade_shift(b)
-    if ea:
-        A = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
-                            np.ldexp(A.values, ea))
+    A, ea = _binade_shifted(A)
+    eb = _binade_shift(b)
     csr = A.to_scipy()
     b = np.ldexp(b, eb)
     return csr, b, csr.T @ b, ea, eb

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leverage import ScoreVector, _whitened_gram, exact_leverage_scores, factor_gram
-from .matrix import SparseRowMatrix, _IndexedTsv, scale_rows, write_indexed_column
+from .leverage import ScoreVector, exact_leverage_scores, factor_gram
+from .matrix import (SparseRowMatrix, _IndexedTsv, _binade_shifted, scale_rows,
+                     write_indexed_column)
+from .verify import _pencil_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,9 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
     elif max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
 
-    state = _ScoreState(A)
+    # scores and weights do not depend on A's scale, but P = (A'W^2A)^+ does;
+    # the exact power-of-two shift keeps it clear of overflow and underflow
+    state = _ScoreState(_binade_shifted(A)[0])
     touched = np.zeros(A.n_rows, dtype=bool)
     refresh_every = max(A.n_rows, 1)
     changes = 0
@@ -216,8 +220,8 @@ def compare_leverage_bound(A: SparseRowMatrix, W: Reweighting, Wbar: Reweighting
     lhs = tau_i under Wbar; rhs scales tau_i under W by
     (wbar_i/w_i)^2 (1 + sqrt(lmax(A (A'Wbar^2 A)^+ A')) * ||W - Wbar||_inf)^2.
     The inequality lhs <= rhs holds whenever both weights at i are nonzero.
-    lmax is ``spectral_check(Bbar, A, 1.0).lambda_high``, taken from the
-    same whitened rows.
+    lmax is ``spectral_check(Bbar, A, 1.0).lambda_high``, through the same
+    helper, and 0 when Bbar is all zero.
     """
     if not 0 <= i < A.n_rows:
         raise IndexError(f"row {i} out of range")
@@ -229,9 +233,7 @@ def compare_leverage_bound(A: SparseRowMatrix, W: Reweighting, Wbar: Reweighting
     lhs = float(exact_leverage_scores(Bbar, factor=fbar).values[i])
     B = scale_rows(A, W.weights)
     tau_w = float(exact_leverage_scores(B).values[i])
-    lam_max = 0.0
-    if fbar.rank:
-        lam_max = float(np.linalg.eigvalsh(_whitened_gram(A.to_scipy(), fbar.half_pinv()))[-1])
+    lam_max = float(_pencil_eigenvalues(fbar, A)[-1]) if fbar.rank else 0.0
     inf_norm = float(np.max(np.abs(W.weights - Wbar.weights)))
     rhs = (wbi / wi) ** 2 * (1.0 + math.sqrt(max(lam_max, 0.0)) * inf_norm) ** 2 * tau_w
     return lhs, rhs

@@ -90,7 +90,11 @@ def _finite_scores(u) -> np.ndarray:
 
 def sampling_probabilities(u, alpha: float, c: float, n_cols: int) -> np.ndarray:
     """p_i = min(1, alpha * u_i * c * log d)."""
-    u = _finite_scores(u)
+    return _probabilities(_finite_scores(u), alpha, c, n_cols)
+
+
+def _probabilities(u: np.ndarray, alpha: float, c: float, n_cols: int) -> np.ndarray:
+    """:func:`sampling_probabilities` of scores already checked."""
     return np.minimum(1.0, alpha * c * log_dim(n_cols) * u)
 
 
@@ -101,7 +105,11 @@ def sample(u, alpha: float, cfg: SketchConfig, n_cols: int, salt=()) -> Weighted
     carries weight 1/sqrt(p_i).  Expected size is at most
     alpha * c * log d * sum(u).
     """
-    p = sampling_probabilities(u, alpha, cfg.c, n_cols)  # checks u, once
+    return _draw(sampling_probabilities(u, alpha, cfg.c, n_cols), cfg, salt)
+
+
+def _draw(p: np.ndarray, cfg: SketchConfig, salt) -> WeightedRowSample:
+    """Keep row i with probability p_i, at weight 1/sqrt(p_i)."""
     draws = rng_from(cfg.seed, *salt).random(p.shape[0])
     keep = draws < p
     idx = np.flatnonzero(keep).astype(np.int64)
@@ -197,8 +205,10 @@ def undersample_refine(A: SparseRowMatrix, u, alpha: float, cfg: SketchConfig,
         raise ValueError("alpha must lie in (0, 1]")
     if u.shape[0] != A.n_rows:
         raise ValueError("score length must match row count")
+    # scaled_sample(u, 9 alpha, scale, ...) without checking u again
     scale = math.sqrt(alpha) * math.sqrt(3.0 / 4.0)
-    S = scaled_sample(u, 9.0 * alpha, scale, cfg, A.n_cols, salt=("undersample", *salt))
+    p = _probabilities(u, 9.0 * alpha, cfg.c, A.n_cols)
+    S = _draw(p, cfg, ("undersample", *salt)).scaled(scale)
     g = generalized_leverage_scores(A, materialize(A, S))
     vals = np.where(g.infinite, u, np.minimum(g.values, u))
     return ScoreVector.from_finite(vals)

@@ -7,7 +7,7 @@ import pytest
 
 from rowsketch import (SparseRowMatrix, read_sample, read_scores, read_weights,
                        write_matrix_market)
-from rowsketch import cli
+from rowsketch import cli, pipelines
 from rowsketch.cli import main
 
 from conftest import (conditioned_matrix, gaussian_matrix, isolated_direction_matrix,
@@ -188,6 +188,15 @@ class TestSketchAndVerify:
             assert main(["sketch", random_mtx, "--method", "generic", "--preset", preset,
                          "--epsilon", "0.3", "-o", str(out)]) == 0
 
+    def test_depth_cap_exits_2_naming_the_matrix(self, tmp_path, random_mtx, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(pipelines, "_depth_cap", lambda n, d: 0)
+        x_p = tmp_path / "s.tsv"
+        assert main(["sketch", random_mtx, "-o", str(x_p)]) == 2
+        assert capsys.readouterr().err == (
+            f"rowsketch: {random_mtx}: halving recursion exceeded depth cap 0\n")
+        assert not x_p.exists()
+
     def test_unknown_flag_rejected(self, random_mtx, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["sketch", random_mtx, "--bogus", "-o", str(tmp_path / "s.tsv")])
@@ -294,6 +303,20 @@ class TestSolve:
         assert err.out == ""
         assert not x_p.exists()
 
+
+    @pytest.mark.parametrize("shape", [(0, 4), (5, 0), (5, 4)])
+    def test_matrix_without_rank_exits_2_naming_it(self, tmp_path, capsys, shape):
+        mtx = tmp_path / "zero.mtx"
+        n, d = shape
+        write_matrix_market(mtx, SparseRowMatrix.from_coo(n, d, [], [], []))
+        rhs = tmp_path / "b.tsv"
+        rhs.write_text("row_index\tvalue\n" + "".join(f"{i}\t1\n" for i in range(n)))
+        x_p = tmp_path / "x.tsv"
+        assert main(["solve", str(mtx), str(rhs), "-o", str(x_p)]) == 2
+        err = capsys.readouterr()
+        assert err.err == f"rowsketch: {mtx}: sketch has rank zero; cannot precondition\n"
+        assert err.out == ""
+        assert not x_p.exists()
 
     def test_rhs_for_another_matrix_exits_2_before_sketching(self, tmp_path, random_mtx,
                                                               capsys, monkeypatch):

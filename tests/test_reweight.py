@@ -147,6 +147,26 @@ class TestComputeReweighting:
         assert len(W) == 0 and cert.achieved.shape == (0,)
         assert cert.max_violation == 0.0 and cert.reweighted_count == 0
 
+    def test_independent_of_scale(self):
+        # the Gram pseudoinverse behind the sweep scales as 1/scale^2; past
+        # about 1e+-155 it overflowed or went subnormal, and the sweep
+        # zeroed rows, moved weights by up to 1 or ran for tens of
+        # thousands of sweeps
+        A = power_law_matrix(2000, 8, 3)
+        u = np.full(A.n_rows, 0.05)
+        W1, cert1 = compute_reweighting(A, u, max_sweeps=100)
+        assert cert1.converged
+        for scale in (1e-300, 1e-160, 2.0 ** -300, 2.0 ** 300, 1e160, 1e300):
+            B = SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices,
+                                A.values * scale)
+            W, cert = compute_reweighting(B, u, max_sweeps=100)
+            assert cert.converged, scale
+            assert cert.reweighted_count == cert1.reweighted_count, scale
+            assert np.count_nonzero(W.weights == 0.0) == np.count_nonzero(W1.weights == 0.0)
+            np.testing.assert_allclose(W.weights, W1.weights, rtol=0, atol=1e-12)
+            if np.log2(scale).is_integer():  # an exact shift: the same bytes
+                assert W.weights.tobytes() == W1.weights.tobytes()
+
     def test_targets_validated(self):
         A = gaussian_matrix(5, 2, 0)
         for bad in (np.zeros(5), np.full(5, -1.0), np.ones(4)):

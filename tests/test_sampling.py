@@ -81,6 +81,9 @@ class TestSample:
         keep = sampling.rng_from(cfg.seed, "once").random(300) < p
         assert S.row_indices.tobytes() == np.flatnonzero(keep).astype(np.int64).tobytes()
         assert S.weights.tobytes() == (1.0 / np.sqrt(p[keep])).tobytes()
+        checked.clear()
+        undersample_refine(gaussian_matrix(300, 8, 9), u, 0.5, cfg)
+        assert len(checked) == 1
 
     def test_infinite_scores_rejected(self):
         s = ScoreVector(np.array([0.0]), np.array([True]))
