@@ -167,6 +167,8 @@ def cmd_reweight(args) -> int:
         "max_violation": cert.max_violation,
         "mass_bound_d": A.n_cols,
         "tol": cert.tol,
+        "updates": cert.updates,
+        "factorizations": cert.factorizations,
     }, args.report)
     return _EXIT_OK if cert.converged else _EXIT_CHECK_FAILED
 

@@ -5,9 +5,11 @@ scores tau^B_i(A) with explicit kernel handling, and the minimum-norm
 witness characterization.  All of it runs through ``PseudoinverseFactor``,
 a rank-truncated factorization of the Gram matrix from the singular values
 of A.  A'A is never formed from A itself, and no n x d array of all of a
-tall A: every pass over A's rows takes them from :func:`row_blocks` (or,
-from a scipy CSR, :func:`_csr_blocks`), 4096 at a time past 16384 rows,
-and reduces one sparse x dense product per block.  :func:`factor_gram` takes the SVD of a d x d M with M'M = A'A: the
+tall A: every pass over A's rows goes 4096 at a time past 16384 rows.  A
+pass that scores rows reduces one sparse x dense product per block
+(:func:`_block_products`), by scipy's own kernel on A's arrays, into one
+reused buffer; only TSQR densifies blocks (:func:`_csr_blocks`).
+:func:`factor_gram` takes the SVD of a d x d M with M'M = A'A: the
 QR factor R of a one-block A of at least 2d rows, or, for a tall A, the
 Gram of its rows whitened by a sample of its own rows, or TSQR's d x d
 factor where that Gram is not accurate enough.  A caller that scores
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 from .matrix import SparseRowMatrix, _IndexedTsv, write_indexed_column
 
@@ -198,27 +201,61 @@ def row_blocks(A: SparseRowMatrix):
 
 
 def _csr_blocks(csr):
-    """:func:`row_blocks` of a scipy CSR.  Past 16384 rows each block is
-    built from contiguous slices of the CSR's arrays, which scipy copies
-    whole, without the work of its row slicing."""
-    n = csr.shape[0]
-    if n <= _DENSE_MAX_ROWS:
-        yield slice(0, n), csr
-        return
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        first, last = csr.indptr[lo], csr.indptr[hi]
-        yield slice(lo, hi), sp.csr_matrix(
-            (csr.data[first:last], csr.indices[first:last], csr.indptr[lo:hi + 1] - first),
-            shape=(hi - lo, csr.shape[1]), copy=False)
+    """:func:`row_blocks` of a scipy CSR, for passes that densify each block.
+    Past 16384 rows each block is built from contiguous slices of the CSR's
+    arrays, which scipy copies whole, without the work of its row slicing."""
+    for rows in _block_slices(csr.shape[0]):
+        if rows.stop - rows.start == csr.shape[0]:
+            yield rows, csr
+            continue
+        first, last = csr.indptr[rows.start], csr.indptr[rows.stop]
+        yield rows, sp.csr_matrix(
+            (csr.data[first:last], csr.indices[first:last], csr.indptr[rows.start:rows.stop + 1] - first),
+            shape=(rows.stop - rows.start, csr.shape[1]), copy=False)
+
+
+def _block_slices(n: int):
+    """The row slices of :func:`row_blocks` for n rows."""
+    step = _BLOCK_ROWS if n > _DENSE_MAX_ROWS else max(n, 1)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
+
+
+def _csr_product(indptr, indices, data, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` set to M @ X for the CSR rows M given by ``indptr`` (one
+    offset per row and one more, into ``indices`` and ``data``), through the
+    kernel scipy's ``csr @ X`` runs, so with its bits: ``csr_matvec`` for a
+    vector or one column, else ``csr_matvecs``.  It reads the arrays in
+    place, so a block of rows costs no copy.  The kernel checks no layout,
+    so this checks that X and ``out`` are C-ordered float64 of M @ X's size."""
+    rows, k = len(indptr) - 1, (X.shape[1] if X.ndim == 2 else 1)
+    for arr, size in ((X, X.shape[0] * k), (out, rows * k)):
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous or arr.size != size:
+            raise ValueError("CSR product operands must be C-ordered float64 of matching size")
+    out.fill(0.0)
+    if k == 1:
+        _sparsetools.csr_matvec(rows, X.shape[0], indptr, indices, data, X.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(rows, X.shape[0], k, indptr, indices, data, X.ravel(), out.ravel())
+    return out
+
+
+def _block_products(csr, W: np.ndarray):
+    """Yield ``(rows, P)`` with P = csr[rows] @ W for the blocks of
+    :func:`row_blocks`, each from :func:`_csr_product` on the CSR's own
+    arrays.  Every P is a view of one buffer, overwritten by the next block."""
+    W = np.ascontiguousarray(W, dtype=np.float64)
+    slices = _block_slices(csr.shape[0])
+    buf = np.empty((slices[0].stop, W.shape[1]))
+    for rows in slices:
+        P = buf[:rows.stop - rows.start]
+        yield rows, _csr_product(csr.indptr[rows.start:rows.stop + 1], csr.indices, csr.data, W, P)
 
 
 def _whitened_gram(csr, W: np.ndarray) -> np.ndarray:
     """T'T for the whitened rows T = A @ W of the scipy CSR ``csr``, summed
     over its row blocks, so T is never formed past 16384 rows."""
     G = np.zeros((W.shape[1], W.shape[1]))
-    for _, block in _csr_blocks(csr):
-        T = block @ W
+    for _, T in _block_products(csr, W):
         G += T.T @ T
     return G
 
@@ -229,18 +266,22 @@ def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
     entries from about 1e-300 to 1e300: a row whose ||a_i||^2 overflows, or
     makes KERNEL_TOL^2 ||a_i||^2 subnormal, is first divided by its largest |entry|."""
     vals, infinite = np.empty(A.n_rows), np.zeros(A.n_rows, dtype=bool)
-    for rows, block in row_blocks(A):
-        P = block @ W
+    csr = A.to_scipy()
+    ones = np.ones(A.n_cols)
+    for rows, P in _block_products(csr, W):
         vals[rows] = np.einsum("ij,ij->i", P[:, :r], P[:, :r])
         if W.shape[1] == r:
             continue
+        ptr = csr.indptr[rows.start:rows.stop + 1]
+        first, last = ptr[0], ptr[-1]
         with np.errstate(over="ignore"):  # overflowed rows are redone below
-            sq = block.power(2) @ np.ones(A.n_cols)
+            sq = _csr_product(ptr - first, csr.indices[first:last], np.square(csr.data[first:last]),
+                              ones, np.empty(len(ptr) - 1))
             ksq = np.einsum("ij,ij->i", P[:, r:], P[:, r:])
-        nonempty = np.diff(block.indptr) > 0
+        nonempty = np.diff(ptr) > 0
         odd = np.flatnonzero((sq == np.inf) | (nonempty & (sq < _TINY / KERNEL_TOL ** 2)))
         if odd.size:
-            dense = block[odd].toarray()
+            dense = csr[rows.start + odd].toarray()
             top = np.abs(dense).max(axis=1, keepdims=True, initial=_TINY)  # > 0 for stored zeros
             sq[odd] = ((dense / top) ** 2).sum(axis=1)
             ksq[odd] = ((P[odd, r:] / top) ** 2).sum(axis=1)

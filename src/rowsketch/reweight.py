@@ -11,8 +11,13 @@ Scores are maintained across updates with the rank-1 formulas
     tau_i' = (1 - g) tau_i / (1 - g tau_i)
     tau_j' = tau_j + g tau_ij^2 / (1 - g tau_i)      (j != i)
 
-for a single weight change w_i -> sqrt(1 - g) w_i, and refreshed from a
-full factorization periodically to stop floating-point drift.
+for a single weight change w_i -> sqrt(1 - g) w_i, each in place on one
+n-length cross vector tau_ij.  A full factorization of A'W^2A resets
+them: at the start, after a row is zeroed, every n rank-one updates to
+stop floating-point drift, and in the exact check at the end of a sweep
+that changed nothing, but there only if a rank-one update came after the
+last factorization.  Refactoring weights that have not moved would
+return the same bytes, so it is skipped.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leverage import ScoreVector, exact_leverage_scores, factor_gram
+from .leverage import ScoreVector, _csr_product, exact_leverage_scores, factor_gram
 from .matrix import (SparseRowMatrix, _IndexedTsv, _binade_shifted, scale_rows,
                      write_indexed_column)
 from .verify import _pencil_eigenvalues
@@ -55,7 +60,8 @@ class ReweightCertificate:
     ``achieved`` is recomputed from scratch on the final weights;
     ``reweighted_mass`` sums targets over rows whose weight moved off 1.
     A non-converged run reports ``converged=False`` with the violation
-    left, never a silent success.
+    left, never a silent success.  ``updates`` counts the rank-one updates
+    and ``factorizations`` the factorizations of A'W^2A behind them.
     """
 
     target: np.ndarray
@@ -66,6 +72,8 @@ class ReweightCertificate:
     max_violation: float
     converged: bool
     tol: float
+    updates: int
+    factorizations: int
 
 
 def rank_one_update(tau: np.ndarray, cross_i: np.ndarray, i: int, gamma: float) -> np.ndarray:
@@ -75,18 +83,29 @@ def rank_one_update(tau: np.ndarray, cross_i: np.ndarray, i: int, gamma: float) 
     fixed i (so cross_i[i] == tau[i]).  The updated row score never rises;
     every other score never falls.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    cross_i = np.asarray(cross_i, dtype=np.float64)
-    if tau.shape != cross_i.shape:
+    tau = np.array(tau, dtype=np.float64)
+    cross = np.array(cross_i, dtype=np.float64)
+    if tau.shape != cross.shape:
         raise ValueError("tau and cross vectors must align")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     denom = 1.0 - gamma * tau[i]
     if denom <= 0.0:
         raise ValueError(f"1 - gamma*tau_i must stay positive (got {denom:g})")
-    out = tau + gamma * cross_i ** 2 / denom
-    out[i] = (1.0 - gamma) * tau[i] / denom
-    return out
+    _rank_one_step(tau, cross, i, gamma)
+    return tau
+
+
+def _rank_one_step(tau: np.ndarray, cross: np.ndarray, i: int, gamma: float) -> None:
+    """:func:`rank_one_update` in place on valid arguments: ``tau`` takes the
+    new scores and ``cross`` is overwritten."""
+    denom = 1.0 - gamma * tau[i]
+    tau_i = (1.0 - gamma) * tau[i] / denom
+    np.square(cross, out=cross)
+    cross *= gamma
+    cross /= denom
+    tau += cross
+    tau[i] = tau_i
 
 
 def gamma_for_target(tau_i: float, u_i: float) -> float:
@@ -108,12 +127,20 @@ _ZERO_BRANCH = 1e-6  # rows with score above 1 - this are zeroed, not solved
 
 
 class _ScoreState:
-    """Running (weights, scores, Gram pseudoinverse) for the sweep."""
+    """Running (weights, scores, Gram pseudoinverse) for the sweep.
+
+    ``stale`` is set by a rank-one update and cleared by a factorization:
+    while it is clear the scores are exactly what :meth:`refresh` would
+    give, since refactoring the same weights returns the same bytes.
+    """
 
     def __init__(self, A: SparseRowMatrix):
         self.A = A
         self.csr = A.to_scipy()
         self.w = np.ones(A.n_rows)
+        self.cross = np.empty(A.n_rows)
+        self.updates = 0
+        self.factorizations = 0
         self.refresh()
 
     def refresh(self) -> None:
@@ -122,15 +149,20 @@ class _ScoreState:
         M = f.half_pinv()
         self.P = M @ M.T
         self.tau = exact_leverage_scores(B, factor=f).values.copy()
+        self.factorizations += 1
+        self.stale = False
 
     def downweight(self, i: int, gamma: float) -> None:
         b = self.A.row_dense(i) * self.w[i]
         Pb = self.P @ b
         denom = 1.0 - gamma * float(b @ Pb)
-        cross = self.w * (self.csr @ Pb)
-        self.tau = rank_one_update(self.tau, cross, i, gamma)
+        cross = _csr_product(self.csr.indptr, self.csr.indices, self.csr.data, Pb, self.cross)
+        cross *= self.w
+        _rank_one_step(self.tau, cross, i, gamma)
         self.P = self.P + gamma * np.outer(Pb, Pb) / denom
         self.w[i] *= math.sqrt(1.0 - gamma)
+        self.updates += 1
+        self.stale = True
 
     def zero_row(self, i: int) -> None:
         self.w[i] = 0.0
@@ -145,7 +177,9 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
     survives an exact recomputation) ends the run.  Weights never increase.
     Rows are zeroed when their current score sits within 1e-6 of 1, since a
     full-leverage row cannot be pushed below any smaller target by finite
-    down-weighting.
+    down-weighting.  A^T W^2 A is factored at the start, after each zeroed
+    row, every n rank-one updates, and at the end of a sweep that changed
+    nothing only if a rank-one update came after the last factorization.
     """
     if isinstance(u, ScoreVector):
         if u.has_infinite:
@@ -164,6 +198,7 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
     # scores and weights do not depend on A's scale, but P = (A'W^2A)^+ does;
     # the exact power-of-two shift keeps it clear of overflow and underflow
     state = _ScoreState(_binade_shifted(A)[0])
+    bound = u + tol
     touched = np.zeros(A.n_rows, dtype=bool)
     refresh_every = max(A.n_rows, 1)
     changes = 0
@@ -177,10 +212,13 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
         while True:
             # jump to the next row above its target; every update moves
             # scores, so the search restarts from the current state
-            later = np.flatnonzero(state.tau[i + 1:] > u[i + 1:] + tol)
-            if not later.size:
+            if i + 1 == A.n_rows:
                 break
-            i += 1 + int(later[0])
+            over = state.tau[i + 1:] > bound[i + 1:]
+            k = int(over.argmax())  # the first True, or 0 when none is
+            if not over[k]:
+                break
+            i += 1 + k
             if state.tau[i] < 1.0 - _ZERO_BRANCH and u[i] < state.tau[i]:
                 gamma = gamma_for_target(float(state.tau[i]), float(u[i]))
                 state.downweight(i, gamma)
@@ -192,12 +230,13 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
             if changes % refresh_every == 0:
                 state.refresh()
         if not changed:
-            state.refresh()  # drift check: confirm against exact scores
+            if state.stale:
+                state.refresh()  # drift check: confirm against exact scores
             if float(np.max(state.tau - u, initial=-np.inf)) <= tol:  # no row, no violation
                 converged = True
                 break
 
-    if not converged:  # a converged run's drift check just refactored these weights
+    if state.stale:  # an unconverged run ended on updated scores
         state.refresh()
     achieved = state.tau.copy()
     cert = ReweightCertificate(
@@ -209,6 +248,8 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
         max_violation=float(np.max(achieved - u)) if A.n_rows else 0.0,
         converged=converged,
         tol=tol,
+        updates=state.updates,
+        factorizations=state.factorizations,
     )
     return Reweighting(state.w.copy()), cert
 

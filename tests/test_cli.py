@@ -219,6 +219,16 @@ class TestReweight:
         W = read_weights(w_p)
         assert len(W) == 128
 
+    def test_report_counts_updates_and_factorizations(self, tmp_path):
+        A = gaussian_matrix(64, 4, 3)
+        mtx = tmp_path / "g.mtx"
+        write_matrix_market(mtx, A)
+        rep_p = tmp_path / "c.json"
+        assert main(["reweight", str(mtx), "--alpha", "1.0", "-o", str(tmp_path / "w.tsv"),
+                     "--report", str(rep_p)]) == 0
+        cert = json.loads(rep_p.read_text())
+        assert (cert["reweighted_count"], cert["updates"], cert["factorizations"]) == (0, 0, 1)
+
     def test_explicit_targets_file(self, tmp_path, identity_mtx):
         from rowsketch import ScoreVector, write_scores
         targets = tmp_path / "u.tsv"

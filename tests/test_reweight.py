@@ -1,16 +1,22 @@
 """Rank-1 leverage updates, target inversion, the reweighting sweep, and the
 weight-perturbation comparison bound."""
 
+import hashlib
+
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowsketch import (MatrixFormatError, Reweighting, SparseRowMatrix,
                        compare_leverage_bound, compute_reweighting,
                        cross_leverage, exact_leverage_scores, gamma_for_target,
                        min_norm_witness, rank_one_update, read_weights,
                        scale_rows, write_weights)
+from rowsketch import reweight
 
-from conftest import gaussian_matrix, power_law_matrix
+from conftest import gaussian_matrix, isolated_direction_matrix, power_law_matrix
 
 
 def reweighted_scores(A, weights):
@@ -172,6 +178,143 @@ class TestComputeReweighting:
         for bad in (np.zeros(5), np.full(5, -1.0), np.ones(4)):
             with pytest.raises(ValueError):
                 compute_reweighting(A, bad)
+
+
+def tall_sparse_matrix(n, d, seed, per_row=2, rare_cols=2, planted_per_col=4):
+    """Bulk rows with ``per_row`` entries among the first d - rare_cols
+    columns and Pareto(3) row scales; each of the last ``rare_cols`` columns
+    is held by ``planted_per_col`` planted rows alone."""
+    rng = np.random.default_rng(seed)
+    bulk = d - rare_cols
+    dense = np.zeros((n, d))
+    cols = np.argsort(rng.random((n, bulk)), axis=1)[:, :per_row]
+    scale = rng.pareto(3.0, n) + 1.0
+    np.put_along_axis(dense, cols, rng.standard_normal((n, per_row)) * scale[:, None], axis=1)
+    planted = rng.choice(n, rare_cols * planted_per_col, replace=False)
+    dense[planted] = 0.0
+    dense[planted, bulk + np.repeat(np.arange(rare_cols), planted_per_col)] = \
+        3.0 * rng.standard_normal(planted.size)
+    return SparseRowMatrix.from_dense(dense)
+
+
+GOLDEN_REWEIGHTINGS = {
+    **{(fam, n, d): (lambda maker=maker, n=n, d=d: (maker(n, d, 7), 8.0 * d / n))
+       for n, d in ((1024, 8), (2048, 16))
+       for fam, maker in (("gaussian", gaussian_matrix), ("power-law", power_law_matrix),
+                          ("isolated", isolated_direction_matrix))},
+    ("tall-sparse", 20000, 16): lambda: (tall_sparse_matrix(20000, 16, 7), 0.5),
+}
+
+
+def sha(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+# (sha256 prefix of the weights, of ``achieved``, sweeps_used,
+# reweighted_count, weight sum), recorded with the pair above on numpy
+# 2.4.6 and scipy 1.17.1.  The bytes follow LAPACK's rounding of each SVD,
+# so another build is held to the counts and to the weights' sum at 1e-9
+# relative.
+GOLDEN_BUILD = ("2.4.6", "1.17.1")
+GOLDEN_REWEIGHT = {
+    ('gaussian', 1024, 8): ('ffc1f5db1faa7b64', 'a25588e0385461b0', 1, 0, 1024.0),
+    ('gaussian', 2048, 16): ('a8ac6bdbc78b0ecc', '0f480c0b2c0d6550', 1, 0, 2048.0),
+    ('isolated', 1024, 8): ('5729e726969c57c9', 'e1dada5eca36ffc6', 2, 1, 1023.0),
+    ('isolated', 2048, 16): ('af9574460a41cdaf', 'dc5f4feeaeee066a', 2, 1, 2047.0),
+    ('power-law', 1024, 8): ('99a772df710e55a7', 'c244c0f3da0adc6f', 9, 51, 1002.0896775666974),
+    ('power-law', 2048, 16): ('ea016045c41dc2d4', '8f78577091facaef', 9, 104, 2001.5766650561557),
+    ('tall-sparse', 20000, 16): ('bcbbe2cbaf004f70', '1f5fa47dd2c09a00', 2, 2, 19998.8799134835),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REWEIGHTINGS), ids="{0[0]}-{0[1]}x{0[2]}".format)
+def test_golden_reweighting_bytes(case):
+    A, cap = GOLDEN_REWEIGHTINGS[case]()
+    W, cert = compute_reweighting(A, np.full(A.n_rows, cap))
+    assert cert.converged
+    want = GOLDEN_REWEIGHT[case]
+    assert (cert.sweeps_used, cert.reweighted_count) == want[2:4]
+    if (np.__version__, scipy.__version__) == GOLDEN_BUILD:
+        assert (sha(W.weights), sha(cert.achieved)) == want[:2]
+    else:
+        assert W.weights.sum() == pytest.approx(want[4], rel=1e-9)
+
+
+class TestFactorizationCounts:
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+        real = reweight.factor_gram
+
+        def counting(B):
+            calls.append(B.n_rows)
+            return real(B)
+        monkeypatch.setattr(reweight, "factor_gram", counting)
+        return calls
+
+    def test_untouched_run_factors_once(self, factor_calls):
+        # the drift check has no rank-one update to confirm
+        A = gaussian_matrix(2048, 16, 7)
+        W, cert = compute_reweighting(A, np.full(2048, 8.0 * 16 / 2048))
+        assert len(factor_calls) == 1
+        assert cert.converged and cert.reweighted_count == 0
+        assert (cert.updates, cert.factorizations) == (0, 1)
+        np.testing.assert_array_equal(W.weights, np.ones(2048))
+
+    def test_zeroed_row_factors_twice(self, factor_calls):
+        # the refactor after zeroing the isolated row leaves exact scores
+        A = isolated_direction_matrix(2048, 16, 7)
+        W, cert = compute_reweighting(A, np.full(2048, 8.0 * 16 / 2048))
+        assert len(factor_calls) == 2
+        assert cert.converged and cert.reweighted_count == 1
+        assert W.weights[-1] == 0.0
+        assert (cert.updates, cert.factorizations) == (0, 2)
+
+    def test_updates_confirmed_once(self, factor_calls):
+        A = power_law_matrix(1024, 8, 7)
+        _, cert = compute_reweighting(A, np.full(1024, 8.0 * 8 / 1024))
+        assert cert.converged and cert.updates > cert.reweighted_count > 0
+        assert cert.factorizations == len(factor_calls) == 2
+
+    def test_unconverged_run_ends_on_exact_scores(self, factor_calls):
+        A = power_law_matrix(80, 4, 11)
+        W, cert = compute_reweighting(A, np.full(80, 0.05), max_sweeps=1)
+        assert not cert.converged and cert.updates > 0
+        assert cert.factorizations == len(factor_calls) == 2
+        np.testing.assert_allclose(cert.achieved, reweighted_scores(A, W.weights), rtol=0, atol=1e-12)
+
+
+@st.composite
+def reweighting_inputs(draw):
+    """Matrices with zero, duplicate and rank-deficient rows, n <= d among
+    them, at magnitudes 1e-150 to 1e150, with a uniform target."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 6 * d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.integers(0, d))
+    dense = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    distinct = draw(st.sampled_from([0, 1, 2, 5]))
+    if distinct and n:  # duplicate rows: copies of a few distinct ones
+        dense = dense[rng.integers(0, min(distinct, n), n)]
+    dense[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    dense *= 10.0 ** rng.uniform(-draw(st.sampled_from([0, 2])), 0, n)[:, None]
+    dense *= 10.0 ** draw(st.integers(-150, 150))
+    alpha = draw(st.floats(0.02, 1.5))
+    return SparseRowMatrix.from_dense(dense), alpha
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reweighting_inputs())
+def test_reweighting_certificate_property(case):
+    A, alpha = case
+    n, d = A.shape
+    u = np.full(n, alpha)
+    W, cert = compute_reweighting(A, u)
+    W.validate()
+    assert cert.reweighted_mass <= d + 1e-6
+    assert cert.reweighted_count <= d / alpha + 1
+    if cert.converged:
+        assert np.all(reweighted_scores(A, W.weights) <= u + cert.tol)
 
 
 class TestCompareLeverageBound:
