@@ -1,4 +1,4 @@
-"""Sketched generalized leverage scores with randomized null-space probes.
+"""Sketched generalized leverage scores, with kernel flags from an exact basis.
 
 For a small reference matrix B, tau^B_i(A) = ||B (B'B)^+ a_i||^2.  Instead
 of applying the full projector per row, we apply a seeded Gaussian sketch
@@ -15,20 +15,22 @@ sketched norms are multiplied by d^theta so the two-sided distortion turns
 into a one-sided overestimate at the configured confidence.
 
 Rows leaning into ker(B) are flagged in the same pass by the rule of the
-exact generalized scores, for entries from about 1e-300 to 1e300: the dots of
-a_i with kernel probes z_t, over ||g_t||, have 2-norm > KERNEL_TOL * ||a_i||.
-Probes are drawn only when ker(B) != {0}, that is when B's rank is below d.
-Against a B of full column rank a probe is rounding, ||z_t|| below about
-d * eps * ||g_t||, so no row could be flagged; the estimate then scores
-through R alone.  Probes draw from their own stream, so skipping them moves
-no other draw.
+exact generalized scores: R' is joined by the orthonormal basis N of ker(B)
+from ``leverage._kernel_basis``, d - rank(B) columns and none at full
+column rank, and a row is flagged when ||N'a_i|| > KERNEL_TOL * ||a_i||,
+for entries from about 1e-300 to 1e300.  So the flags are deterministic and
+equal those of :func:`~rowsketch.leverage.generalized_leverage_scores`;
+the Gaussian sketch is the only draw.  :func:`kernel_probe`, random
+vectors in ker(B), is kept for callers and checks outside the estimator,
+which no longer draws them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .leverage import PseudoinverseFactor, ScoreVector, _r_factor, _score_rows, factor_gram
+from .leverage import (PseudoinverseFactor, ScoreVector, _kernel_basis, _r_factor, _score_rows,
+                       factor_gram)
 from .matrix import SparseRowMatrix
 from .sampling import SketchConfig, rng_from
 
@@ -40,10 +42,12 @@ def sketch_rows(theta: float, cfg: SketchConfig) -> int:
 
 
 def estimate_cost(theta: float, cfg: SketchConfig) -> int:
-    """Solves one :func:`approx_generalized_leverage` call spends: one Gram
-    factorization, k sketch rows and ``cfg.kernel_probes`` kernel probes.
-    The factorization counts once per call, also where calls share one, and
-    the probe budget counts also where ker(B) = {0} and none are drawn."""
+    """Solves one :func:`approx_generalized_leverage` call is charged: one
+    Gram factorization, k sketch rows and a fixed budget of
+    ``cfg.kernel_probes``.  The factorization counts once per call, also
+    where calls share one.  The budget stands for the kernel flags, which
+    take the exact basis of ker(B) and draw no probe; it is kept at the
+    probe count so that every run's ``solve_count`` stays as it was."""
     return 1 + sketch_rows(theta, cfg) + cfg.kernel_probes
 
 
@@ -92,10 +96,10 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     """Sketched overestimates of tau^B(A) within a d^(2 theta) envelope.
 
     Returns d^theta * ||M a_i||^2 per row (the safety factor making the
-    estimate one-sided).  A row is flagged infinite when its probe dots
-    z_t . a_i / ||g_t|| have 2-norm above KERNEL_TOL * ||a_i||, the rule of
-    :func:`generalized_leverage_scores`, for entries from about 1e-300 to 1e300.
-    A B of full column rank gets no probes and flags no row.
+    estimate one-sided).  A row is flagged infinite when ||N'a_i|| exceeds
+    KERNEL_TOL * ||a_i||, N the orthonormal basis of ker(B): the rule, and
+    the flags, of :func:`generalized_leverage_scores`, for entries from
+    about 1e-300 to 1e300.  A B of full column rank flags no row.
     ``factor``, when given, is the caller's ``factor_gram(B)``, so estimates
     against one B share one factorization; without it the call factors B.
     The solves it spends are :func:`estimate_cost` either way.
@@ -106,9 +110,5 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
         raise ValueError(f"factor column mismatch: {factor.n_cols} vs {A.n_cols}")
     f = factor if factor is not None else factor_gram(B)
     R = _r_factor(build_projector_sketch(f, theta, cfg, salt=salt))  # ||R a|| = ||M a||
-    W = R.T
-    if f.rank < f.n_cols:
-        probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
-        W = np.hstack([W, probes.T / source_norms])
-    s = _score_rows(A, W, R.shape[0])
+    s = _score_rows(A, np.hstack([R.T, _kernel_basis(f)]), R.shape[0])
     return ScoreVector(max(A.n_cols, 2) ** theta * s.values, s.infinite)

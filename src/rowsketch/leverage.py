@@ -8,15 +8,17 @@ of A.  A'A is never formed from A itself, and no n x d array of all of a
 tall A: every pass over A's rows goes 4096 at a time past 16384 rows.  A
 pass that scores rows reduces one sparse x dense product per block
 (:func:`_block_products`), by scipy's own kernel on A's arrays, into one
-reused buffer; only TSQR densifies blocks (:func:`_csr_blocks`).
-:func:`factor_gram` takes the SVD of a d x d M with M'M = A'A: the
-QR factor R of a one-block A of at least 2d rows, or, for a tall A, the
-Gram of its rows whitened by a sample of its own rows, or TSQR's d x d
-factor where that Gram is not accurate enough.  A caller that scores
-several row sets against one reference factors it once and passes the
-factor on.  Every triangular factor R here comes from :func:`_r_factor`:
-the bits of ``np.linalg.qr(M, mode="r")``, through LAPACK's ``dgeqrf``
-called directly, without numpy's copies of M, up to 128 columns and
+reused buffer; only TSQR densifies blocks.  :func:`factor_gram` takes the
+SVD of a matrix M with M'M = A'A: for a tall A, a d x d M from the Gram of
+its rows whitened by a sample of its own rows; below 2d rows, A itself;
+otherwise the d x d triangular factor R that :func:`_tsqr` folds over A's
+row blocks.  A caller that scores several row sets against one reference
+factors it once and passes the factor on.  Rows that lean into a
+reference's kernel are flagged by one rule, through the exact basis of
+:func:`_kernel_basis`, for exact and sketched scores alike.  Every
+triangular factor R here comes from :func:`_r_factor`: the bits of
+``np.linalg.qr(M, mode="r")``, through LAPACK's ``dgeqrf`` called
+directly, without numpy's copies of M, up to 128 columns and
 wherever scipy's LAPACK is seen to round as numpy's does.
 """
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
 
@@ -133,10 +134,10 @@ _EPS = np.finfo(np.float64).eps
 # relative accuracy of sigma that the sample-whitened factor must reach, or
 # hand A to TSQR: the dense oracles hold factor_gram to 1e-12
 _ORACLE_RTOL = 1e-12
-# A one-block A with at most this share of its entries stored is densified
-# in Fortran order for its QR, which LAPACK then reads in place.  Densifying
-# in Fortran order goes through a CSC copy of the stored entries, which
-# costs less than the transposing copy the QR takes of a C-ordered block
+# TSQR's first block, with at most this share of its entries stored, is
+# densified in Fortran order for its QR, which LAPACK then reads in place.
+# Densifying in Fortran order goes through a CSC copy of the stored entries,
+# which costs less than the transposing copy the QR takes of a C-ordered block
 # only where few entries are stored (2-core Xeon, densify and QR: 8192 x 16,
 # all stored, C 0.85 ms, F 1.58 ms; 12000 x 32, 6% stored, C 5.0 ms, F 3.6 ms).
 _FORTRAN_MAX_DENSITY = 0.25
@@ -194,28 +195,9 @@ def _r_factor(M: np.ndarray) -> np.ndarray:
     return _dgeqrf_r(M)
 
 
-def row_blocks(A: SparseRowMatrix):
-    """Yield ``(rows, A[rows] as scipy CSR)`` for slices ``rows`` covering A
-    in order: all of A as one block up to 16384 rows, else 4096 at a time."""
-    return _csr_blocks(A.to_scipy())
-
-
-def _csr_blocks(csr):
-    """:func:`row_blocks` of a scipy CSR, for passes that densify each block.
-    Past 16384 rows each block is built from contiguous slices of the CSR's
-    arrays, which scipy copies whole, without the work of its row slicing."""
-    for rows in _block_slices(csr.shape[0]):
-        if rows.stop - rows.start == csr.shape[0]:
-            yield rows, csr
-            continue
-        first, last = csr.indptr[rows.start], csr.indptr[rows.stop]
-        yield rows, sp.csr_matrix(
-            (csr.data[first:last], csr.indices[first:last], csr.indptr[rows.start:rows.stop + 1] - first),
-            shape=(rows.stop - rows.start, csr.shape[1]), copy=False)
-
-
 def _block_slices(n: int):
-    """The row slices of :func:`row_blocks` for n rows."""
+    """The row slices that cover n rows in order, for every pass over A:
+    all n as one block up to 16384 rows, else 4096 at a time."""
     step = _BLOCK_ROWS if n > _DENSE_MAX_ROWS else max(n, 1)
     return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
 
@@ -241,7 +223,7 @@ def _csr_product(indptr, indices, data, X: np.ndarray, out: np.ndarray) -> np.nd
 
 def _block_products(csr, W: np.ndarray):
     """Yield ``(rows, P)`` with P = csr[rows] @ W for the blocks of
-    :func:`row_blocks`, each from :func:`_csr_product` on the CSR's own
+    :func:`_block_slices`, each from :func:`_csr_product` on the CSR's own
     arrays.  Every P is a view of one buffer, overwritten by the next block."""
     W = np.ascontiguousarray(W, dtype=np.float64)
     slices = _block_slices(csr.shape[0])
@@ -294,46 +276,45 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
 
     The singular values come from an SVD of a matrix M with M'M = A'A rather
     than an eigendecomposition of the Gram matrix: squaring A would push the
-    noise floor for sigma to ~1e-8 relative and defeat the 1e-10 cut.  A of
-    at most 16384 rows is one block, densified whole.  From 2d rows on, M is
-    its d x d triangular factor R, A = QR, so the SVD never forms the n x d
-    U it would throw away (Chan's R-SVD, ACM TOMS 8(1), 1982); LAPACK's
-    ``gesdd`` QR-factors any input past about 11d/6 rows the same way
-    first, so sigma and V keep the bits of ``np.linalg.svd(A)``.  R comes
-    from :func:`_r_factor`, the bits of ``np.linalg.qr(A, mode="r")``, with
-    a block that stores at most a quarter of its entries densified in
-    Fortran order.  Below 2d
-    rows M = A.  Taller A is whitened by a sample of its own rows and read
-    in one blocked pass (:func:`_sample_whitened`, after Rokhlin and
-    Tygert, PNAS 2008), which gives a d x d M.  Where that pass cannot reach the accuracy of the
-    dense factor, A goes through a row-blocked TSQR instead (Demmel,
-    Grigori, Hoemmen and Langou, arXiv:0808.2664): each block of 4096 dense
-    rows is folded into a running triangular R with A'A = R'R.  Either way
-    the condition number of A is never squared, and no more than one block
-    of A is dense at a time.
+    noise floor for sigma to ~1e-8 relative and defeat the 1e-10 cut.  Past
+    16384 rows A is whitened by a sample of its own rows and read in one
+    blocked pass (:func:`_sample_whitened`, after Rokhlin and Tygert, PNAS
+    2008), which gives a d x d M.  Below 2d rows M = A.  Everywhere else,
+    and where the sampled pass cannot reach the accuracy of the dense factor,
+    M is the d x d triangular factor R of :func:`_tsqr`, A = QR, so the SVD
+    never forms the n x d U it would throw away (Chan's R-SVD, ACM TOMS
+    8(1), 1982).  A of at most 16384 rows is one block there, and LAPACK's
+    ``gesdd`` QR-factors any input past about 11d/6 rows the same way first,
+    so sigma and V keep the bits of ``np.linalg.svd(A)``.  Either way the
+    condition number of A is never squared, and no more than one block of A
+    is dense at a time.
     """
     csr = A.to_scipy()
-    if A.n_rows <= _DENSE_MAX_ROWS:
-        n, d = csr.shape
-        if n >= 2 * d:
-            sparse = csr.nnz <= _FORTRAN_MAX_DENSITY * n * d
-            M = _r_factor(csr.toarray(order="F" if sparse else "C"))
-        else:
-            M = csr.toarray()
-    else:
+    n, d = csr.shape
+    if n > _DENSE_MAX_ROWS:
         M = _sample_whitened(csr)
-        if M is None:
-            M = _tsqr(csr)
+    else:
+        M = csr.toarray() if n < 2 * d else None
+    if M is None:
+        M = _tsqr(csr)
     _, s, vh = np.linalg.svd(M, full_matrices=False)
     r = int((s > RANK_RTOL * s.max(initial=0.0)).sum())
     return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy())
 
 
 def _tsqr(csr) -> np.ndarray:
-    """The triangular R with R'R = A'A, folded over A's row blocks."""
-    R = np.zeros((0, csr.shape[1]))
-    for _, block in _csr_blocks(csr):
-        R = _r_factor(np.vstack([R, block.toarray()]))
+    """The triangular R with R'R = A'A, folded over the blocks of
+    :func:`_block_slices` (Demmel, Grigori, Hoemmen and Langou,
+    arXiv:0808.2664): the first block's R from :func:`_r_factor`, then each
+    later block stacked under the running R and factored again.  The first
+    block is densified in Fortran order when it stores at most a quarter of
+    its entries; LAPACK reads the same values either way, so R keeps its bits."""
+    first, *rest = _block_slices(csr.shape[0])
+    block = csr[first] if rest else csr
+    sparse = block.nnz <= _FORTRAN_MAX_DENSITY * block.shape[0] * block.shape[1]
+    R = _r_factor(block.toarray(order="F" if sparse else "C"))
+    for rows in rest:
+        R = _r_factor(np.vstack([R, csr[rows].toarray()]))
     return R
 
 
@@ -433,8 +414,18 @@ def generalized_leverage_scores(A: SparseRowMatrix, B: SparseRowMatrix) -> Score
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
     f = factor_gram(B)
-    N = np.linalg.qr(f.right_singular_vectors, mode="complete")[0][:, f.rank:]
-    return _score_rows(A, np.hstack([f.half_pinv(), N]), f.rank)
+    return _score_rows(A, np.hstack([f.half_pinv(), _kernel_basis(f)]), f.rank)
+
+
+def _kernel_basis(f: PseudoinverseFactor) -> np.ndarray:
+    """An orthonormal d x (d - rank) basis N of ker(B) for ``f =
+    factor_gram(B)``, empty at full column rank.  Appended to a row-space
+    block for one :func:`_score_rows` pass, it flags the rows that lean into
+    ker(B): the one kernel rule of exact and sketched generalized scores.
+    At full rank it skips the QR, which would give the same empty basis."""
+    if f.rank == f.n_cols:
+        return np.zeros((f.n_cols, 0))
+    return np.linalg.qr(f.right_singular_vectors, mode="complete")[0][:, f.rank:]
 
 
 # ---------------------------------------------------------------------------

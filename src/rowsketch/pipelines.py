@@ -23,7 +23,7 @@ from .fastlev import approx_generalized_leverage, estimate_cost
 from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import (SparseRowMatrix, WeightedRowSample, _binade_shift, _binade_shifted,
                      materialize)
-from .sampling import SketchConfig, log_dim, rng_from, sample
+from .sampling import SketchConfig, _undersample, log_dim, rng_from, sample
 
 
 class PipelineError(RuntimeError):
@@ -221,8 +221,7 @@ def refinement_sampling(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
             raise NonConvergenceError(
                 f"refinement failed to reach {stop:g} within {cap} iterations", run.history)
         alpha = 6.0 * d / float(tau.sum())
-        scale = math.sqrt(alpha) * math.sqrt(3.0 / 4.0)
-        S = sample(tau, 9.0 * alpha, cfg, d, salt=("refine", run.levels, "draw")).scaled(scale)
+        S = _undersample(tau, alpha, cfg, d, ("refine", run.levels, "draw"))
         u = run.estimate(A, materialize(A, S), theta, cfg, ("refine", run.levels, "jl"))
         tau = np.where(u.infinite, tau, np.minimum(tau, u.values))
         run.history.append(float(tau.sum()))

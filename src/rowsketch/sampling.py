@@ -55,7 +55,8 @@ class SketchConfig:
     default (1/log d for the pipelines).  ``c`` is the oversampling constant
     in the row-keeping probabilities.  Two constants are not settable:
     ``jl_rows_constant`` fixes the sketch height ceil(64 / theta), and
-    ``kernel_probes`` the number of null-space probes per estimate.
+    ``kernel_probes`` the fixed budget ``fastlev.estimate_cost`` charges
+    each estimate for its kernel flags, which draw no probes.
     """
 
     epsilon: float = 0.5
@@ -89,7 +90,12 @@ def _finite_scores(u) -> np.ndarray:
 
 
 def sampling_probabilities(u, alpha: float, c: float, n_cols: int) -> np.ndarray:
-    """p_i = min(1, alpha * u_i * c * log d)."""
+    """p_i = min(1, alpha * u_i * c * log d), for a rate alpha that is
+    nonnegative and finite and a c that is positive and finite."""
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"sampling rate must be nonnegative and finite, not {alpha!r}")
+    if not 0.0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     return _probabilities(_finite_scores(u), alpha, c, n_cols)
 
 
@@ -119,14 +125,19 @@ def _draw(p: np.ndarray, cfg: SketchConfig, salt) -> WeightedRowSample:
 
 def scaled_sample(u, alpha: float, scale: float, cfg: SketchConfig, n_cols: int,
                   salt=()) -> WeightedRowSample:
-    """``sample`` with every weight multiplied by ``scale``.
-
-    With scale = sqrt(a) * sqrt(3/4) and rate 9a this is the undersampling
-    operator whose Gram stays below A'A with high probability.
-    """
+    """``sample`` with every weight multiplied by ``scale``."""
     if not 0.0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
     return sample(u, alpha, cfg, n_cols, salt=salt).scaled(scale)
+
+
+def _undersample(u: np.ndarray, alpha: float, cfg: SketchConfig, n_cols: int,
+                 salt) -> WeightedRowSample:
+    """sqrt(alpha) * sqrt(3/4) * sample(u, 9 alpha) for scores u already
+    checked: the undersampling operator whose Gram stays below A'A with high
+    probability."""
+    p = _probabilities(u, 9.0 * alpha, cfg.c, n_cols)
+    return _draw(p, cfg, salt).scaled(math.sqrt(alpha) * math.sqrt(3.0 / 4.0))
 
 
 def _combine_uniform_estimates(A: SparseRowMatrix, S: WeightedRowSample) -> ScoreVector:
@@ -205,10 +216,7 @@ def undersample_refine(A: SparseRowMatrix, u, alpha: float, cfg: SketchConfig,
         raise ValueError("alpha must lie in (0, 1]")
     if u.shape[0] != A.n_rows:
         raise ValueError("score length must match row count")
-    # scaled_sample(u, 9 alpha, scale, ...) without checking u again
-    scale = math.sqrt(alpha) * math.sqrt(3.0 / 4.0)
-    p = _probabilities(u, 9.0 * alpha, cfg.c, A.n_cols)
-    S = _draw(p, cfg, ("undersample", *salt)).scaled(scale)
+    S = _undersample(u, alpha, cfg, A.n_cols, ("undersample", *salt))
     g = generalized_leverage_scores(A, materialize(A, S))
     vals = np.where(g.infinite, u, np.minimum(g.values, u))
     return ScoreVector.from_finite(vals)

@@ -1,8 +1,10 @@
-"""Sketched generalized scores: isotropy, distortion envelope, kernel probes,
-and the cost of one estimator call."""
+"""Sketched generalized scores: isotropy, distortion envelope, kernel probes
+and kernel flags, and the cost of one estimator call."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rowsketch.fastlev as fastlev
 import rowsketch.pipelines as pl
@@ -255,7 +257,10 @@ class TestFactorReuse:
 
 
 class TestProbesOnlyForKernel:
-    """Kernel probes are drawn only when ker(B) != {0}."""
+    """The estimator draws no kernel probes: its flags come from the exact
+    basis of ker(B), so they equal those of generalized_leverage_scores.
+    The probe rule, where it is written out below, is an independent check
+    of them."""
 
     @staticmethod
     def counted_probes(monkeypatch):
@@ -292,12 +297,70 @@ class TestProbesOnlyForKernel:
         assert not est.has_infinite
         assert est.values.tobytes() == vals.tobytes()
 
-    def test_rank_deficient_reference_draws_its_probes(self, monkeypatch, rng):
-        d, cfg = 8, SketchConfig(seed=6)
-        A = gaussian_matrix(300, d, 21)
-        B = SparseRowMatrix.from_dense(rng.standard_normal((30, d - 3))
-                                       @ rng.standard_normal((d - 3, d)))
-        calls = self.counted_probes(monkeypatch)
-        est = approx_generalized_leverage(A, B, 0.5, cfg)
-        assert len(calls) == 1 and calls[0][1] == cfg.kernel_probes
-        assert est.has_infinite
+    @staticmethod
+    def refused_probes(monkeypatch):
+        calls = []
+
+        def refusing(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the estimator drew kernel probes")
+
+        monkeypatch.setattr(fastlev, "kernel_probe", refusing)
+        return calls
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_flags_are_the_exact_rule_without_probes(self, monkeypatch, rng, scale):
+        # the flags of generalized_leverage_scores byte for byte, drawing no
+        # probe, for a tall A against a rank-deficient B and a rank-0 B;
+        # zero rows are never flagged, and a rank-0 B flags every other row
+        d, theta, cfg = 8, 0.5, SketchConfig(seed=6)
+        basis = rng.standard_normal((d, 5))
+        dense = rng.standard_normal((leverage._DENSE_MAX_ROWS + 3, 5)) @ basis.T
+        dense[::7] += rng.standard_normal((dense[::7].shape[0], d))
+        dense[::11] = 0.0
+        A = SparseRowMatrix.from_dense(scale * dense)
+        nonzero = np.abs(dense).max(axis=1) > 0
+        references = {
+            "rank 5": SparseRowMatrix.from_dense(scale * rng.standard_normal((30, 5)) @ basis.T),
+            "rank 0": SparseRowMatrix.from_dense(np.zeros((30, d))),
+        }
+        calls = self.refused_probes(monkeypatch)
+        for name, B in references.items():
+            est = approx_generalized_leverage(A, B, theta, cfg, salt=(name,))
+            exact = generalized_leverage_scores(A, B)
+            assert est.infinite.tobytes() == exact.infinite.tobytes(), name
+            assert not est.infinite[~nonzero].any(), name
+            if name == "rank 0":
+                assert est.infinite.tobytes() == nonzero.tobytes()
+            else:
+                assert 0 < est.infinite.sum() < nonzero.sum()
+        assert calls == []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(1, 8) | st.just(70), rank=st.integers(0, 7), n=st.integers(0, 40),
+           seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-150, 150),
+           theta=st.sampled_from([0.3, 0.5, 1.0]))
+    def test_sketched_flags_equal_exact_flags_property(self, d, rank, n, seed, exponent, theta):
+        """Against a reference of rank below d, with duplicate rows: A mixes
+        rows in B's row space, rows that lean into ker(B) by 1e-10 to 1 of
+        their size (across the KERNEL_TOL = 1e-8 cut), duplicates and zero
+        rows, at scales 1e-150 to 1e150; at d = 70 and theta = 1 the sketch
+        has fewer rows than d."""
+        rank = min(rank, d - 1)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        basis = rng.standard_normal((d, rank))
+        B = rng.standard_normal((max(rank, 1) + 3, rank)) @ basis.T
+        B = np.vstack([B, B[:2]])
+        rows = rng.standard_normal((n, rank)) @ basis.T
+        lean = rng.random(n) < 0.5
+        rows[lean] += (10.0 ** rng.uniform(-10, 0, size=(lean.sum(), 1))
+                       * rng.standard_normal((lean.sum(), d)))
+        rows[rng.random(n) < 0.2] = 0.0
+        if n > 2:
+            rows[-1] = rows[0]
+        A = SparseRowMatrix.from_dense(scale * rows)
+        Bm = SparseRowMatrix.from_dense(scale * B)
+        est = approx_generalized_leverage(A, Bm, theta, SketchConfig(seed=seed % 1000))
+        exact = generalized_leverage_scores(A, Bm)
+        assert est.infinite.tobytes() == exact.infinite.tobytes()

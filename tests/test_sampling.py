@@ -6,7 +6,7 @@ import pytest
 
 from rowsketch import (SketchConfig, SparseRowMatrix, WeightedRowSample,
                        exact_leverage_scores, factor_gram, materialize,
-                       monte_carlo, sample, sampling_probabilities,
+                       monte_carlo, refinement_sampling, sample, sampling_probabilities,
                        scaled_sample, sherman_morrison_check, spectral_check,
                        undersample_refine, uniform_leverage_estimates,
                        uniform_no_reweight_estimates)
@@ -84,6 +84,26 @@ class TestSample:
         checked.clear()
         undersample_refine(gaussian_matrix(300, 8, 9), u, 0.5, cfg)
         assert len(checked) == 1
+
+    @pytest.mark.parametrize("rate", [-1.0, np.nan, np.inf], ids=["negative", "nan", "infinite"])
+    def test_rate_must_be_nonnegative_and_finite(self, rate):
+        # a negative rate gave probabilities below 0, a NaN one an empty
+        # sample, an infinite one NaN probabilities for rows scored 0
+        u, cfg = np.array([0.5, 0.5, 0.0, 0.25]), SketchConfig(seed=1)
+        match = "sampling rate must be nonnegative and finite"
+        with pytest.raises(ValueError, match=match):
+            sampling_probabilities(u, rate, 2.0, 4)
+        with pytest.raises(ValueError, match=match):
+            sample(u, rate, cfg, 4)
+        with pytest.raises(ValueError, match=match):
+            scaled_sample(u, rate, 1.0, cfg, 4)
+
+    @pytest.mark.parametrize("c", [0.0, -2.0, np.nan, np.inf])
+    def test_c_must_be_positive_and_finite(self, c):
+        # SketchConfig refuses these; a c passed directly gave negative or
+        # NaN probabilities
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            sampling_probabilities(np.array([0.0, 0.5]), 1.0, c, 4)
 
     def test_infinite_scores_rejected(self):
         s = ScoreVector(np.array([0.0]), np.array([True]))
@@ -261,6 +281,27 @@ class TestUndersampleRefine:
             out = undersample_refine(A, u, 0.1, SketchConfig(seed=seed)).values
             assert np.all(out <= u + 1e-12)
             assert np.all(out >= tau - 1e-8)
+
+    def test_undersample_is_the_scaled_sample_at_nine_alpha(self):
+        # one operator for undersample_refine and refinement_sampling: the
+        # bytes of scaled_sample(u, 9 alpha, sqrt(alpha) sqrt(3/4))
+        cfg, u = SketchConfig(seed=8), np.random.default_rng(3).random(400) * 0.1
+        for alpha in (0.05, 0.5, 1.0):
+            S = sampling._undersample(u, alpha, cfg, 8, ("under", alpha))
+            T = scaled_sample(u, 9.0 * alpha, np.sqrt(alpha) * np.sqrt(3.0 / 4.0), cfg, 8,
+                              salt=("under", alpha))
+            assert S.row_indices.tobytes() == T.row_indices.tobytes()
+            assert S.weights.tobytes() == T.weights.tobytes()
+
+    def test_refinement_checks_scores_once_per_run(self, monkeypatch):
+        # its rounds undersample scores it made itself; only the final
+        # sample goes through the public check
+        checked = []
+        real = sampling._finite_scores
+        monkeypatch.setattr(sampling, "_finite_scores", lambda u: checked.append(u) or real(u))
+        r = refinement_sampling(gaussian_matrix(4096, 8, 4), SketchConfig(seed=2))
+        assert r.levels_or_iterations > 1
+        assert len(checked) == 1
 
     def test_alpha_validated(self):
         A = gaussian_matrix(4, 2, 0)
