@@ -7,12 +7,14 @@ a rank-truncated factorization of the Gram matrix from the singular values
 of A.  A'A is never formed from A itself, and no n x d array of all of a
 tall A: every pass over A's rows goes 4096 at a time past 16384 rows.  A
 pass that scores rows reduces one sparse x dense product per block
-(:func:`_block_products`), by scipy's own kernel on A's arrays, into one
-reused buffer; only TSQR densifies blocks.  :func:`factor_gram` takes the
-SVD of a matrix M with M'M = A'A: for a tall A, a d x d M from the Gram of
-its rows whitened by a sample of its own rows; below 2d rows, A itself;
-otherwise the d x d triangular factor R that :func:`_tsqr` folds over A's
-row blocks.  A caller that scores several row sets against one reference
+(:func:`_block_products`) into one reused buffer; only TSQR densifies
+blocks.  Products, densified blocks and row gathers are scipy's own CSR
+kernels, which :mod:`rowsketch.matrix` calls on A's arrays and on slices of
+them, so they keep scipy's bits and build no scipy object per block.
+:func:`factor_gram` takes the SVD of a matrix M with M'M = A'A: for a tall
+A, a d x d M from the Gram of its rows whitened by a sample of its own
+rows; below 2d rows, A itself; otherwise the d x d triangular factor R
+that :func:`_r_fold` folds over A's row blocks.  A caller that scores several row sets against one reference
 factors it once and passes the factor on.  Rows that lean into a
 reference's kernel are flagged by one rule, through the exact basis of
 :func:`_kernel_basis`, for exact and sketched scores alike.  Every
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse import _sparsetools
 
-from .matrix import SparseRowMatrix, _IndexedTsv, write_indexed_column
+from .matrix import (SparseRowMatrix, _csr_dense, _csr_gather, _csr_product, _IndexedTsv,
+                     write_indexed_column)
 
 
 @dataclass(frozen=True)
@@ -202,42 +204,24 @@ def _block_slices(n: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
 
 
-def _csr_product(indptr, indices, data, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` set to M @ X for the CSR rows M given by ``indptr`` (one
-    offset per row and one more, into ``indices`` and ``data``), through the
-    kernel scipy's ``csr @ X`` runs, so with its bits: ``csr_matvec`` for a
-    vector or one column, else ``csr_matvecs``.  It reads the arrays in
-    place, so a block of rows costs no copy.  The kernel checks no layout,
-    so this checks that X and ``out`` are C-ordered float64 of M @ X's size."""
-    rows, k = len(indptr) - 1, (X.shape[1] if X.ndim == 2 else 1)
-    for arr, size in ((X, X.shape[0] * k), (out, rows * k)):
-        if arr.dtype != np.float64 or not arr.flags.c_contiguous or arr.size != size:
-            raise ValueError("CSR product operands must be C-ordered float64 of matching size")
-    out.fill(0.0)
-    if k == 1:
-        _sparsetools.csr_matvec(rows, X.shape[0], indptr, indices, data, X.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(rows, X.shape[0], k, indptr, indices, data, X.ravel(), out.ravel())
-    return out
-
-
-def _block_products(csr, W: np.ndarray):
-    """Yield ``(rows, P)`` with P = csr[rows] @ W for the blocks of
-    :func:`_block_slices`, each from :func:`_csr_product` on the CSR's own
-    arrays.  Every P is a view of one buffer, overwritten by the next block."""
+def _block_products(indptr, indices, data, W: np.ndarray):
+    """Yield ``(rows, P)`` with P = A[rows] @ W for the blocks of
+    :func:`_block_slices`, A the CSR ``(indptr, indices, data)``, each from
+    :func:`~rowsketch.matrix._csr_product` on A's own arrays.  Every P is a
+    view of one buffer, overwritten by the next block."""
     W = np.ascontiguousarray(W, dtype=np.float64)
-    slices = _block_slices(csr.shape[0])
+    slices = _block_slices(len(indptr) - 1)
     buf = np.empty((slices[0].stop, W.shape[1]))
     for rows in slices:
         P = buf[:rows.stop - rows.start]
-        yield rows, _csr_product(csr.indptr[rows.start:rows.stop + 1], csr.indices, csr.data, W, P)
+        yield rows, _csr_product(indptr[rows.start:rows.stop + 1], indices, data, W, P)
 
 
-def _whitened_gram(csr, W: np.ndarray) -> np.ndarray:
-    """T'T for the whitened rows T = A @ W of the scipy CSR ``csr``, summed
-    over its row blocks, so T is never formed past 16384 rows."""
+def _whitened_gram(indptr, indices, data, W: np.ndarray) -> np.ndarray:
+    """T'T for the whitened rows T = A @ W of the CSR ``(indptr, indices,
+    data)``, summed over its row blocks, so T is never formed past 16384 rows."""
     G = np.zeros((W.shape[1], W.shape[1]))
-    for _, T in _block_products(csr, W):
+    for _, T in _block_products(indptr, indices, data, W):
         G += T.T @ T
     return G
 
@@ -248,22 +232,22 @@ def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
     entries from about 1e-300 to 1e300: a row whose ||a_i||^2 overflows, or
     makes KERNEL_TOL^2 ||a_i||^2 subnormal, is first divided by its largest |entry|."""
     vals, infinite = np.empty(A.n_rows), np.zeros(A.n_rows, dtype=bool)
-    csr = A.to_scipy()
+    off, col, val = A.row_offsets, A.col_indices, A.values
     ones = np.ones(A.n_cols)
-    for rows, P in _block_products(csr, W):
+    for rows, P in _block_products(off, col, val, W):
         vals[rows] = np.einsum("ij,ij->i", P[:, :r], P[:, :r])
         if W.shape[1] == r:
             continue
-        ptr = csr.indptr[rows.start:rows.stop + 1]
+        ptr = off[rows.start:rows.stop + 1]
         first, last = ptr[0], ptr[-1]
         with np.errstate(over="ignore"):  # overflowed rows are redone below
-            sq = _csr_product(ptr - first, csr.indices[first:last], np.square(csr.data[first:last]),
+            sq = _csr_product(ptr - first, col[first:last], np.square(val[first:last]),
                               ones, np.empty(len(ptr) - 1))
             ksq = np.einsum("ij,ij->i", P[:, r:], P[:, r:])
         nonempty = np.diff(ptr) > 0
         odd = np.flatnonzero((sq == np.inf) | (nonempty & (sq < _TINY / KERNEL_TOL ** 2)))
         if odd.size:
-            dense = csr[rows.start + odd].toarray()
+            dense = _csr_dense(*_csr_gather(off, col, val, rows.start + odd), A.n_cols)
             top = np.abs(dense).max(axis=1, keepdims=True, initial=_TINY)  # > 0 for stored zeros
             sq[odd] = ((dense / top) ** 2).sum(axis=1)
             ksq[odd] = ((P[odd, r:] / top) ** 2).sum(axis=1)
@@ -281,7 +265,7 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     blocked pass (:func:`_sample_whitened`, after Rokhlin and Tygert, PNAS
     2008), which gives a d x d M.  Below 2d rows M = A.  Everywhere else,
     and where the sampled pass cannot reach the accuracy of the dense factor,
-    M is the d x d triangular factor R of :func:`_tsqr`, A = QR, so the SVD
+    M is the d x d triangular factor R of :func:`_r_fold`, A = QR, so the SVD
     never forms the n x d U it would throw away (Chan's R-SVD, ACM TOMS
     8(1), 1982).  A of at most 16384 rows is one block there, and LAPACK's
     ``gesdd`` QR-factors any input past about 11d/6 rows the same way first,
@@ -289,32 +273,41 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     condition number of A is never squared, and no more than one block of A
     is dense at a time.
     """
-    csr = A.to_scipy()
-    n, d = csr.shape
-    if n > _DENSE_MAX_ROWS:
+    n, d = A.shape
+    if n > _DENSE_MAX_ROWS:  # the scipy CSR these take shares A's arrays
+        csr = A.to_scipy()
         M = _sample_whitened(csr)
+        if M is None:
+            M = _tsqr(csr)
+    elif n < 2 * d:
+        M = _csr_dense(A.row_offsets, A.col_indices, A.values, d)
     else:
-        M = csr.toarray() if n < 2 * d else None
-    if M is None:
-        M = _tsqr(csr)
+        M = _r_fold(A.row_offsets, A.col_indices, A.values, d)
     _, s, vh = np.linalg.svd(M, full_matrices=False)
     r = int((s > RANK_RTOL * s.max(initial=0.0)).sum())
     return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy())
 
 
 def _tsqr(csr) -> np.ndarray:
-    """The triangular R with R'R = A'A, folded over the blocks of
-    :func:`_block_slices` (Demmel, Grigori, Hoemmen and Langou,
-    arXiv:0808.2664): the first block's R from :func:`_r_factor`, then each
-    later block stacked under the running R and factored again.  The first
-    block is densified in Fortran order when it stores at most a quarter of
-    its entries; LAPACK reads the same values either way, so R keeps its bits."""
-    first, *rest = _block_slices(csr.shape[0])
-    block = csr[first] if rest else csr
-    sparse = block.nnz <= _FORTRAN_MAX_DENSITY * block.shape[0] * block.shape[1]
-    R = _r_factor(block.toarray(order="F" if sparse else "C"))
+    """:func:`_r_fold` on the arrays of the scipy CSR ``csr``."""
+    return _r_fold(csr.indptr, csr.indices, csr.data, csr.shape[1])
+
+
+def _r_fold(indptr, indices, data, d: int) -> np.ndarray:
+    """The triangular R with R'R = A'A for the d-column CSR ``(indptr,
+    indices, data)``, folded over the blocks of :func:`_block_slices`
+    (Demmel, Grigori, Hoemmen and Langou, arXiv:0808.2664): the first
+    block's R from :func:`_r_factor`, then each later block stacked under
+    the running R and factored again.  Blocks are densified from A's own
+    arrays, the first in Fortran order when it stores at most a quarter of
+    its entries; LAPACK reads the same values either way, so R keeps its
+    bits."""
+    first, *rest = _block_slices(len(indptr) - 1)
+    stored = int(indptr[first.stop]) - int(indptr[first.start])
+    order = "F" if stored <= _FORTRAN_MAX_DENSITY * (first.stop - first.start) * d else "C"
+    R = _r_factor(_csr_dense(indptr[first.start:first.stop + 1], indices, data, d, order))
     for rows in rest:
-        R = _r_factor(np.vstack([R, csr[rows].toarray()]))
+        R = _r_factor(np.vstack([R, _csr_dense(indptr[rows.start:rows.stop + 1], indices, data, d)]))
     return R
 
 
@@ -344,15 +337,16 @@ def _sample_whitened(csr) -> np.ndarray | None:
     an H with lambda_min below d * eps / 1e-12 sends A to TSQR, as do an
     all-zero sample and a G that is not finite.
     """
-    n, d = csr.shape
-    _, ss, vh = np.linalg.svd(_r_factor(csr[::-(-n // _BLOCK_ROWS)].toarray()))
+    (n, d), arrays = csr.shape, (csr.indptr, csr.indices, csr.data)
+    sample = _csr_gather(*arrays, np.arange(0, n, -(-n // _BLOCK_ROWS)))
+    _, ss, vh = np.linalg.svd(_r_factor(_csr_dense(*sample, d)))
     if not ss.size or ss[0] == 0.0:
         return None
     scale = np.full(d, ss[0])
     kept = int((ss > RANK_RTOL * ss[0]).sum())
     scale[:kept] = ss[:kept]
     with np.errstate(over="ignore", invalid="ignore"):  # a G that overflows is refused
-        G = _whitened_gram(csr, vh.T / scale)
+        G = _whitened_gram(*arrays, vh.T / scale)
     if not np.isfinite(G).all():
         return None
     norms = np.sqrt(np.diag(G))

@@ -6,19 +6,30 @@ as index/weight pairs).  Everything downstream operates on rows, so the
 layout gives O(1) row slicing.  Column count d is assumed small enough that
 dense d x d work is cheap; n-length dense vectors must fit in memory.
 
-Readers try numpy's C reader, then a line scanner that locates every fault
-at ``path:line``.  Every TSV goes through :class:`_IndexedTsv`, each format
-a few vectorized rules over it.  Numbers follow numpy's grammar, so
-Python's ``_`` digit separators are refused.
+Row gathers, densified blocks and products with A and A' run the C++
+routines of ``scipy.sparse._sparsetools`` that scipy's own ``csr_matrix``
+methods run, called here and nowhere else, directly on the CSR arrays of a
+matrix or of a block of its rows.  The same routine on the same operands
+does the same arithmetic in the same order, so every result keeps scipy's
+bits, and no scipy object is built per gather, block or product.
+
+Readers hand numpy's C reader the file's path, and a line scanner locates
+every fault at ``path:line``.  Every TSV goes through :class:`_IndexedTsv`,
+each format a few vectorized rules over it.  Numbers follow numpy's
+grammar, so Python's ``_`` digit separators are refused.
 """
 
 from __future__ import annotations
 
+import lzma
+import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 
 class MatrixFormatError(ValueError):
@@ -132,7 +143,7 @@ class SparseRowMatrix:
         return sp.csr_matrix((self.values, self.col_indices, self.row_offsets), shape=self.shape)
 
     def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+        return _csr_dense(self.row_offsets, self.col_indices, self.values, self.n_cols)
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and values of row i (views, O(1))."""
@@ -148,8 +159,80 @@ class SparseRowMatrix:
         return out
 
     def dot_dense(self, X: np.ndarray) -> np.ndarray:
-        """A @ X for a dense vector or d x k block."""
-        return self.to_scipy() @ X
+        """A @ X for a dense vector or d x k block, with the bits of ``csr @ X``."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim not in (1, 2) or X.shape[0] != self.n_cols:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {X.shape}")
+        out = np.empty((self.n_rows, *X.shape[1:]))
+        return _csr_product(self.row_offsets, self.col_indices, self.values, X, out)
+
+
+# ---------------------------------------------------------------------------
+# CSR kernels: scipy's own routines on the arrays of a CSR or of a row block
+# ---------------------------------------------------------------------------
+#
+# Each takes ``indptr`` (one offset per row and one more, into ``indices``
+# and ``data``), so the rows lo..hi of a matrix are ``indptr[lo:hi + 1]`` on
+# its whole ``indices`` and ``data``, read in place.  Index arrays share one
+# dtype, int32 or int64, as SparseRowMatrix keeps them.
+
+
+def _csr_product(indptr, indices, data, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` set to M @ X for the CSR rows M, through the kernel scipy's
+    ``csr @ X`` runs, so with its bits: ``csr_matvec`` for a vector or one
+    column, else ``csr_matvecs``.  The kernel checks no layout, so this
+    checks that X and ``out`` are C-ordered float64 of M @ X's size."""
+    rows, k = len(indptr) - 1, (X.shape[1] if X.ndim == 2 else 1)
+    for arr, size in ((X, X.shape[0] * k), (out, rows * k)):
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous or arr.size != size:
+            raise ValueError("CSR product operands must be C-ordered float64 of matching size")
+    out.fill(0.0)
+    if k == 1:
+        _sparsetools.csr_matvec(rows, X.shape[0], indptr, indices, data, X.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(rows, X.shape[0], k, indptr, indices, data, X.ravel(), out.ravel())
+    return out
+
+
+def _transpose_dot(A: SparseRowMatrix, r: np.ndarray) -> np.ndarray:
+    """A' @ r for the float64 n-vector r: scipy's ``csr.T @ r``, which reads
+    A's arrays as the CSC of A' and runs ``csc_matvec``, with no CSC built."""
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    if r.shape != (A.n_rows,):
+        raise ValueError(f"dimension mismatch: {A.shape[::-1]} @ {r.shape}")
+    out = np.zeros(A.n_cols)
+    _sparsetools.csc_matvec(A.n_cols, A.n_rows, A.row_offsets, A.col_indices, A.values, r, out)
+    return out
+
+
+def _csr_gather(indptr, indices, data, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of the CSR rows ``rows``, in that order:
+    scipy's ``csr[rows]`` through ``csr_row_index``, into fresh arrays."""
+    rows = np.asarray(rows, dtype=indptr.dtype)
+    ptr = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(indptr[rows + 1] - indptr[rows], out=ptr[1:])
+    idx, val = np.empty(int(ptr[-1]), dtype=indptr.dtype), np.empty(int(ptr[-1]))
+    if rows.size:
+        _sparsetools.csr_row_index(rows.size, rows, indptr, indices, data, idx, val)
+    return ptr, idx, val
+
+
+def _csr_dense(indptr, indices, data, n_cols: int, order: str = "C") -> np.ndarray:
+    """The CSR rows as a dense array: scipy's ``csr.toarray(order)``, which
+    adds each entry into zeros by ``csr_todense``; in Fortran order it runs
+    ``csr_tocsc`` on the rows first and densifies that CSC as the
+    transposed CSR it is."""
+    rows = len(indptr) - 1
+    out = np.zeros((rows, n_cols), order=order)
+    if order == "C":
+        _sparsetools.csr_todense(rows, n_cols, indptr, indices, data, out)
+        return out
+    lo, hi = int(indptr[0]), int(indptr[-1])  # csr_tocsc reads offsets from 0
+    cptr = np.empty(n_cols + 1, dtype=indptr.dtype)
+    cidx, cval = np.empty(hi - lo, dtype=indptr.dtype), np.empty(hi - lo)
+    _sparsetools.csr_tocsc(rows, n_cols, indptr - lo, indices[lo:hi], data[lo:hi], cptr, cidx, cval)
+    _sparsetools.csr_todense(n_cols, rows, cptr, cidx, cval, out.T)
+    return out
 
 
 @dataclass(frozen=True)
@@ -197,9 +280,10 @@ def materialize(A: SparseRowMatrix, S: WeightedRowSample) -> SparseRowMatrix:
     if S.parent_rows != A.n_rows:
         raise ValueError(f"sample built for {S.parent_rows} rows, matrix has {A.n_rows}")
     S.validate()
-    sub = A.to_scipy()[S.row_indices]  # rows copied whole, so still sorted
-    vals = sub.data * np.repeat(S.weights, np.diff(sub.indptr))
-    return SparseRowMatrix(len(S), A.n_cols, sub.indptr, sub.indices, vals)
+    # rows copied whole, so still sorted, then weighted in place
+    ptr, idx, vals = _csr_gather(A.row_offsets, A.col_indices, A.values, S.row_indices)
+    vals *= np.repeat(S.weights, np.diff(ptr))
+    return SparseRowMatrix(len(S), A.n_cols, ptr, idx, vals)
 
 
 def scale_rows(A: SparseRowMatrix, w: np.ndarray) -> SparseRowMatrix:
@@ -274,8 +358,11 @@ def _plain_text(path: str) -> bool:
     return True
 
 
-def _load_body(fh, dtype, delimiter=None) -> np.ndarray:
-    """The rest of the open text handle ``fh`` through ``np.loadtxt``.
+def _load_body(path: str, skip: int, dtype, delimiter=None) -> np.ndarray:
+    """The lines of the plain-text file ``path`` after its first ``skip``,
+    through ``np.loadtxt``.  Given a path, numpy's C reader reads the file in
+    chunks; given an open handle it would take the lines one by one through
+    Python.  The path is absolute, so numpy never reads it as a URL.
 
     ``comments=None``: the default ``'#'`` would drop text the scanners
     reject.  Warnings are errors because on numpy 1.x ``loadtxt`` truncates
@@ -284,8 +371,14 @@ def _load_body(fh, dtype, delimiter=None) -> np.ndarray:
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+        return np.loadtxt(os.path.abspath(path), dtype=dtype, delimiter=delimiter, comments=None,
+                          ndmin=1, skiprows=skip, encoding="ascii")
 
+
+# What the fast readers raise on a file that numpy's reader does not take: a
+# parse error, a warning made an error, or the fault of the decompressor
+# numpy opens a name ending in .gz, .bz2, .xz or .lzma with, on plain text.
+_NOT_TAKEN = (ValueError, Warning, OSError, EOFError, lzma.LZMAError)
 
 _COORDINATE_ENTRY = np.dtype([("i", "<i8"), ("j", "<i8"), ("v", "<f8")])
 
@@ -298,16 +391,16 @@ def _read_matrix_market_fast(path: str) -> SparseRowMatrix | None:
     try:
         with open(path, "r", encoding="ascii") as fh:
             fmt = _mm_header(fh.readline().split(), path)
-            for line in fh:
+            for skip, line in enumerate(fh, start=2):
                 if line.strip() and not line.lstrip().startswith("%"):
                     break
             else:
                 return None
-            dims = _mm_size(line.split(), fmt, path, None)
-            if min(dims) <= 0:
-                return None
-            body = _load_body(fh, _COORDINATE_ENTRY if fmt == "coordinate" else np.float64)
-    except (ValueError, Warning):
+        dims = _mm_size(line.split(), fmt, path, None)
+        if min(dims) <= 0:
+            return None
+        body = _load_body(path, skip, _COORDINATE_ENTRY if fmt == "coordinate" else np.float64)
+    except _NOT_TAKEN:
         return None
     try:  # an index out of range or a value not finite is left to the scanner
         if fmt == "array" and body.shape == (dims[0] * dims[1],):
@@ -427,28 +520,26 @@ def _scan_matrix_market(path: str) -> SparseRowMatrix:
     return SparseRowMatrix.from_dense(dense)
 
 
-_WRITE_BLOCK = 4096  # lines per joined write: few calls, bounded memory
+_WRITE_BLOCK = 4096  # lines per format and write: few calls, bounded memory
 
 
-def _write_blocks(fh, n: int, lines) -> None:
-    """Write ``lines(block)``, a list of text lines, for consecutive slices
-    ``block`` of ``range(n)``, one joined write per block."""
-    for lo in range(0, n, _WRITE_BLOCK):
-        fh.write("".join(lines(slice(lo, lo + _WRITE_BLOCK))))
+def _write_lines(fh, line: str, *columns: np.ndarray) -> None:
+    """Write the ``%`` template ``line`` once per entry of the equal-length
+    ``columns``, filled from their entries in turn: one format and one
+    write per block of 4096 lines."""
+    for lo in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = [c[lo:lo + _WRITE_BLOCK].tolist() for c in columns]
+        fh.write(line * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def write_matrix_market(path, A: SparseRowMatrix) -> None:
     """Write coordinate real general format; values keep 17 significant digits."""
     rows = np.repeat(np.arange(1, A.n_rows + 1), np.diff(A.row_offsets))
-
-    def lines(block: slice) -> list[str]:
-        return [f"{i} {j + 1} {v:.17g}\n" for i, j, v in zip(
-            rows[block].tolist(), A.col_indices[block].tolist(), A.values[block].tolist())]
-
     with open(str(path), "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{A.n_rows} {A.n_cols} {A.nnz}\n")
-        _write_blocks(fh, A.nnz, lines)
+        # a column index is below n_cols, so one more fits its dtype
+        _write_lines(fh, "%d %d %.17g\n", rows, A.col_indices + 1, A.values)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +560,8 @@ def _read_tsv_fast(path: str, n_header: int):
     try:
         with open(path, "r", encoding="ascii") as fh:
             head = [fh.readline().rstrip("\n") for _ in range(n_header)]
-            body = _load_body(fh, _INDEXED_ENTRY, "\t")
-    except (ValueError, Warning):
+        body = _load_body(path, n_header, _INDEXED_ENTRY, "\t")
+    except _NOT_TAKEN:
         return None
     odd = np.flatnonzero(~np.isfinite(body["v"])).tolist()
     tokens = {}
@@ -576,17 +667,11 @@ def write_indexed_column(dest, header: str, values, indices=None, infinite=None)
         with open(str(dest), "w", encoding="ascii") as fh:
             return write_indexed_column(fh, header, values, indices, infinite)
     vals = np.asarray(values, dtype=np.float64)
+    if infinite is not None:
+        vals = np.where(np.asarray(infinite, dtype=bool), np.inf, vals)  # %.17g spells it inf
     rows = np.arange(vals.size) if indices is None else np.asarray(indices)
-    flags = np.zeros(vals.size, dtype=bool) if infinite is None else np.asarray(infinite, dtype=bool)
     dest.write(header + "\n")
-
-    def lines(block: slice) -> list[str]:
-        toks = [format(v, ".17g") for v in vals[block].tolist()]
-        for k in np.flatnonzero(flags[block]).tolist():
-            toks[k] = "inf"
-        return [f"{i}\t{t}\n" for i, t in zip(rows[block].tolist(), toks)]
-
-    _write_blocks(dest, vals.size, lines)
+    _write_lines(dest, "%d\t%.17g\n", rows, vals)
 
 
 SAMPLE_HEADER = "row_index\tweight"

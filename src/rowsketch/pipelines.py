@@ -22,7 +22,7 @@ import numpy as np
 from .fastlev import approx_generalized_leverage, estimate_cost
 from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import (SparseRowMatrix, WeightedRowSample, _binade_shift, _binade_shifted,
-                     materialize)
+                     _transpose_dot, materialize)
 from .sampling import SketchConfig, _undersample, log_dim, rng_from, sample
 
 
@@ -394,7 +394,7 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray,
     r = b - Ax and stops once ||A'r|| <= tol ||A'b||; see :func:`_prologue`
     and :func:`_epilogue` for the scaling and the reported residual.
     """
-    csr, b, rhs, ea, eb = _prologue(A, b, tol, max_iters)
+    A, b, rhs, ea, eb = _prologue(A, b, tol, max_iters)
     W = (np.eye(A.n_cols) if preconditioner is None else
          preconditioner.right_singular_vectors / np.ldexp(preconditioner.singular_values, ea))
     bound = tol * float(np.linalg.norm(rhs))
@@ -404,7 +404,7 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray,
     p, gamma = s, float(s @ s)
     iterations = 0
     for k in range(1, max_iters + 1):
-        q = csr @ (W @ p)
+        q = A.dot_dense(W @ p)
         delta = float(q @ q)
         if delta <= 0.0:
             break
@@ -412,14 +412,14 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray,
         y = y + step * p
         r = r - step * q
         iterations = k
-        g = csr.T @ r
+        g = _transpose_dot(A, r)
         if float(np.linalg.norm(g)) <= bound:
             break
         s = W.T @ g
         gamma_new = float(s @ s)
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
-    return _epilogue(csr, b, rhs, W @ y, iterations, tol, ea - eb)
+    return _epilogue(A, b, rhs, W @ y, iterations, tol, ea - eb)
 
 
 def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
@@ -432,29 +432,32 @@ def normal_equations_gradient_descent(A: SparseRowMatrix, b: np.ndarray,
     instances this stalls, which is exactly what sketch preconditioning
     repairs.  Stops, checks, scales and reports as :func:`normal_equations_cg`.
     """
-    csr, b, rhs, ea, eb = _prologue(A, b, tol, max_iters)
+    A, b, rhs, ea, eb = _prologue(A, b, tol, max_iters)
     bound = tol * float(np.linalg.norm(rhs))
     x = np.zeros(A.n_cols)
     iterations = 0
     if rhs.any():  # else x = 0 solves it, and A may be all zero
         v = rng_from(0, "power-iteration").standard_normal(A.n_cols)
         for _ in range(10):
-            v = csr.T @ (csr @ v)
+            v = _transpose_dot(A, A.dot_dense(v))
             v /= np.linalg.norm(v)
-        step = 1.0 / float(v @ (csr.T @ (csr @ v)))
+        step = 1.0 / float(v @ _transpose_dot(A, A.dot_dense(v)))
         while iterations < max_iters:
-            g = csr.T @ (b - csr @ x)
+            g = _transpose_dot(A, b - A.dot_dense(x))
             if float(np.linalg.norm(g)) <= bound:
                 break
             x = x + step * g
             iterations += 1
-    return _epilogue(csr, b, rhs, x, iterations, tol, ea - eb)
+    return _epilogue(A, b, rhs, x, iterations, tol, ea - eb)
 
 
 def _prologue(A: SparseRowMatrix, b: np.ndarray, tol: float, max_iters: int):
-    """Check a solver's arguments; return ``(2^ea A as scipy CSR, 2^eb b,
-    their A'b, ea, eb)`` with the shifts of :func:`_binade_shift`.  That is
-    exact, and the solution is 2^(ea - eb) times that of the shifted system."""
+    """Check a solver's arguments; return ``(2^ea A, 2^eb b, their A'b, ea,
+    eb)`` with the shifts of :func:`_binade_shift`.  That is exact, and the
+    solution is 2^(ea - eb) times that of the shifted system.  Products with
+    A and A' run scipy's kernels on A's arrays (``A.dot_dense`` and
+    :func:`~rowsketch.matrix._transpose_dot`), with the bits of ``csr @ x``
+    and ``csr.T @ r`` and no scipy object per step."""
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError("right-hand side length must equal n_rows")
@@ -464,16 +467,17 @@ def _prologue(A: SparseRowMatrix, b: np.ndarray, tol: float, max_iters: int):
         raise ValueError("max_iters must be at least 1")
     A, ea = _binade_shifted(A)
     eb = _binade_shift(b)
-    csr = A.to_scipy()
     b = np.ldexp(b, eb)
-    return csr, b, csr.T @ b, ea, eb
+    return A, b, _transpose_dot(A, b), ea, eb
 
 
-def _epilogue(csr, b, rhs, x, iterations: int, tol: float, shift: int) -> SolveResult:
+def _epilogue(A: SparseRowMatrix, b, rhs, x, iterations: int, tol: float,
+              shift: int) -> SolveResult:
     """x of the shifted system scaled back by 2^shift, with ||A'(b - Ax)|| /
     ||A'b|| recomputed on it (0 when A'b = 0) deciding ``converged``."""
     rhs_norm = float(np.linalg.norm(rhs))
-    rel = float(np.linalg.norm(csr.T @ (b - csr @ x))) / rhs_norm if rhs_norm else 0.0
+    g = _transpose_dot(A, b - A.dot_dense(x))
+    rel = float(np.linalg.norm(g)) / rhs_norm if rhs_norm else 0.0
     return SolveResult(np.ldexp(x, shift), iterations, rel, rel <= tol)
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leverage import ScoreVector, _csr_product, exact_leverage_scores, factor_gram
-from .matrix import (SparseRowMatrix, _IndexedTsv, _binade_shifted, scale_rows,
+from .leverage import ScoreVector, exact_leverage_scores, factor_gram
+from .matrix import (SparseRowMatrix, _csr_product, _IndexedTsv, _binade_shifted, scale_rows,
                      write_indexed_column)
 from .verify import _pencil_eigenvalues
 
@@ -136,7 +136,6 @@ class _ScoreState:
 
     def __init__(self, A: SparseRowMatrix):
         self.A = A
-        self.csr = A.to_scipy()
         self.w = np.ones(A.n_rows)
         self.cross = np.empty(A.n_rows)
         self.updates = 0
@@ -156,7 +155,7 @@ class _ScoreState:
         b = self.A.row_dense(i) * self.w[i]
         Pb = self.P @ b
         denom = 1.0 - gamma * float(b @ Pb)
-        cross = _csr_product(self.csr.indptr, self.csr.indices, self.csr.data, Pb, self.cross)
+        cross = _csr_product(self.A.row_offsets, self.A.col_indices, self.A.values, Pb, self.cross)
         cross *= self.w
         _rank_one_step(self.tau, cross, i, gamma)
         self.P = self.P + gamma * np.outer(Pb, Pb) / denom

@@ -2,6 +2,7 @@
 
 import io
 import re
+import types
 import warnings
 
 import numpy as np
@@ -737,3 +738,197 @@ class TestOneCsr:
         assert fb.right_singular_vectors.tobytes() == fr.right_singular_vectors.tobytes()
         assert (exact_leverage_scores(B).values.tobytes()
                 == exact_leverage_scores(rebuilt).values.tobytes())
+
+
+class TestCsrKernels:
+    """The scipy kernels that matrix.py calls on CSR arrays give, byte for
+    byte, what scipy's own objects give: row gathers, densified blocks and
+    the products with A and A' that CGLS takes.
+
+    Index arrays come int32, as every matrix that fits keeps them, and
+    int64.  A SparseRowMatrix is int64 only past int32 shapes, so
+    ``materialize`` runs on the 3 x 2^31 matrix of TestOneCsr; densifying
+    or multiplying that one would take 2^31-long arrays, so the other
+    kernels take the arrays of the small matrices cast to int64.
+    """
+
+    @staticmethod
+    def matrices(rng):
+        dense = rng.standard_normal((40, 7)) * (rng.random((40, 7)) < 0.4)
+        dense[[3, 17]] = 0.0
+        A = SparseRowMatrix.from_dense(dense)
+        w = rng.uniform(-2.0, 2.0, 40)
+        w[rng.random(40) < 0.3] = 0.0  # stored zeros, some of them -0.0
+        return {"sparse": A, "zero-weights": scale_rows(A, w),
+                "0-rows": SparseRowMatrix.from_dense(np.zeros((0, 5))),
+                "0-cols": SparseRowMatrix.from_dense(np.zeros((4, 0)))}
+
+    @staticmethod
+    def assert_same_csr(got, want):
+        assert got.shape == want.shape
+        for mine, theirs in ((got.row_offsets, want.indptr), (got.col_indices, want.indices),
+                             (got.values, want.data)):
+            assert mine.tolist() == theirs.tolist()
+        assert got.values.tobytes() == want.data.tobytes()
+
+    @staticmethod
+    def arrays(A, dtype):
+        return A.row_offsets.astype(dtype), A.col_indices.astype(dtype), A.values
+
+    def test_materialize_is_scipy_fancy_index_times_weights(self, rng):
+        for name, A in self.matrices(rng).items():
+            n = A.n_rows
+            picks = [np.empty(0, dtype=np.int64), rng.permutation(n)[:n // 2],
+                     np.sort(rng.permutation(n)[:n // 3]), np.arange(n)]
+            for idx in picks:
+                w = rng.uniform(0.1, 3.0, idx.size)
+                got = materialize(A, WeightedRowSample(n, idx, w))
+                sub = A.to_scipy()[idx]
+                sub.data = sub.data * np.repeat(w, np.diff(sub.indptr))
+                self.assert_same_csr(got, sub)
+                assert got.row_offsets.dtype == np.int32, name
+
+    def test_materialize_int64_index_matrix(self):
+        n_cols = 2 ** 31
+        A = SparseRowMatrix.from_coo(3, n_cols, [1, 2, 2], [n_cols - 1, 5, 7], [2.5, -1.0, 3.0])
+        for idx, w in (([2, 1], [0.5, 4.0]), ([1], [3.0]), ([], [])):
+            idx = np.array(idx, dtype=np.int64)
+            got = materialize(A, WeightedRowSample(3, idx, np.array(w)))
+            assert got.row_offsets.dtype == got.col_indices.dtype == np.int64
+            sub = A.to_scipy()[idx]
+            sub.data = sub.data * np.repeat(np.array(w), np.diff(sub.indptr))
+            self.assert_same_csr(got, sub)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_block_densify_is_scipy_toarray(self, rng, dtype, order):
+        for name, A in self.matrices(rng).items():
+            ptr, idx, val = self.arrays(A, dtype)
+            csr, n = A.to_scipy(), A.n_rows
+            for lo, hi in ((0, n), (min(3, n), min(17, n)), (n // 2, n // 2), (n // 3, n)):
+                got = matrix._csr_dense(ptr[lo:hi + 1], idx, val, A.n_cols, order)
+                want = csr[lo:hi].toarray(order=order)
+                assert got.shape == want.shape and got.tobytes(order="A") == want.tobytes(order="A")
+                assert got.flags.f_contiguous if order == "F" else got.flags.c_contiguous, name
+            rows = rng.permutation(n)[:n // 2]
+            got = matrix._csr_dense(*matrix._csr_gather(ptr, idx, val, rows), A.n_cols, order)
+            assert got.tobytes(order="A") == csr[rows].toarray(order=order).tobytes(order="A")
+
+    def test_to_dense_is_scipy_toarray(self, rng):
+        for A in self.matrices(rng).values():
+            assert A.to_dense().tobytes() == A.to_scipy().toarray().tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_products_are_scipy_matmul(self, rng, dtype):
+        for name, A in self.matrices(rng).items():
+            n, d = A.shape
+            csr = A.to_scipy()
+            # A as CGLS sees it, and a stand-in holding the index arrays in dtype
+            ptr, idx, val = self.arrays(A, dtype)
+            wide = types.SimpleNamespace(n_rows=n, n_cols=d, shape=(n, d), row_offsets=ptr,
+                                         col_indices=idx, values=val)
+            for x in (rng.standard_normal(d), rng.standard_normal((d, 1)),
+                      rng.standard_normal((d, 3))):
+                assert A.dot_dense(x).tobytes() == (csr @ x).tobytes(), name
+                out = np.empty((n, *x.shape[1:]))
+                assert matrix._csr_product(ptr, idx, val, x, out).tobytes() == (csr @ x).tobytes()
+            r = rng.standard_normal(n)
+            for B in (A, wide):
+                got = matrix._transpose_dot(B, r)
+                assert got.shape == (d,) and got.tobytes() == (csr.T @ r).tobytes(), name
+
+    def test_products_check_shapes(self):
+        A = gaussian_matrix(5, 3, 0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            A.dot_dense(np.ones(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matrix._transpose_dot(A, np.ones(3))
+
+    def test_no_scipy_matrix_per_call(self, monkeypatch):
+        """A sketch, a spectral check and a preconditioned solve build at
+        most one scipy compressed matrix per Gram factorization (past 16384
+        rows, a CSR on A's own arrays for its sampled pass and TSQR);
+        materialize, the scoring passes and the CGLS iterations build none."""
+        from scipy.sparse._compressed import _cs_matrix
+
+        import rowsketch
+        from rowsketch import (SketchConfig, pipelines, precondition_solve, repeated_halving,
+                               spectral_check)
+
+        A = gaussian_matrix(2048, 16, 7)
+        b = np.random.default_rng(8).standard_normal(2048)
+        built, grams = [], []
+        init = _cs_matrix.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        def counted_gram(A):
+            grams.append(A.shape)
+            return factor_gram(A)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counted_init)
+        for mod in [m for n, m in vars(rowsketch).items() if n in (
+                "leverage", "fastlev", "pipelines", "verify", "reweight")] + [rowsketch]:
+            if getattr(mod, "factor_gram", None) is factor_gram:
+                monkeypatch.setattr(mod, "factor_gram", counted_gram)
+        A.to_scipy()
+        assert built == ["csr_matrix"]  # the count sees scipy's constructor
+        built.clear()
+
+        S = WeightedRowSample(2048, np.arange(0, 2048, 3), np.full(683, 1.5))
+        B = materialize(A, S)
+        assert built == []
+        sketch = repeated_halving(A, SketchConfig(seed=3))
+        spectral_check(A, materialize(A, sketch.sample), sketch.check_lambda)
+        precondition_solve(A, b, sketch)
+        assert len(built) <= len(grams) and grams
+        f = factor_gram(B)
+        built.clear()
+        pipelines.normal_equations_cg(A, b, preconditioner=f, max_iters=30)
+        assert built == []
+
+
+class TestReadByPath:
+    """The fast readers hand numpy the file's path, which numpy opens by its
+    name: a plain-text file named like a compressed one still reads as the
+    text it is, through the scanner."""
+
+    @pytest.mark.parametrize("suffix", ["", ".gz", ".bz2", ".xz", ".lzma"])
+    def test_matrix_market_under_any_name(self, tmp_path, suffix):
+        A = gaussian_matrix(30, 4, 3)
+        plain = tmp_path / "a.mtx"
+        write_matrix_market(plain, A)
+        p = tmp_path / ("b.mtx" + suffix)
+        p.write_bytes(plain.read_bytes())
+        assert _outcome(read_matrix_market, p) == _outcome(matrix._scan_matrix_market, str(p))
+        assert _outcome(read_matrix_market, p) == _outcome(read_matrix_market, plain)
+        assert (matrix._read_matrix_market_fast(str(p)) is None) == bool(suffix)
+
+    @pytest.mark.parametrize("suffix", ["", ".gz", ".xz"])
+    def test_scores_under_any_name(self, tmp_path, suffix):
+        s = ScoreVector(np.array([0.5, 0.0, 0.25]), np.array([False, True, False]))
+        p = tmp_path / ("s.tsv" + suffix)
+        write_scores(p, s)
+        got = read_scores(p)
+        assert got.values.tobytes() == s.values.tobytes()
+        assert got.infinite.tolist() == s.infinite.tolist()
+
+
+def test_matrix_market_writer_bytes(tmp_path, rng):
+    """One ``%`` template per block of lines writes what a per-entry
+    ``{:.17g}`` loop writes, across blocks and for every edge value."""
+    n, d = 3000, 5
+    dense = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d))
+    dense[rng.random((n, d)) < 0.5] = 0.0
+    dense[0, :3] = [5e-324, 1.7976931348623157e308, 1.0 / 3.0]
+    assert np.count_nonzero(dense) > 4096  # more than one block of lines
+    for A in (SparseRowMatrix.from_dense(dense), SparseRowMatrix.from_dense(np.zeros((2, 3)))):
+        want = ["%%MatrixMarket matrix coordinate real general\n", f"{A.n_rows} {A.n_cols} {A.nnz}\n"]
+        for i in range(A.n_rows):
+            cols, vals = A.row(i)
+            want += [f"{i + 1} {j + 1} {v:.17g}\n" for j, v in zip(cols.tolist(), vals.tolist())]
+        p = tmp_path / "w.mtx"
+        write_matrix_market(p, A)
+        assert p.read_bytes().splitlines(keepends=True) == "".join(want).encode().splitlines(keepends=True)
