@@ -14,9 +14,9 @@ from rowsketch import (MatrixFormatError, Reweighting, SparseRowMatrix,
                        cross_leverage, exact_leverage_scores, gamma_for_target,
                        min_norm_witness, rank_one_update, read_weights,
                        scale_rows, write_weights)
-from rowsketch import reweight
+from rowsketch import leverage, reweight
 
-from conftest import gaussian_matrix, isolated_direction_matrix, power_law_matrix
+from conftest import gaussian_matrix, isolated_direction_matrix, oracle_leverage, power_law_matrix
 
 
 def reweighted_scores(A, weights):
@@ -221,8 +221,8 @@ GOLDEN_REWEIGHT = {
     ('gaussian', 2048, 16): ('a8ac6bdbc78b0ecc', '0f480c0b2c0d6550', 1, 0, 2048.0),
     ('isolated', 1024, 8): ('5729e726969c57c9', 'e1dada5eca36ffc6', 2, 1, 1023.0),
     ('isolated', 2048, 16): ('af9574460a41cdaf', 'dc5f4feeaeee066a', 2, 1, 2047.0),
-    ('power-law', 1024, 8): ('99a772df710e55a7', 'c244c0f3da0adc6f', 9, 51, 1002.0896775666974),
-    ('power-law', 2048, 16): ('ea016045c41dc2d4', '8f78577091facaef', 9, 104, 2001.5766650561557),
+    ('power-law', 1024, 8): ('a77b9b6ce134cdf9', 'b9212c6026314940', 12, 51, 1002.0896558047396),
+    ('power-law', 2048, 16): ('01f86bc668f33bab', '9f417abd47fbc2c1', 14, 104, 2001.576658831769),
     ('tall-sparse', 20000, 16): ('bcbbe2cbaf004f70', '1f5fa47dd2c09a00', 2, 2, 19998.8799134835),
 }
 
@@ -283,6 +283,58 @@ class TestFactorizationCounts:
         assert cert.factorizations == len(factor_calls) == 2
         np.testing.assert_allclose(cert.achieved, reweighted_scores(A, W.weights), rtol=0, atol=1e-12)
 
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REWEIGHTINGS), ids="{0[0]}-{0[1]}x{0[2]}".format)
+def test_golden_reweighting_meets_dense_oracle(case):
+    A, cap = GOLDEN_REWEIGHTINGS[case]()
+    u = np.full(A.n_rows, cap)
+    W, cert = compute_reweighting(A, u)
+    assert cert.converged
+    assert np.all(oracle_leverage(scale_rows(A, W.weights)) <= u + cert.tol)
+    if case[0] == "power-law":
+        assert cert.reweighted_count == {1024: 51, 2048: 104}[case[1]]
+
+
+def test_sweep_cost_follows_passes_not_updates(monkeypatch):
+    # an update takes a product with the rows above their targets at the
+    # sweep's start, and a sweep one pass over A; one product with all n
+    # rows per update would give about 130 (sweeps + factorizations) n
+    rows = []
+    for mod in (reweight, leverage):
+        def counting(indptr, indices, data, X, out, real=mod._csr_product):
+            rows.append(len(indptr) - 1)
+            return real(indptr, indices, data, X, out)
+        monkeypatch.setattr(mod, "_csr_product", counting)
+    n, d = 4096, 8
+    _, cert = compute_reweighting(power_law_matrix(n, d, 7), np.full(n, 8.0 * d / n))
+    assert cert.converged and cert.updates > 10 * (cert.sweeps_used + cert.factorizations)
+    assert sum(rows) <= 8 * (cert.sweeps_used + cert.factorizations) * n
+
+
+def _two_distinct_rows():
+    rows = np.random.default_rng(0).standard_normal((2, 3))
+    return rows[[0, 1, 0, 0, 1]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dense, alpha", [
+    (np.ones((2, 1)), 0.25), (np.ones((3, 1)), 0.2), (np.ones((4, 1)), 0.1),
+    (_two_distinct_rows(), 0.25)], ids=["ones2", "ones3", "ones4", "two-distinct-5x3"])
+def test_groups_below_their_rank_end_with_honest_certificates(dense, alpha):
+    # targets summing below the rank a group of rows spans: only zero
+    # weights meet them, which no down-weighting reaches, so the run must
+    # end on weights in [0, 1], finite P and a certificate that says so
+    A = SparseRowMatrix.from_dense(dense)
+    u = np.full(A.n_rows, alpha)
+    W, cert = compute_reweighting(A, u)
+    W.validate()
+    assert np.all(np.isfinite(cert.achieved))
+    np.testing.assert_allclose(cert.achieved, reweighted_scores(A, W.weights), rtol=0, atol=1e-9)
+    if cert.converged:
+        assert cert.max_violation <= cert.tol
+    else:
+        assert cert.max_violation > cert.tol
 
 @st.composite
 def reweighting_inputs(draw):
