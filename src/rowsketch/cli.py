@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scores", help="exact, generalized, or sketched leverage scores")
     p.add_argument("matrix", help="Matrix Market file")
     p.add_argument("--wrt", help="reference matrix for generalized scores")
-    p.add_argument("--fast", action="store_true", help="sketched estimation (requires --wrt)")
+    p.add_argument("--fast", action="store_true",
+                   help="d^theta-scaled overestimates (requires --wrt): exact when "
+                        "rank(B) <= ceil(64/theta), Gaussian-sketched otherwise")
     p.add_argument("--theta", type=float, help="distortion exponent for --fast")
     p.add_argument("-o", "--output", help="scores TSV path (default stdout)")
     add_seed(p)

@@ -1,25 +1,37 @@
-"""Sketched generalized leverage scores, with kernel flags from an exact basis.
+"""Generalized leverage overestimates: exact below the JL size, sketched above it.
 
-For a small reference matrix B, tau^B_i(A) = ||B (B'B)^+ a_i||^2.  Instead
-of applying the full projector per row, we apply a seeded Gaussian sketch
-with k = ceil(64 / theta) rows (``SketchConfig.jl_rows_constant``).  With
-B = U diag(sigma) V' of rank r, G B (B'B)^+ = (G U) diag(1/sigma) V' for a k x n_B Gaussian G, and
-G U is itself a k x r standard Gaussian Z.  So the k x d matrix
-M = (1/sqrt(k)) Z diag(1/sigma) V' is drawn in d-space, at the cost of
-k x r draws and no pass over B, with the same distribution as the sketch
-drawn over B's rows (the JL leverage estimator of Drineas et al.,
-arXiv:1109.3843).  ||M a_i||^2 estimates each score within a d^theta
-distortion.  Rows are scored through the min(k, d) x d triangular factor R
-of M, since ||R a_i|| = ||M a_i||: O(min(k, d) nnz(a_i)) per row.  Raw
-sketched norms are multiplied by d^theta so the two-sided distortion turns
-into a one-sided overestimate at the configured confidence.
+For a small reference matrix B = U diag(sigma) V' of rank r,
+tau^B_i(A) = ||B (B'B)^+ a_i||^2 = ||diag(1/sigma) V' a_i||^2.  The JL
+leverage estimator of Drineas et al. (arXiv:1109.3843) replaces the r x d
+block diag(1/sigma) V' by a seeded Gaussian sketch of k = ceil(64 / theta)
+rows (``SketchConfig.jl_rows_constant``), which pays only when k < r.  So
+:func:`approx_generalized_leverage` has two branches, picked by k and
+rank(B) alone:
+
+* k >= rank(B), every pipeline's case for d up to about 380 at
+  theta = 1/ln d: rows are scored exactly, through V diag(1/sigma) in the
+  pass of :func:`~rowsketch.leverage.generalized_leverage_scores`.  Nothing
+  is drawn, and the estimate is d^theta tau^B bit for bit.
+* k < rank(B): with G a k x n_B Gaussian, G B (B'B)^+ = (G U) diag(1/sigma)
+  V', and G U is itself a k x r standard Gaussian Z.  So the k x d matrix
+  M = (1/sqrt(k)) Z diag(1/sigma) V' is drawn in d-space, at the cost of
+  k x r draws and no pass over B, with the distribution of the sketch drawn
+  over B's rows.  ||M a_i||^2 estimates each score within a d^theta
+  distortion.  Rows are scored through the k x d triangular factor R of M,
+  since ||R a_i|| = ||M a_i||: O(k nnz(a_i)) per row.
+
+Both branches multiply by the same safety factor d^theta.  On the sketch
+it turns a two-sided distortion into a one-sided overestimate at the
+configured confidence; on exact scores it keeps the estimate mass, and so
+the rows the pipelines keep, at the scale the sketch gives.
 
 Rows leaning into ker(B) are flagged in the same pass by the rule of the
-exact generalized scores: R' is joined by the orthonormal basis N of ker(B)
-from ``leverage._kernel_basis``, d - rank(B) columns and none at full
-column rank, and a row is flagged when ||N'a_i|| > KERNEL_TOL * ||a_i||,
-for entries from about 1e-300 to 1e300.  So the flags are deterministic and
-equal those of :func:`~rowsketch.leverage.generalized_leverage_scores`;
+exact generalized scores: the row-space block is joined by the orthonormal
+basis N of ker(B) from ``leverage._kernel_basis``, d - rank(B) columns and
+none at full column rank, and a row is flagged when
+||N'a_i|| > KERNEL_TOL * ||a_i||, for entries from about 1e-300 to 1e300.
+So the flags are deterministic and equal those of
+:func:`~rowsketch.leverage.generalized_leverage_scores` on both branches;
 the Gaussian sketch is the only draw.  :func:`kernel_probe`, random
 vectors in ker(B), is kept for callers and checks outside the estimator,
 which no longer draws them.
@@ -42,12 +54,15 @@ def sketch_rows(theta: float, cfg: SketchConfig) -> int:
 
 
 def estimate_cost(theta: float, cfg: SketchConfig) -> int:
-    """Solves one :func:`approx_generalized_leverage` call is charged: one
-    Gram factorization, k sketch rows and a fixed budget of
-    ``cfg.kernel_probes``.  The factorization counts once per call, also
-    where calls share one.  The budget stands for the kernel flags, which
-    take the exact basis of ker(B) and draw no probe; it is kept at the
-    probe count so that every run's ``solve_count`` stays as it was."""
+    """The fixed budget of solves one :func:`approx_generalized_leverage`
+    call is charged: 1 + k + ``cfg.kernel_probes``, k = :func:`sketch_rows`.
+
+    It is a budget, not a count of the work done, and it is the same on
+    both branches, so every run's ``solve_count`` stays as it was: it stands
+    for one Gram factorization (counted once per call, also where calls
+    share one), the k sketch rows, and the kernel flags, which take the
+    exact basis of ker(B) and draw no probe.  An exact-branch call, k >=
+    rank(B), solves against r <= k directions and draws nothing."""
     return 1 + sketch_rows(theta, cfg) + cfg.kernel_probes
 
 
@@ -63,8 +78,9 @@ def build_projector_sketch(f: PseudoinverseFactor, theta: float, cfg: SketchConf
     ``f = factor_gram(B)`` for the reference B = U diag(sigma) V', and Z is
     a k x rank(B) Gaussian, so M has the distribution of (1/sqrt(k)) G B
     (B'B)^+ for a k x n_B Gaussian G, and E ||M a_i||^2 equals tau^B_i
-    exactly.  Its k rows are k solves against the Gram factor (see
-    :func:`estimate_cost`).  At rank 0, M is a k x d zero block.
+    exactly.  At rank 0, M is a k x d zero block.
+    :func:`approx_generalized_leverage` builds it only when k < rank(B);
+    otherwise it scores exactly, and no M is drawn.
     """
     k = sketch_rows(theta, cfg)
     Z = gaussian_sketch(k, f.rank, cfg, salt=salt)
@@ -93,22 +109,31 @@ def kernel_probe(f: PseudoinverseFactor, t_probes: int, cfg: SketchConfig,
 def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
                                 cfg: SketchConfig, salt=(),
                                 factor: PseudoinverseFactor | None = None) -> ScoreVector:
-    """Sketched overestimates of tau^B(A) within a d^(2 theta) envelope.
+    """Overestimates d^theta * tau^B(A), exact or sketched: see the module notes.
 
-    Returns d^theta * ||M a_i||^2 per row (the safety factor making the
-    estimate one-sided).  A row is flagged infinite when ||N'a_i|| exceeds
-    KERNEL_TOL * ||a_i||, N the orthonormal basis of ker(B): the rule, and
-    the flags, of :func:`generalized_leverage_scores`, for entries from
-    about 1e-300 to 1e300.  A B of full column rank flags no row.
-    ``factor``, when given, is the caller's ``factor_gram(B)``, so estimates
-    against one B share one factorization; without it the call factors B.
-    The solves it spends are :func:`estimate_cost` either way.
+    With k = :func:`sketch_rows` (theta, cfg), which validates theta:
+    k >= rank(B) scores A exactly, in the pass of
+    :func:`generalized_leverage_scores`, and returns d^theta * tau^B bit for
+    bit, drawing nothing; k < rank(B) returns d^theta * ||M a_i||^2 for
+    M = :func:`build_projector_sketch` (f, theta, cfg, salt), within a
+    d^(2 theta) envelope of tau^B at the configured confidence.  The
+    d^theta safety factor is the same on both branches.  A row is flagged
+    infinite when ||N'a_i|| exceeds KERNEL_TOL * ||a_i||, N the orthonormal
+    basis of ker(B): the rule, and the flags, of
+    :func:`generalized_leverage_scores`, for entries from about 1e-300 to
+    1e300.  A B of full column rank flags no row.  ``factor``, when given,
+    is the caller's ``factor_gram(B)``, so estimates against one B share one
+    factorization; without it the call factors B.  The solves charged are
+    :func:`estimate_cost` on every branch.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
     if factor is not None and factor.n_cols != A.n_cols:
         raise ValueError(f"factor column mismatch: {factor.n_cols} vs {A.n_cols}")
     f = factor if factor is not None else factor_gram(B)
-    R = _r_factor(build_projector_sketch(f, theta, cfg, salt=salt))  # ||R a|| = ||M a||
-    s = _score_rows(A, np.hstack([R.T, _kernel_basis(f)]), R.shape[0])
+    if sketch_rows(theta, cfg) >= f.rank:  # the sketch would not be smaller: score exactly
+        row_space = f.half_pinv()
+    else:  # R' with ||R a|| = ||M a||
+        row_space = _r_factor(build_projector_sketch(f, theta, cfg, salt=salt)).T
+    s = _score_rows(A, np.hstack([row_space, _kernel_basis(f)]), row_space.shape[1])
     return ScoreVector(max(A.n_cols, 2) ** theta * s.values, s.infinite)

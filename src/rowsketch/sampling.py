@@ -54,9 +54,11 @@ class SketchConfig:
     sketch-distortion exponent; None defers to each routine's per-matrix
     default (1/log d for the pipelines).  ``c`` is the oversampling constant
     in the row-keeping probabilities.  Two constants are not settable:
-    ``jl_rows_constant`` fixes the sketch height ceil(64 / theta), and
-    ``kernel_probes`` the fixed budget ``fastlev.estimate_cost`` charges
-    each estimate for its kernel flags, which draw no probes.
+    ``jl_rows_constant`` fixes the sketch height k = ceil(64 / theta), and
+    so also picks the estimator's branch: a reference of rank at most k is
+    scored exactly, without a draw, and only a larger rank is sketched.
+    ``kernel_probes`` is part of the fixed budget ``fastlev.estimate_cost``
+    charges each estimate, on either branch; no probe is drawn.
     """
 
     epsilon: float = 0.5

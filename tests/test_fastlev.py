@@ -1,5 +1,6 @@
-"""Sketched generalized scores: isotropy, distortion envelope, kernel probes
-and kernel flags, and the cost of one estimator call."""
+"""Generalized score estimates: the exact branch below the sketch size,
+isotropy and distortion envelope of the sketch, kernel probes and kernel
+flags, and the cost of one estimator call."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,19 @@ from rowsketch import (SketchConfig, SparseRowMatrix,
 from rowsketch.fastlev import estimate_cost, sketch_rows
 
 from conftest import gaussian_matrix
+
+
+def recorded_draws(monkeypatch):
+    """The (k, n) shape of every fastlev.gaussian_sketch draw, in call order."""
+    shapes = []
+    real = fastlev.gaussian_sketch
+
+    def recording(k, n, cfg, salt=()):
+        shapes.append((k, n))
+        return real(k, n, cfg, salt=salt)
+
+    monkeypatch.setattr(fastlev, "gaussian_sketch", recording)
+    return shapes
 
 
 class TestProjectorSketch:
@@ -56,21 +70,16 @@ class TestProjectorSketch:
 
     def test_draw_is_k_by_rank_not_k_by_rows(self, monkeypatch):
         # the Gaussian lives in d-space: one estimate against a 5000-row B
-        # draws at most k * d entries, never k * n_B
-        shapes = []
-        real = fastlev.gaussian_sketch
-
-        def recording(k, n, cfg, salt=()):
-            shapes.append((k, n))
-            return real(k, n, cfg, salt=salt)
-
-        monkeypatch.setattr(fastlev, "gaussian_sketch", recording)
-        B = gaussian_matrix(5000, 6, 4)
+        # draws at most k * d entries, never k * n_B; k = 64 rows at theta = 1
+        # fall below rank(B) = d = 72, so the estimate takes the sketch
+        shapes = recorded_draws(monkeypatch)
+        d = 72
+        B = gaussian_matrix(5000, d, 4)
         cfg = SketchConfig(seed=1)
-        approx_generalized_leverage(B, B, 0.5, cfg)
-        k = sketch_rows(0.5, cfg)
+        approx_generalized_leverage(B, B, 1.0, cfg)
+        k = sketch_rows(1.0, cfg)
         assert len(shapes) == 1
-        assert shapes[0][0] * shapes[0][1] <= k * 6
+        assert shapes[0][0] * shapes[0][1] <= k * d
 
     def test_row_count_formula(self):
         cfg = SketchConfig()
@@ -168,19 +177,22 @@ class TestApproxGeneralized:
 
     @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "k-below-d"])
     def test_equals_safety_times_projector_sketch_norms(self, case, rng):
-        # d^theta ||M a_i||^2 with M straight from build_projector_sketch;
-        # k = 64 rows at theta = 1 fall below d = 70
-        d, theta = (70, 1.0) if case == "k-below-d" else (8, 0.5)
+        # d^theta ||M a_i||^2 with M straight from build_projector_sketch,
+        # whose k rows fall below rank(B) in every case, so the estimate takes
+        # the sketch: k = 128 at theta = 0.5 against d = 140, and k = 64 at
+        # theta = 1 against ranks 69 and 70
+        d, theta = {"full-rank": (140, 0.5), "rank-deficient": (72, 1.0),
+                    "k-below-d": (70, 1.0)}[case]
         cfg = SketchConfig(seed=6)
         A = gaussian_matrix(300, d, 12)
         B = A
         if case == "rank-deficient":
-            B = SparseRowMatrix.from_dense(rng.standard_normal((40, d - 3))
+            B = SparseRowMatrix.from_dense(rng.standard_normal((2 * d, d - 3))
                                            @ rng.standard_normal((d - 3, d)))
             A = SparseRowMatrix.from_dense(A.to_dense() @ np.linalg.pinv(B.to_dense())
                                            @ B.to_dense())
         M = build_projector_sketch(factor_gram(B), theta, cfg)
-        assert (M.shape[0] < d) == (case == "k-below-d")
+        assert M.shape[0] < factor_gram(B).rank
         sk = A.to_dense() @ M.T
         direct = d ** theta * np.einsum("ij,ij->i", sk, sk)
         est = approx_generalized_leverage(A, B, theta, cfg)
@@ -204,6 +216,57 @@ class TestApproxGeneralized:
         with pytest.raises(ValueError):
             approx_generalized_leverage(gaussian_matrix(4, 2, 0),
                                         gaussian_matrix(4, 3, 0), 0.5, SketchConfig())
+
+
+class TestExactBranch:
+    """k >= rank(B): the estimate is d^theta * tau^B bit for bit, with the
+    exact flags, and draws no sketch; k < rank(B) draws exactly one."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_equals_safety_times_exact_scores(self, monkeypatch, rng, scale):
+        # a tall A of rows in a rank-5 subspace, rows off it and zero rows,
+        # against a full-rank, a rank-5 and a rank-0 B, with and without factor=
+        d, theta, cfg = 8, 0.5, SketchConfig(seed=5)
+        basis = rng.standard_normal((d, 5))
+        dense = rng.standard_normal((leverage._DENSE_MAX_ROWS + 3, 5)) @ basis.T
+        dense[::7] += rng.standard_normal((dense[::7].shape[0], d))
+        dense[::11] = 0.0
+        A = SparseRowMatrix.from_dense(scale * dense)
+        references = {
+            "full rank": scale * rng.standard_normal((40, d)),
+            "rank 5": scale * rng.standard_normal((30, 5)) @ basis.T,
+            "rank 0": np.zeros((30, d)),
+        }
+        shapes = recorded_draws(monkeypatch)
+        for name, dense_B in references.items():
+            B = SparseRowMatrix.from_dense(dense_B)
+            f = factor_gram(B)
+            assert sketch_rows(theta, cfg) >= f.rank, name
+            exact = generalized_leverage_scores(A, B)
+            want = max(d, 2) ** theta * exact.values
+            for factor in (None, f):
+                est = approx_generalized_leverage(A, B, theta, cfg, (name,), factor=factor)
+                assert est.values.tobytes() == want.tobytes(), name
+                assert est.infinite.tobytes() == exact.infinite.tobytes(), name
+                assert est.has_infinite == (name != "full rank"), name
+        assert shapes == []
+
+    def test_one_draw_only_below_rank(self, monkeypatch):
+        # rank(B) = 70: k = 128 at theta = 0.5 scores exactly, k = 64 at
+        # theta = 1 draws one 64 x 70 sketch; theta is checked on both
+        A = gaussian_matrix(200, 70, 3)
+        cfg = SketchConfig(seed=2)
+        shapes = recorded_draws(monkeypatch)
+        approx_generalized_leverage(A, A, 0.5, cfg)
+        assert shapes == []
+        approx_generalized_leverage(A, A, 1.0, cfg)
+        assert shapes == [(64, 70)]
+        zero = SparseRowMatrix.from_dense(np.zeros((3, 70)))
+        for B in (A, zero):
+            for theta in (0.0, 1.5):
+                with pytest.raises(ValueError, match="theta"):
+                    approx_generalized_leverage(A, B, theta, cfg)
+        assert len(shapes) == 1
 
 
 class TestFactorReuse:
@@ -277,12 +340,13 @@ class TestProbesOnlyForKernel:
     def test_full_rank_reference_draws_no_probe(self, monkeypatch, rng, scale):
         # byte for byte the with-probes formula over all rows at once (see
         # TestRowBlocks::test_blocked_sketch_matches_whole_matrix_formula),
-        # whose flags all read false against a B of full column rank
-        d, theta, salt, cfg = 8, 0.5, ("full",), SketchConfig(seed=6)
+        # whose flags all read false against a B of full column rank; k = 64
+        # rows at theta = 1 fall below d = 72, so the estimate takes the sketch
+        d, theta, salt, cfg = 72, 1.0, ("full",), SketchConfig(seed=6)
         dense = scale * rng.standard_normal((leverage._DENSE_MAX_ROWS + 3, d))
         dense[::11] = 0.0
         A = SparseRowMatrix.from_dense(dense)
-        B = SparseRowMatrix.from_dense(scale * rng.standard_normal((40, d)))
+        B = SparseRowMatrix.from_dense(scale * rng.standard_normal((2 * d, d)))
         f = factor_gram(B)
         assert f.rank == d
         R = np.linalg.qr(build_projector_sketch(f, theta, cfg, salt=salt), mode="r")
@@ -337,7 +401,8 @@ class TestProbesOnlyForKernel:
         assert calls == []
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(d=st.integers(1, 8) | st.just(70), rank=st.integers(0, 7), n=st.integers(0, 40),
+    @given(d=st.integers(1, 8) | st.just(70), rank=st.integers(0, 7) | st.integers(64, 69),
+           n=st.integers(0, 40),
            seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-150, 150),
            theta=st.sampled_from([0.3, 0.5, 1.0]))
     def test_sketched_flags_equal_exact_flags_property(self, d, rank, n, seed, exponent, theta):
@@ -345,7 +410,7 @@ class TestProbesOnlyForKernel:
         rows in B's row space, rows that lean into ker(B) by 1e-10 to 1 of
         their size (across the KERNEL_TOL = 1e-8 cut), duplicates and zero
         rows, at scales 1e-150 to 1e150; at d = 70 and theta = 1 the sketch
-        has fewer rows than d."""
+        has fewer rows than d, and ranks 65 to 69 take the sketch's branch."""
         rank = min(rank, d - 1)
         rng = np.random.default_rng(seed)
         scale = 10.0 ** exponent

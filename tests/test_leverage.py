@@ -645,11 +645,12 @@ class TestRowBlocks:
         # byte for byte: one n x min(k, d) product for the sketched norms and
         # one n x t product for the probe dots, over all rows at once; a row
         # is flagged when its probe dots, each over ||g_t||, have 2-norm
-        # above KERNEL_TOL * ||a_i||
-        d, theta, salt = 8, 0.5, ("blocks",)
-        basis = rng.standard_normal((d, 5))
-        B = SparseRowMatrix.from_dense(rng.standard_normal((30, 5)) @ basis.T)
-        mixed = rng.standard_normal((TALL_ROWS, 5)) @ basis.T
+        # above KERNEL_TOL * ||a_i||; k = 64 rows at theta = 1 fall below
+        # rank(B) = 68, so the estimate takes the sketch
+        d, r, theta, salt = 72, 68, 1.0, ("blocks",)
+        basis = rng.standard_normal((d, r))
+        B = SparseRowMatrix.from_dense(rng.standard_normal((2 * r, r)) @ basis.T)
+        mixed = rng.standard_normal((TALL_ROWS, r)) @ basis.T
         mixed[::7] += rng.standard_normal((mixed[::7].shape[0], d))
         A = SparseRowMatrix.from_dense(mixed)
         cfg = SketchConfig(seed=4)

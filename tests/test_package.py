@@ -40,6 +40,11 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
         rowsketch.spectral_check(A, rowsketch.materialize(A, r.sample), r.check_lambda)
         tracer.begin_op("solve")
         sol = rowsketch.precondition_solve(A, A.dot_dense(np.ones(6)), r)
+        # halving scores exactly at d = 6; one estimate against a reference
+        # of rank 72 > k = 64 takes the Gaussian sketch
+        tracer.begin_op("scores")
+        W = rowsketch.SparseRowMatrix.from_dense(np.random.default_rng(1).standard_normal((100, 72)))
+        rowsketch.approx_generalized_leverage(W, W, 1.0, rowsketch.SketchConfig(seed=1))
         m = tracer.metrics()
     finally:
         tracer.uninstall()

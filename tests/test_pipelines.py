@@ -454,198 +454,198 @@ def golden_summary(r):
 
 # Recorded with the golden_run/golden_summary pair above.
 GOLDEN = {
-    ("gaussian", 0, "halving"): ("a7c32eb9b9fb6a39", 1940, 4, 728, 3147.676611255,
-        (89.61910022283, 88.67349681085, 90.81052412464, 89.7384222423)),
-    ("gaussian", 0, "refinement"): ("0fc7a475ddc671f1", 3547, 4, 1436, 4342.487697124,
-        (8192, 2991.484967172, 1119.854867481, 429.7242691456, 160.0401900675)),
-    ("gaussian", 0, "input-sparsity"): ("e7793c0033e662f9", 4037, 6, 1570, 5086.19017131,
-        (89.51206996101, 94.54391493535, 82.94356585916, 86.85699626211, 70.903835535, 45.32139175357)),
-    ("gaussian", 0, "generic-head"): ("a7c32eb9b9fb6a39", 1940, 4, 728, 3147.676611255,
-        (89.61910022283, 88.67349681085, 90.81052412464, 89.7384222423)),
-    ("gaussian", 0, "generic-tail"): ("3b4a1d98c4f2b873", 442, 4, 728, 1357.775873219,
-        (10126.64328441, 4861.153320517, 2579.381638577, 2280.541511178)),
-    ("gaussian", 0, "generic-refinement"): ("0fc7a475ddc671f1", 3547, 4, 1436, 4342.487697124,
-        (8192, 2991.484967172, 1119.854867481, 429.7242691456, 160.0401900675)),
-    ("gaussian", 0, "generic-sqrt"): ("75e813e1edb355fb", 587, 1, 182, 1691.049083162,
-        (629.9794554849,)),
-    ("gaussian", 0, "final-refinement"): ("bb216fce78876198", 1423, 1, 182, 2742.615944602,
-        (63.87174185001,)),
-    ("gaussian", 1, "halving"): ("e55edc88b3b94e8f", 1967, 4, 728, 3271.149715052,
-        (86.9793198581, 85.59735448942, 87.45446199918, 87.24337720614)),
-    ("gaussian", 1, "refinement"): ("1d8a9fe78912db65", 3185, 4, 1436, 4115.810985755,
-        (8192, 3034.990118841, 1113.998219503, 394.9649927607, 141.8766826501)),
-    ("gaussian", 1, "input-sparsity"): ("8d381f1c0658d5e8", 3834, 6, 1570, 4929.245206456,
-        (90.38511601513, 86.34937280689, 85.56432216692, 90.23296319347, 68.5553715743, 43.18825314996)),
-    ("gaussian", 1, "generic-head"): ("e55edc88b3b94e8f", 1967, 4, 728, 3271.149715052,
-        (86.9793198581, 85.59735448942, 87.45446199918, 87.24337720614)),
-    ("gaussian", 1, "generic-tail"): ("80e6bdc011873fdb", 523, 4, 728, 1641.040520122,
-        (9642.915287659, 4570.968441869, 2414.604708088, 1446.438063466)),
-    ("gaussian", 1, "generic-refinement"): ("1d8a9fe78912db65", 3185, 4, 1436, 4115.810985755,
-        (8192, 3034.990118841, 1113.998219503, 394.9649927607, 141.8766826501)),
-    ("gaussian", 1, "generic-sqrt"): ("9b30b16f082e80c2", 606, 1, 182, 1736.595863007,
-        (569.971862449,)),
-    ("gaussian", 1, "final-refinement"): ("5818cfe4bb7e39ca", 1400, 1, 182, 2765.880727405,
-        (60.28652864807,)),
-    ("gaussian", 2, "halving"): ("72536f10057325a3", 1866, 4, 728, 3198.503593961,
-        (91.48153178447, 87.06198840886, 88.24344074942, 80.77833069158)),
-    ("gaussian", 2, "refinement"): ("dc009f79673624f5", 3398, 4, 1436, 4291.145472739,
-        (8192, 3000.537790272, 1088.75105356, 412.0594989715, 149.1964372009)),
-    ("gaussian", 2, "input-sparsity"): ("6a67cf051fa66b1f", 3735, 6, 1570, 4825.097099587,
-        (89.99041141716, 90.07873318729, 88.67844987959, 87.70624209608, 62.74882093731, 42.68769941324)),
-    ("gaussian", 2, "generic-head"): ("72536f10057325a3", 1866, 4, 728, 3198.503593961,
-        (91.48153178447, 87.06198840886, 88.24344074942, 80.77833069158)),
-    ("gaussian", 2, "generic-tail"): ("3c9f0f2e2573157b", 485, 4, 728, 1531.402523436,
-        (23410.79320892, 4493.261245697, 4331.013876333, 1481.896530054)),
-    ("gaussian", 2, "generic-refinement"): ("dc009f79673624f5", 3398, 4, 1436, 4291.145472739,
-        (8192, 3000.537790272, 1088.75105356, 412.0594989715, 149.1964372009)),
-    ("gaussian", 2, "generic-sqrt"): ("ff553ff3c06c8b20", 599, 1, 182, 1705.529723502,
-        (642.1420499539,)),
-    ("gaussian", 2, "final-refinement"): ("5cee466bfd2486bb", 1383, 1, 182, 2639.11289134,
-        (65.57172426904,)),
-    ("gaussian", 3, "halving"): ("a1a87f5e67691913", 1987, 4, 728, 3300.942649509,
-        (87.35854196952, 83.7706785021, 83.63753247952, 87.57224212825)),
-    ("gaussian", 3, "refinement"): ("57c7e5e280386991", 3108, 4, 1436, 4046.075350123,
-        (8192, 2928.181023091, 1062.771798466, 382.224886145, 139.9375221878)),
-    ("gaussian", 3, "input-sparsity"): ("4fb2e6c3c8bad4c6", 3810, 6, 1570, 4929.840694573,
-        (85.29085064209, 86.78241865786, 90.91100944026, 86.17814352832, 64.04123183073, 42.86385254733)),
-    ("gaussian", 3, "generic-head"): ("a1a87f5e67691913", 1987, 4, 728, 3300.942649509,
-        (87.35854196952, 83.7706785021, 83.63753247952, 87.57224212825)),
-    ("gaussian", 3, "generic-tail"): ("6bb3e0392f51a7e8", 501, 4, 728, 1556.988154721,
-        (12044.29826973, 4237.069673683, 2161.768075521, 1179.334645419)),
-    ("gaussian", 3, "generic-refinement"): ("57c7e5e280386991", 3108, 4, 1436, 4046.075350123,
-        (8192, 2928.181023091, 1062.771798466, 382.224886145, 139.9375221878)),
-    ("gaussian", 3, "generic-sqrt"): ("ccb80b5f33fc4693", 593, 1, 182, 1706.419045552,
-        (591.4569330798,)),
-    ("gaussian", 3, "final-refinement"): ("869a830408f45c62", 1310, 1, 182, 2584.08971328,
-        (61.26959877201,)),
-    ("isolated", 0, "halving"): ("40de74c28ec6b47f", 645, 3, 414, 901.5954731519,
-        (36.38822068847, 34.14876658374, 40.51899491425)),
-    ("isolated", 0, "refinement"): ("9caf80a4d017305e", 1225, 3, 813, 1291.245157253,
-        (2048, 644.1370498391, 212.1082802321, 77.44487591304)),
-    ("isolated", 0, "input-sparsity"): ("deb39863055b03b1", 1173, 5, 1080, 1334.683854839,
-        (42.06854283331, 32.60051750615, 40.62496901469, 24.38309592979, 22.15283806774)),
-    ("isolated", 0, "generic-head"): ("40de74c28ec6b47f", 645, 3, 414, 901.5954731519,
-        (36.38822068847, 34.14876658374, 40.51899491425)),
-    ("isolated", 0, "generic-tail"): ("78894389b735a227", 181, 3, 414, 447.9567944963,
-        (5771.465039215, 3338.19476745, 1028.533771823)),
-    ("isolated", 0, "generic-refinement"): ("9caf80a4d017305e", 1225, 3, 813, 1291.245157253,
-        (2048, 644.1370498391, 212.1082802321, 77.44487591304)),
-    ("isolated", 0, "generic-sqrt"): ("dcfbc480b3327016", 189, 1, 138, 475.207810614,
-        (255.2559351355,)),
-    ("isolated", 0, "final-refinement"): ("81ec29326b5ddbb5", 427, 1, 138, 729.897793313,
-        (30.26297988778,)),
-    ("isolated", 1, "halving"): ("d7830d60ef2ba48f", 577, 3, 414, 834.2856739067,
-        (38.63155828651, 38.0263940498, 37.48494056562)),
-    ("isolated", 1, "refinement"): ("2b17e3263ae54cb6", 1079, 3, 813, 1168.165607408,
-        (2048, 644.5877632255, 208.7099469951, 68.81930963412)),
-    ("isolated", 1, "input-sparsity"): ("b4a3e3672d6b7433", 1130, 5, 1080, 1326.014989215,
-        (39.81177152543, 44.4693058106, 44.5316769028, 23.3524282654, 20.98166967922)),
-    ("isolated", 1, "generic-head"): ("d7830d60ef2ba48f", 577, 3, 414, 834.2856739067,
-        (38.63155828651, 38.0263940498, 37.48494056562)),
-    ("isolated", 1, "generic-tail"): ("9199545b614c2667", 216, 3, 414, 505.1581754358,
-        (5697.56155956, 1383.192805003, 631.2707580583)),
-    ("isolated", 1, "generic-refinement"): ("2b17e3263ae54cb6", 1079, 3, 813, 1168.165607408,
-        (2048, 644.5877632255, 208.7099469951, 68.81930963412)),
-    ("isolated", 1, "generic-sqrt"): ("33502f1de5b53ea7", 209, 1, 138, 536.0502516017,
-        (173.1853133531,)),
-    ("isolated", 1, "final-refinement"): ("310577245c68ad04", 517, 1, 138, 852.899626137,
-        (31.32497792999,)),
-    ("isolated", 2, "halving"): ("46879f79b6283d0a", 627, 3, 414, 907.877587367,
-        (37.26104065708, 38.54376968609, 36.92327646899)),
-    ("isolated", 2, "refinement"): ("d075e4617394febb", 1125, 3, 813, 1210.286088806,
-        (2048, 662.3052182608, 215.071253238, 71.48499012564)),
-    ("isolated", 2, "input-sparsity"): ("104c6285b22b6537", 1083, 5, 1080, 1266.738413313,
-        (40.50819526769, 40.50191929992, 36.83393193508, 21.41388451077, 22.49192607416)),
-    ("isolated", 2, "generic-head"): ("46879f79b6283d0a", 627, 3, 414, 907.877587367,
-        (37.26104065708, 38.54376968609, 36.92327646899)),
-    ("isolated", 2, "generic-tail"): ("a5815102e0592985", 183, 3, 414, 457.1428080484,
-        (8605.988539662, 2769.357679444, 768.6724704793)),
-    ("isolated", 2, "generic-refinement"): ("d075e4617394febb", 1125, 3, 813, 1210.286088806,
-        (2048, 662.3052182608, 215.071253238, 71.48499012564)),
-    ("isolated", 2, "generic-sqrt"): ("175ab35d371db0db", 209, 1, 138, 528.6799329256,
-        (211.4710100008,)),
-    ("isolated", 2, "final-refinement"): ("e78063cf7e600741", 452, 1, 138, 735.5338196482,
-        (31.89410072269,)),
-    ("isolated", 3, "halving"): ("9448822f333c5f3f", 640, 3, 414, 914.0704798132,
-        (34.08008141336, 37.35553353012, 40.26951813815)),
-    ("isolated", 3, "refinement"): ("751f4d97da8070bc", 1089, 3, 813, 1196.209491833,
-        (2048, 653.6373930285, 207.8926604059, 67.0280333739)),
-    ("isolated", 3, "input-sparsity"): ("837ca1ce690c4533", 1058, 5, 1080, 1226.130479823,
-        (40.37141146692, 38.5656963515, 40.27041799973, 21.45861532088, 20.53258535514)),
-    ("isolated", 3, "generic-head"): ("9448822f333c5f3f", 640, 3, 414, 914.0704798132,
-        (34.08008141336, 37.35553353012, 40.26951813815)),
-    ("isolated", 3, "generic-tail"): ("b137f9151a9ff363", 243, 3, 414, 532.4256534756,
-        (2408.598425522, 1315.537301994, 600.3883906417)),
-    ("isolated", 3, "generic-refinement"): ("751f4d97da8070bc", 1089, 3, 813, 1196.209491833,
-        (2048, 653.6373930285, 207.8926604059, 67.0280333739)),
-    ("isolated", 3, "generic-sqrt"): ("6e0a3890577d7473", 156, 1, 138, 387.6917200896,
-        (201.7038835641,)),
-    ("isolated", 3, "final-refinement"): ("1afa8a6f3c6a1130", 454, 1, 138, 762.5316159144,
-        (30.7884564485,)),
-    ("power-law", 0, "halving"): ("c93649a5f72d6870", 583, 3, 546, 952.5593660637,
-        (475.5525001146, 111.0384601721, 619.3152720594)),
-    ("power-law", 0, "refinement"): ("48482fbbc28ee1aa", 486, 2, 718, 831.7103611379,
-        (4096, 326.5549892338, 68.50578858018)),
-    ("power-law", 0, "input-sparsity"): ("62467046fe3bba58", 568, 5, 1256, 1082.766188975,
-        (499.2866306354, 615.0061058969, 96.9951829471, 67.80734432007, 43.54021519803)),
-    ("power-law", 0, "generic-head"): ("c93649a5f72d6870", 583, 3, 546, 952.5593660637,
-        (475.5525001146, 111.0384601721, 619.3152720594)),
-    ("power-law", 0, "generic-tail"): ("e4b3b563d6fd0c67", 191, 1, 182, 454.292860062,
-        (149044.2603512,)),
-    ("power-law", 0, "generic-refinement"): ("48482fbbc28ee1aa", 486, 2, 718, 831.7103611379,
-        (4096, 326.5549892338, 68.50578858018)),
-    ("power-law", 0, "generic-sqrt"): ("7a73da4be27a5695", 91, 1, 182, 265.9302915383,
-        (3188.462156032,)),
-    ("power-law", 0, "final-refinement"): ("1e3e9e5d5e7da21b", 299, 1, 182, 571.1725405619,
-        (61.83301797048,)),
-    ("power-law", 1, "halving"): ("b906b49027bb5125", 475, 3, 546, 814.813943497,
-        (175.9694935301, 485.8317374381, 623.6426532554)),
-    ("power-law", 1, "refinement"): ("5927a6cb02b9ee65", 457, 2, 718, 759.553048398,
-        (4096, 328.2768612698, 68.00778854203)),
-    ("power-law", 1, "input-sparsity"): ("6880efcaa4bae26c", 542, 5, 1256, 1011.128903886,
-        (450.861444873, 613.0795710777, 628.4941858661, 67.33281018201, 42.59245626893)),
-    ("power-law", 1, "generic-head"): ("b906b49027bb5125", 475, 3, 546, 814.813943497,
-        (175.9694935301, 485.8317374381, 623.6426532554)),
-    ("power-law", 1, "generic-tail"): ("7f3dace7f25f4bf5", 154, 1, 182, 402.9733603602,
-        (382862.9567557,)),
-    ("power-law", 1, "generic-refinement"): ("5927a6cb02b9ee65", 457, 2, 718, 759.553048398,
-        (4096, 328.2768612698, 68.00778854203)),
-    ("power-law", 1, "generic-sqrt"): ("5899a90251e96040", 87, 1, 182, 225.3921921747,
-        (3823.700523212,)),
-    ("power-law", 1, "final-refinement"): ("4f9cab884cfefb1a", 320, 1, 182, 653.1408231921,
-        (61.30086221224,)),
-    ("power-law", 2, "halving"): ("ad6478082c1c8838", 442, 3, 546, 800.6109405338,
-        (541.9185892845, 330.3158683568, 311.7681732119)),
-    ("power-law", 2, "refinement"): ("97463fb64f89e374", 458, 2, 718, 798.1751623374,
-        (4096, 326.6691732409, 66.74619344764)),
-    ("power-law", 2, "input-sparsity"): ("aa53c069e8a55d96", 560, 5, 1256, 978.3860762982,
-        (894.4689008433, 236.0424830609, 409.5477150169, 64.0369119826, 43.39164665857)),
-    ("power-law", 2, "generic-head"): ("ad6478082c1c8838", 442, 3, 546, 800.6109405338,
-        (541.9185892845, 330.3158683568, 311.7681732119)),
-    ("power-law", 2, "generic-tail"): ("a2fe8554e2974d73", 161, 1, 182, 338.0128556063,
-        (545389.068382,)),
-    ("power-law", 2, "generic-refinement"): ("97463fb64f89e374", 458, 2, 718, 798.1751623374,
-        (4096, 326.6691732409, 66.74619344764)),
-    ("power-law", 2, "generic-sqrt"): ("88f1786646ac762f", 42, 1, 182, 95.15946791731,
-        (10986.48056093,)),
-    ("power-law", 2, "final-refinement"): ("10f4e427ae6c026a", 316, 1, 182, 590.2053024478,
-        (67.87928846106,)),
-    ("power-law", 3, "halving"): ("9603945971553915", 451, 3, 546, 835.3837395181,
-        (296.4048355341, 292.738755028, 414.2812643139)),
-    ("power-law", 3, "refinement"): ("d1a88d64a975a549", 470, 2, 718, 831.0291715983,
-        (4096, 320.4022165198, 66.50003798877)),
-    ("power-law", 3, "input-sparsity"): ("34870a992f3cb246", 548, 5, 1256, 1012.643470552,
-        (1130.986555133, 101.1712753545, 616.6921917734, 63.12125187885, 41.95125774439)),
-    ("power-law", 3, "generic-head"): ("9603945971553915", 451, 3, 546, 835.3837395181,
-        (296.4048355341, 292.738755028, 414.2812643139)),
-    ("power-law", 3, "generic-tail"): ("28cbfd33068beab8", 134, 1, 182, 318.5085142752,
-        (390869.10638,)),
-    ("power-law", 3, "generic-refinement"): ("d1a88d64a975a549", 470, 2, 718, 831.0291715983,
-        (4096, 320.4022165198, 66.50003798877)),
-    ("power-law", 3, "generic-sqrt"): ("8b19271afd82a235", 47, 1, 182, 107.588134877,
-        (9372.755872637,)),
-    ("power-law", 3, "final-refinement"): ("2851fb5956326c34", 329, 1, 182, 661.1633065889,
-        (62.60688430584,)),
+    ("gaussian", 0, "halving"): ("f24f159a16ada20e", 1915, 4, 728, 3157.912195095,
+        (87.17292438399, 88.7808222436, 86.49077844491, 87.67054947203)),
+    ("gaussian", 0, "refinement"): ("20e82e097d201025", 3281, 4, 1436, 4180.342245411,
+        (8192, 3001.384817931, 1098.90660639, 404.5359314426, 148.1096028833)),
+    ("gaussian", 0, "input-sparsity"): ("3496cc26912a440a", 4070, 6, 1570, 5077.600859974,
+        (89.27375133592, 91.02314957676, 87.5687784427, 82.50787550685, 67.72212191249, 46.14476764575)),
+    ("gaussian", 0, "generic-head"): ("f24f159a16ada20e", 1915, 4, 728, 3157.912195095,
+        (87.17292438399, 88.7808222436, 86.49077844491, 87.67054947203)),
+    ("gaussian", 0, "generic-tail"): ("afb97c5546b12446", 456, 4, 728, 1415.506245219,
+        (10020.39396514, 4827.515753399, 2526.186130512, 1900.731299168)),
+    ("gaussian", 0, "generic-refinement"): ("20e82e097d201025", 3281, 4, 1436, 4180.342245411,
+        (8192, 3001.384817931, 1098.90660639, 404.5359314426, 148.1096028833)),
+    ("gaussian", 0, "generic-sqrt"): ("608420dd0f3abd11", 588, 1, 182, 1691.962962289,
+        (619.1891436665,)),
+    ("gaussian", 0, "final-refinement"): ("473ab57502ac7438", 1478, 1, 182, 2787.167727869,
+        (66.5741969807,)),
+    ("gaussian", 1, "halving"): ("3034e5e1bc487805", 1971, 4, 728, 3270.067261368,
+        (89.04636799097, 84.97701642157, 86.50930144914, 87.51795863475)),
+    ("gaussian", 1, "refinement"): ("bf127b498fe7cbf6", 3232, 4, 1436, 4142.178524113,
+        (8192, 2956.902747562, 1073.548326145, 390.6170263429, 144.5560209218)),
+    ("gaussian", 1, "input-sparsity"): ("560ad730167e140e", 3773, 6, 1570, 4884.214974318,
+        (91.88126120419, 83.98077479473, 85.98251657825, 90.59692714325, 63.15970469906, 42.61507270171)),
+    ("gaussian", 1, "generic-head"): ("3034e5e1bc487805", 1971, 4, 728, 3270.067261368,
+        (89.04636799097, 84.97701642157, 86.50930144914, 87.51795863475)),
+    ("gaussian", 1, "generic-tail"): ("dd19273a5aa76227", 524, 4, 728, 1636.421970769,
+        (10089.20680396, 4400.296868582, 2599.816124822, 1737.271006088)),
+    ("gaussian", 1, "generic-refinement"): ("bf127b498fe7cbf6", 3232, 4, 1436, 4142.178524113,
+        (8192, 2956.902747562, 1073.548326145, 390.6170263429, 144.5560209218)),
+    ("gaussian", 1, "generic-sqrt"): ("b89396466d17d221", 608, 1, 182, 1748.139889506,
+        (596.7408315975,)),
+    ("gaussian", 1, "final-refinement"): ("794d8b9c570ac14c", 1491, 1, 182, 2849.652834259,
+        (64.61216808104,)),
+    ("gaussian", 2, "halving"): ("e2d56b072554ffb4", 2002, 4, 728, 3318.15246735,
+        (86.75127253884, 86.67720639181, 87.76393526485, 86.76617761422)),
+    ("gaussian", 2, "refinement"): ("1d2f0807e74f9660", 3507, 4, 1436, 4361.588588358,
+        (8192, 3023.333631815, 1118.928215572, 416.6038332259, 154.43885394)),
+    ("gaussian", 2, "input-sparsity"): ("4d8c51ff2fc501bc", 3719, 6, 1570, 4787.178239951,
+        (89.78994830551, 88.52463574838, 87.99284661019, 89.24821869868, 62.99321643041, 42.2292933814)),
+    ("gaussian", 2, "generic-head"): ("e2d56b072554ffb4", 2002, 4, 728, 3318.15246735,
+        (86.75127253884, 86.67720639181, 87.76393526485, 86.76617761422)),
+    ("gaussian", 2, "generic-tail"): ("27f9120097de540d", 503, 4, 728, 1588.832433897,
+        (22266.22793721, 5408.790824599, 4251.086847361, 1443.075225897)),
+    ("gaussian", 2, "generic-refinement"): ("1d2f0807e74f9660", 3507, 4, 1436, 4361.588588358,
+        (8192, 3023.333631815, 1118.928215572, 416.6038332259, 154.43885394)),
+    ("gaussian", 2, "generic-sqrt"): ("5742ba4ab52c38d4", 590, 1, 182, 1680.241328538,
+        (623.4315400144,)),
+    ("gaussian", 2, "final-refinement"): ("4f542a71f465e831", 1333, 1, 182, 2597.691744036,
+        (62.99022946132,)),
+    ("gaussian", 3, "halving"): ("948d63860ba77672", 1964, 4, 728, 3277.412698871,
+        (84.36791115205, 84.73845309749, 85.46355906095, 86.62185612134)),
+    ("gaussian", 3, "refinement"): ("e67b2846d9a37774", 3338, 4, 1436, 4184.002613137,
+        (8192, 3033.133552933, 1111.131933106, 407.0572149205, 150.8959539016)),
+    ("gaussian", 3, "input-sparsity"): ("4513ab5c2638c1ce", 3877, 6, 1570, 4933.211488615,
+        (84.4479067366, 87.55300272477, 90.6754632127, 85.48034342402, 64.97007980267, 43.97661287974)),
+    ("gaussian", 3, "generic-head"): ("948d63860ba77672", 1964, 4, 728, 3277.412698871,
+        (84.36791115205, 84.73845309749, 85.46355906095, 86.62185612134)),
+    ("gaussian", 3, "generic-tail"): ("483ebd9959fdcddd", 513, 4, 728, 1590.172542036,
+        (12426.10166197, 4644.211549864, 2486.628558946, 1507.642317618)),
+    ("gaussian", 3, "generic-refinement"): ("e67b2846d9a37774", 3338, 4, 1436, 4184.002613137,
+        (8192, 3033.133552933, 1111.131933106, 407.0572149205, 150.8959539016)),
+    ("gaussian", 3, "generic-sqrt"): ("42addcbc8f13581d", 588, 1, 182, 1697.583289895,
+        (599.3287061677,)),
+    ("gaussian", 3, "final-refinement"): ("ab5f2f033a7f57c6", 1387, 1, 182, 2673.927961998,
+        (64.17842890375,)),
+    ("isolated", 0, "halving"): ("7821b397bad76fc6", 604, 3, 414, 868.8562331837,
+        (37.62767107416, 35.19770824654, 37.77018110857)),
+    ("isolated", 0, "refinement"): ("733c6ffdb9f90f7e", 1117, 3, 813, 1229.286819044,
+        (2048, 647.3853533643, 207.3559250587, 68.5521308394)),
+    ("isolated", 0, "input-sparsity"): ("2d1ae68b1cf88b3f", 1227, 5, 1080, 1373.496832912,
+        (41.06395837922, 38.12516884167, 38.12107995527, 23.67102325704, 22.57766376857)),
+    ("isolated", 0, "generic-head"): ("7821b397bad76fc6", 604, 3, 414, 868.8562331837,
+        (37.62767107416, 35.19770824654, 37.77018110857)),
+    ("isolated", 0, "generic-tail"): ("61bd2c4dd0e60f14", 204, 3, 414, 486.5198118418,
+        (5614.882309015, 3936.896153548, 1700.332082778)),
+    ("isolated", 0, "generic-refinement"): ("733c6ffdb9f90f7e", 1117, 3, 813, 1229.286819044,
+        (2048, 647.3853533643, 207.3559250587, 68.5521308394)),
+    ("isolated", 0, "generic-sqrt"): ("c51f0af571fbee48", 186, 1, 138, 465.7427923632,
+        (245.8981507387,)),
+    ("isolated", 0, "final-refinement"): ("a3a6c132600dad1b", 470, 1, 138, 758.0917593065,
+        (33.15660774171,)),
+    ("isolated", 1, "halving"): ("860d4a7c7324ad77", 603, 3, 414, 849.9287421214,
+        (39.35633541891, 37.93757831713, 40.2357785576)),
+    ("isolated", 1, "refinement"): ("4af20532042da327", 1064, 3, 813, 1153.985780944,
+        (2048, 657.5090418786, 209.9976831687, 68.71217893729)),
+    ("isolated", 1, "input-sparsity"): ("f2b1c6daffefc15d", 1169, 5, 1080, 1346.664009216,
+        (38.51835853581, 45.54704085972, 41.37531374797, 22.25751886089, 21.28204471986)),
+    ("isolated", 1, "generic-head"): ("860d4a7c7324ad77", 603, 3, 414, 849.9287421214,
+        (39.35633541891, 37.93757831713, 40.2357785576)),
+    ("isolated", 1, "generic-tail"): ("0365433e464d821f", 232, 3, 414, 550.4572702701,
+        (6086.101874824, 1109.990467548, 606.4969937946)),
+    ("isolated", 1, "generic-refinement"): ("4af20532042da327", 1064, 3, 813, 1153.985780944,
+        (2048, 657.5090418786, 209.9976831687, 68.71217893729)),
+    ("isolated", 1, "generic-sqrt"): ("7918674676acf15c", 209, 1, 138, 533.2938853126,
+        (188.0339113635,)),
+    ("isolated", 1, "final-refinement"): ("0ee86ce6ee5a57df", 557, 1, 138, 896.7834479727,
+        (33.80249292025,)),
+    ("isolated", 2, "halving"): ("46ae29d9c4369dd2", 664, 3, 414, 944.6584733304,
+        (38.22928711188, 37.69124729176, 38.55276310192)),
+    ("isolated", 2, "refinement"): ("9c900d36d73cfd81", 1109, 3, 813, 1205.124034001,
+        (2048, 659.0683822774, 211.6416873196, 69.65116714559)),
+    ("isolated", 2, "input-sparsity"): ("4f9e12c942bfe583", 1140, 5, 1080, 1310.241772693,
+        (41.622832452, 40.09651747785, 39.3680426354, 22.22311992998, 20.83475006753)),
+    ("isolated", 2, "generic-head"): ("46ae29d9c4369dd2", 664, 3, 414, 944.6584733304,
+        (38.22928711188, 37.69124729176, 38.55276310192)),
+    ("isolated", 2, "generic-tail"): ("2e91e8bc42ee4a4d", 204, 3, 414, 492.1389504436,
+        (8073.571577702, 1867.47086349, 568.6960099986)),
+    ("isolated", 2, "generic-refinement"): ("9c900d36d73cfd81", 1109, 3, 813, 1205.124034001,
+        (2048, 659.0683822774, 211.6416873196, 69.65116714559)),
+    ("isolated", 2, "generic-sqrt"): ("d2a8106699374b79", 209, 1, 138, 526.6653897179,
+        (215.2131863819,)),
+    ("isolated", 2, "final-refinement"): ("4378b49eea87d1c7", 442, 1, 138, 732.5206430295,
+        (31.16034227451,)),
+    ("isolated", 3, "halving"): ("7adcf55f02305d4e", 637, 3, 414, 906.331717146,
+        (35.82094321983, 39.61981701324, 40.57173266308)),
+    ("isolated", 3, "refinement"): ("2a86ee2cbb49d7a0", 1096, 3, 813, 1199.617168019,
+        (2048, 656.9953735592, 210.0707091757, 67.72115115395)),
+    ("isolated", 3, "input-sparsity"): ("f5f3eddf33fa9b03", 1179, 5, 1080, 1301.756631254,
+        (41.30251109253, 39.2503664668, 40.3595102312, 23.68126815373, 21.95609157407)),
+    ("isolated", 3, "generic-head"): ("7adcf55f02305d4e", 637, 3, 414, 906.331717146,
+        (35.82094321983, 39.61981701324, 40.57173266308)),
+    ("isolated", 3, "generic-tail"): ("b212d3344b258984", 244, 3, 414, 550.3065825971,
+        (2628.038883008, 1343.534974405, 782.5548000153)),
+    ("isolated", 3, "generic-refinement"): ("2a86ee2cbb49d7a0", 1096, 3, 813, 1199.617168019,
+        (2048, 656.9953735592, 210.0707091757, 67.72115115395)),
+    ("isolated", 3, "generic-sqrt"): ("8f823db10297e0d9", 156, 1, 138, 390.5496700542,
+        (217.2219292284,)),
+    ("isolated", 3, "final-refinement"): ("8a166f5131d50f28", 480, 1, 138, 783.6758731237,
+        (32.40648001506,)),
+    ("power-law", 0, "halving"): ("043e1ac986f453c7", 581, 3, 546, 943.683861789,
+        (456.1487908236, 106.5005483701, 672.5774712328)),
+    ("power-law", 0, "refinement"): ("4bb62265dc2b87ba", 481, 2, 718, 829.5529982509,
+        (4096, 328.13245308, 67.7655632779)),
+    ("power-law", 0, "input-sparsity"): ("ac130b55dd32d47f", 584, 5, 1256, 1080.07568408,
+        (451.7026350025, 626.0390111609, 92.56254325493, 64.66610822743, 43.99515241418)),
+    ("power-law", 0, "generic-head"): ("043e1ac986f453c7", 581, 3, 546, 943.683861789,
+        (456.1487908236, 106.5005483701, 672.5774712328)),
+    ("power-law", 0, "generic-tail"): ("ed5ef0720a7b36a2", 192, 1, 182, 437.15374627,
+        (145527.6529762,)),
+    ("power-law", 0, "generic-refinement"): ("4bb62265dc2b87ba", 481, 2, 718, 829.5529982509,
+        (4096, 328.13245308, 67.7655632779)),
+    ("power-law", 0, "generic-sqrt"): ("f205932a7eb6f0df", 88, 1, 182, 260.5604125318,
+        (3290.006154408,)),
+    ("power-law", 0, "final-refinement"): ("9b5eb0e74f6f31a9", 311, 1, 182, 571.286810645,
+        (65.14855081036,)),
+    ("power-law", 1, "halving"): ("7ff56cf0d6a6f2b3", 469, 3, 546, 793.9270752865,
+        (170.8263016976, 476.4672997921, 637.2730808788)),
+    ("power-law", 1, "refinement"): ("0fbbbc58548a852e", 450, 2, 718, 741.6918339621,
+        (4096, 328.13245308, 67.93805120635)),
+    ("power-law", 1, "input-sparsity"): ("006223570a5cfc25", 548, 5, 1256, 979.4801252004,
+        (426.1259444891, 617.2566700083, 604.652376109, 63.43941210211, 43.05034268778)),
+    ("power-law", 1, "generic-head"): ("7ff56cf0d6a6f2b3", 469, 3, 546, 793.9270752865,
+        (170.8263016976, 476.4672997921, 637.2730808788)),
+    ("power-law", 1, "generic-tail"): ("b5984bb0f4f7ebf3", 149, 1, 182, 381.035422746,
+        (420268.200442,)),
+    ("power-law", 1, "generic-refinement"): ("0fbbbc58548a852e", 450, 2, 718, 741.6918339621,
+        (4096, 328.13245308, 67.93805120635)),
+    ("power-law", 1, "generic-sqrt"): ("c1e4eafb1c03f8f4", 80, 1, 182, 219.7088947282,
+        (4584.791773689,)),
+    ("power-law", 1, "final-refinement"): ("7e92c21db747c064", 333, 1, 182, 660.9259245476,
+        (65.6003304633,)),
+    ("power-law", 2, "halving"): ("4dce11f88b25f004", 472, 3, 546, 848.7146945369,
+        (481.2822171059, 337.3035459082, 378.0420882574)),
+    ("power-law", 2, "refinement"): ("4112a896824587d9", 460, 2, 718, 791.8338362493,
+        (4096, 328.13245308, 67.80796598511)),
+    ("power-law", 2, "input-sparsity"): ("09edc833dafde84c", 555, 5, 1256, 970.6223043155,
+        (888.3245860815, 231.7388353517, 427.0425149534, 64.10452988694, 43.37099259242)),
+    ("power-law", 2, "generic-head"): ("4dce11f88b25f004", 472, 3, 546, 848.7146945369,
+        (481.2822171059, 337.3035459082, 378.0420882574)),
+    ("power-law", 2, "generic-tail"): ("69cb748e630bad13", 159, 1, 182, 335.9928385399,
+        (543774.753448,)),
+    ("power-law", 2, "generic-refinement"): ("4112a896824587d9", 460, 2, 718, 791.8338362493,
+        (4096, 328.13245308, 67.80796598511)),
+    ("power-law", 2, "generic-sqrt"): ("9e56400f6fc5ac16", 45, 1, 182, 103.4816994589,
+        (10837.6937852,)),
+    ("power-law", 2, "final-refinement"): ("ae57c0f65f160af0", 307, 1, 182, 585.5454219661,
+        (64.90174931543,)),
+    ("power-law", 3, "halving"): ("f364b85b8d7e44d0", 454, 3, 546, 854.622017787,
+        (307.4114125701, 305.1480786262, 378.9371873595)),
+    ("power-law", 3, "refinement"): ("5923210694016b23", 481, 2, 718, 852.4448552537,
+        (4096, 328.13245308, 67.83309956097)),
+    ("power-law", 3, "input-sparsity"): ("27a22c4ea679d706", 545, 5, 1256, 969.7367876269,
+        (1143.990274985, 100.5938487471, 591.0295833057, 63.90536031503, 43.25187280802)),
+    ("power-law", 3, "generic-head"): ("f364b85b8d7e44d0", 454, 3, 546, 854.622017787,
+        (307.4114125701, 305.1480786262, 378.9371873595)),
+    ("power-law", 3, "generic-tail"): ("201c4df5d5ef9691", 128, 1, 182, 310.1484613972,
+        (436430.1756684,)),
+    ("power-law", 3, "generic-refinement"): ("5923210694016b23", 481, 2, 718, 852.4448552537,
+        (4096, 328.13245308, 67.83309956097)),
+    ("power-law", 3, "generic-sqrt"): ("7415cd0192a5f097", 49, 1, 182, 108.7703058411,
+        (8839.300300421,)),
+    ("power-law", 3, "final-refinement"): ("c2ac14bd7a20f9f2", 338, 1, 182, 677.0863919273,
+        (65.23901218562,)),
 }
 
 
