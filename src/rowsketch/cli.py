@@ -43,12 +43,11 @@ def _emit(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config(args, **overrides) -> SketchConfig:
+def _config(args) -> SketchConfig:
     fields = dict(seed=args.seed)
     for name in ("epsilon", "c", "theta"):
         if getattr(args, name, None) is not None:
             fields[name] = getattr(args, name)
-    fields.update(overrides)
     return SketchConfig(**fields)
 
 

@@ -17,8 +17,7 @@ rank(B) alone:
   M = (1/sqrt(k)) Z diag(1/sigma) V' is drawn in d-space, at the cost of
   k x r draws and no pass over B, with the distribution of the sketch drawn
   over B's rows.  ||M a_i||^2 estimates each score within a d^theta
-  distortion.  Rows are scored through the k x d triangular factor R of M,
-  since ||R a_i|| = ||M a_i||: O(k nnz(a_i)) per row.
+  distortion, and rows are scored through M' itself: O(k nnz(a_i)) per row.
 
 Both branches multiply by the same safety factor d^theta.  On the sketch
 it turns a two-sided distortion into a one-sided overestimate at the
@@ -32,17 +31,15 @@ none at full column rank, and a row is flagged when
 ||N'a_i|| > KERNEL_TOL * ||a_i||, for entries from about 1e-300 to 1e300.
 So the flags are deterministic and equal those of
 :func:`~rowsketch.leverage.generalized_leverage_scores` on both branches;
-the Gaussian sketch is the only draw.  :func:`kernel_probe`, random
-vectors in ker(B), is kept for callers and checks outside the estimator,
-which no longer draws them.
+the Gaussian sketch is the only draw.  :func:`kernel_probe` draws random
+vectors in ker(B) for checks outside the estimator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .leverage import (PseudoinverseFactor, ScoreVector, _kernel_basis, _r_factor, _score_rows,
-                       factor_gram)
+from .leverage import PseudoinverseFactor, ScoreVector, _kernel_basis, _score_rows, factor_gram
 from .matrix import SparseRowMatrix
 from .sampling import SketchConfig, rng_from
 
@@ -79,8 +76,8 @@ def build_projector_sketch(f: PseudoinverseFactor, theta: float, cfg: SketchConf
     a k x rank(B) Gaussian, so M has the distribution of (1/sqrt(k)) G B
     (B'B)^+ for a k x n_B Gaussian G, and E ||M a_i||^2 equals tau^B_i
     exactly.  At rank 0, M is a k x d zero block.
-    :func:`approx_generalized_leverage` builds it only when k < rank(B);
-    otherwise it scores exactly, and no M is drawn.
+    :func:`approx_generalized_leverage` scores rows through M' when
+    k < rank(B); otherwise it scores exactly, and no M is drawn.
     """
     k = sketch_rows(theta, cfg)
     Z = gaussian_sketch(k, f.rank, cfg, salt=salt)
@@ -133,7 +130,7 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     f = factor if factor is not None else factor_gram(B)
     if sketch_rows(theta, cfg) >= f.rank:  # the sketch would not be smaller: score exactly
         row_space = f.half_pinv()
-    else:  # R' with ||R a|| = ||M a||
-        row_space = _r_factor(build_projector_sketch(f, theta, cfg, salt=salt)).T
+    else:
+        row_space = build_projector_sketch(f, theta, cfg, salt=salt).T
     s = _score_rows(A, np.hstack([row_space, _kernel_basis(f)]), row_space.shape[1])
     return ScoreVector(max(A.n_cols, 2) ** theta * s.values, s.infinite)

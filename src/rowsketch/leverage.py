@@ -7,21 +7,22 @@ a rank-truncated factorization of the Gram matrix from the singular values
 of A.  A'A is never formed from A itself, and no n x d array of all of a
 tall A: every pass over A's rows goes 4096 at a time past 16384 rows.  A
 pass that scores rows reduces one sparse x dense product per block
-(:func:`_block_products`) into one reused buffer; only TSQR densifies
-blocks.  Products, densified blocks and row gathers are scipy's own CSR
-kernels, which :mod:`rowsketch.matrix` calls on A's arrays and on slices of
-them, so they keep scipy's bits and build no scipy object per block.
-:func:`factor_gram` takes the SVD of a matrix M with M'M = A'A: for a tall
-A, a d x d M from the Gram of its rows whitened by a sample of its own
-rows; below 2d rows, A itself; otherwise the d x d triangular factor R
-that :func:`_r_fold` folds over A's row blocks.  A caller that scores several row sets against one reference
-factors it once and passes the factor on.  Rows that lean into a
-reference's kernel are flagged by one rule, through the exact basis of
-:func:`_kernel_basis`, for exact and sketched scores alike.  Every
-triangular factor R here comes from :func:`_r_factor`: the bits of
-``np.linalg.qr(M, mode="r")``, through LAPACK's ``dgeqrf`` called
-directly, without numpy's copies of M, up to 128 columns and
-wherever scipy's LAPACK is seen to round as numpy's does.
+(:func:`_block_products`) into one reused buffer; only the R fold
+(:func:`_r_fold`, TSQR) densifies blocks.  Each pass takes the
+``SparseRowMatrix`` itself and hands its arrays, or slices of them, to
+scipy's own CSR kernels in :mod:`rowsketch.matrix`, so every result keeps
+scipy's bits and no pass builds a scipy object.  :func:`factor_gram` takes
+the SVD of a matrix M with M'M = A'A: for a tall A, a d x d M from the
+Gram of its rows whitened by a sample of its own rows; below 2d rows, A
+itself; otherwise the d x d triangular factor R that :func:`_r_fold`
+folds over A's row blocks.  A caller that scores several row sets
+against one reference factors it once and passes the factor on.  Rows
+that lean into a reference's kernel are flagged by one rule, through the
+exact basis of :func:`_kernel_basis`, for exact and sketched scores
+alike.  Every triangular factor R here comes from :func:`_r_factor`: the
+bits of ``np.linalg.qr(M, mode="r")``, through LAPACK's ``dgeqrf`` called
+directly, without numpy's copies of M, up to 128 columns and wherever
+scipy's LAPACK is seen to round as numpy's does.
 """
 
 from __future__ import annotations
@@ -134,9 +135,9 @@ _DENSE_MAX_ROWS = 16384
 _BLOCK_ROWS = 4096
 _EPS = np.finfo(np.float64).eps
 # relative accuracy of sigma that the sample-whitened factor must reach, or
-# hand A to TSQR: the dense oracles hold factor_gram to 1e-12
+# hand A to the R fold: the dense oracles hold factor_gram to 1e-12
 _ORACLE_RTOL = 1e-12
-# TSQR's first block, with at most this share of its entries stored, is
+# The R fold's first block, with at most this share of its entries stored, is
 # densified in Fortran order for its QR, which LAPACK then reads in place.
 # Densifying in Fortran order goes through a CSC copy of the stored entries,
 # which costs less than the transposing copy the QR takes of a C-ordered block
@@ -204,24 +205,25 @@ def _block_slices(n: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
 
 
-def _block_products(indptr, indices, data, W: np.ndarray):
+def _block_products(A: SparseRowMatrix, W: np.ndarray):
     """Yield ``(rows, P)`` with P = A[rows] @ W for the blocks of
-    :func:`_block_slices`, A the CSR ``(indptr, indices, data)``, each from
-    :func:`~rowsketch.matrix._csr_product` on A's own arrays.  Every P is a
-    view of one buffer, overwritten by the next block."""
+    :func:`_block_slices`, each from :func:`~rowsketch.matrix._csr_product`
+    on A's own arrays.  Every P is a view of one buffer, overwritten by the
+    next block."""
     W = np.ascontiguousarray(W, dtype=np.float64)
-    slices = _block_slices(len(indptr) - 1)
+    slices = _block_slices(A.n_rows)
     buf = np.empty((slices[0].stop, W.shape[1]))
     for rows in slices:
         P = buf[:rows.stop - rows.start]
-        yield rows, _csr_product(indptr[rows.start:rows.stop + 1], indices, data, W, P)
+        yield rows, _csr_product(A.row_offsets[rows.start:rows.stop + 1], A.col_indices,
+                                 A.values, W, P)
 
 
-def _whitened_gram(indptr, indices, data, W: np.ndarray) -> np.ndarray:
-    """T'T for the whitened rows T = A @ W of the CSR ``(indptr, indices,
-    data)``, summed over its row blocks, so T is never formed past 16384 rows."""
+def _whitened_gram(A: SparseRowMatrix, W: np.ndarray) -> np.ndarray:
+    """T'T for the whitened rows T = A @ W, summed over A's row blocks, so T
+    is never formed past 16384 rows."""
     G = np.zeros((W.shape[1], W.shape[1]))
-    for _, T in _block_products(indptr, indices, data, W):
+    for _, T in _block_products(A, W):
         G += T.T @ T
     return G
 
@@ -234,7 +236,7 @@ def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
     vals, infinite = np.empty(A.n_rows), np.zeros(A.n_rows, dtype=bool)
     off, col, val = A.row_offsets, A.col_indices, A.values
     ones = np.ones(A.n_cols)
-    for rows, P in _block_products(off, col, val, W):
+    for rows, P in _block_products(A, W):
         vals[rows] = np.einsum("ij,ij->i", P[:, :r], P[:, :r])
         if W.shape[1] == r:
             continue
@@ -274,44 +276,37 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     is dense at a time.
     """
     n, d = A.shape
-    if n > _DENSE_MAX_ROWS:  # the scipy CSR these take shares A's arrays
-        csr = A.to_scipy()
-        M = _sample_whitened(csr)
-        if M is None:
-            M = _tsqr(csr)
+    M = None
+    if n > _DENSE_MAX_ROWS:
+        M = _sample_whitened(A)
     elif n < 2 * d:
-        M = _csr_dense(A.row_offsets, A.col_indices, A.values, d)
-    else:
-        M = _r_fold(A.row_offsets, A.col_indices, A.values, d)
+        M = A.to_dense()
+    if M is None:  # also where the sampled pass refuses A
+        M = _r_fold(A)
     _, s, vh = np.linalg.svd(M, full_matrices=False)
     r = int((s > RANK_RTOL * s.max(initial=0.0)).sum())
     return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy())
 
 
-def _tsqr(csr) -> np.ndarray:
-    """:func:`_r_fold` on the arrays of the scipy CSR ``csr``."""
-    return _r_fold(csr.indptr, csr.indices, csr.data, csr.shape[1])
-
-
-def _r_fold(indptr, indices, data, d: int) -> np.ndarray:
-    """The triangular R with R'R = A'A for the d-column CSR ``(indptr,
-    indices, data)``, folded over the blocks of :func:`_block_slices`
-    (Demmel, Grigori, Hoemmen and Langou, arXiv:0808.2664): the first
-    block's R from :func:`_r_factor`, then each later block stacked under
-    the running R and factored again.  Blocks are densified from A's own
-    arrays, the first in Fortran order when it stores at most a quarter of
-    its entries; LAPACK reads the same values either way, so R keeps its
-    bits."""
-    first, *rest = _block_slices(len(indptr) - 1)
-    stored = int(indptr[first.stop]) - int(indptr[first.start])
+def _r_fold(A: SparseRowMatrix) -> np.ndarray:
+    """The triangular R with R'R = A'A, folded over the blocks of
+    :func:`_block_slices` (Demmel, Grigori, Hoemmen and Langou,
+    arXiv:0808.2664): the first block's R from :func:`_r_factor`, then each
+    later block stacked under the running R and factored again.  Blocks are
+    densified from A's own arrays, the first in Fortran order when it
+    stores at most a quarter of its entries; LAPACK reads the same values
+    either way, so R keeps its bits."""
+    off, col, val, d = A.row_offsets, A.col_indices, A.values, A.n_cols
+    first, *rest = _block_slices(A.n_rows)
+    stored = int(off[first.stop]) - int(off[first.start])
     order = "F" if stored <= _FORTRAN_MAX_DENSITY * (first.stop - first.start) * d else "C"
-    R = _r_factor(_csr_dense(indptr[first.start:first.stop + 1], indices, data, d, order))
+    R = _r_factor(_csr_dense(off[first.start:first.stop + 1], col, val, d, order))
     for rows in rest:
-        R = _r_factor(np.vstack([R, _csr_dense(indptr[rows.start:rows.stop + 1], indices, data, d)]))
+        R = _r_factor(np.vstack([R, _csr_dense(off[rows.start:rows.stop + 1], col, val, d)]))
     return R
 
 
-def _sample_whitened(csr) -> np.ndarray | None:
+def _sample_whitened(A: SparseRowMatrix) -> np.ndarray | None:
     """A d x d M with M'M = A'A from one pass over A's rows, or None where
     that M could miss the 1e-12 accuracy of the dense factor.
 
@@ -329,16 +324,17 @@ def _sample_whitened(csr) -> np.ndarray | None:
     dense SVD.  The rest of G is scaled to unit diagonal, H, and factored
     H = R'R, so M = R diag(g) Vs'.  Row k of M mixes only rows k and later of
     diag(g) Vs', which fall in size along the sample's spectrum, so the SVD
-    of M resolves small sigma as that of TSQR's R does; M from G's
+    of M resolves small sigma as that of the folded R does; M from G's
     eigenvectors would mix all rows and lose small sigma.  Rounding of
     about d * eps in H moves each sigma^2 of M by up to d * eps /
     lambda_min(H) relative (Demmel and Veselic, SIMAX 1992), and
     lambda_min(H) = sigma_min(R)^2 can lie far below every pivot of R.  So
-    an H with lambda_min below d * eps / 1e-12 sends A to TSQR, as do an
-    all-zero sample and a G that is not finite.
+    an H with lambda_min below d * eps / 1e-12 sends A to :func:`_r_fold`,
+    as do an all-zero sample and a G that is not finite.
     """
-    (n, d), arrays = csr.shape, (csr.indptr, csr.indices, csr.data)
-    sample = _csr_gather(*arrays, np.arange(0, n, -(-n // _BLOCK_ROWS)))
+    n, d = A.shape
+    sample = _csr_gather(A.row_offsets, A.col_indices, A.values,
+                         np.arange(0, n, -(-n // _BLOCK_ROWS)))
     _, ss, vh = np.linalg.svd(_r_factor(_csr_dense(*sample, d)))
     if not ss.size or ss[0] == 0.0:
         return None
@@ -346,7 +342,7 @@ def _sample_whitened(csr) -> np.ndarray | None:
     kept = int((ss > RANK_RTOL * ss[0]).sum())
     scale[:kept] = ss[:kept]
     with np.errstate(over="ignore", invalid="ignore"):  # a G that overflows is refused
-        G = _whitened_gram(*arrays, vh.T / scale)
+        G = _whitened_gram(A, vh.T / scale)
     if not np.isfinite(G).all():
         return None
     norms = np.sqrt(np.diag(G))

@@ -23,7 +23,7 @@ from .fastlev import approx_generalized_leverage, estimate_cost
 from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import (SparseRowMatrix, WeightedRowSample, _binade_shift, _binade_shifted,
                      _transpose_dot, materialize)
-from .sampling import SketchConfig, _undersample, log_dim, rng_from, sample
+from .sampling import SketchConfig, _default_theta, _undersample, log_dim, rng_from, sample
 
 
 class PipelineError(RuntimeError):
@@ -59,13 +59,13 @@ class SketchResult:
 
 
 def _compose(parent: WeightedRowSample, local: WeightedRowSample) -> WeightedRowSample:
-    """Sample-of-a-sample: push local indices/weights through the parent."""
+    """Sample-of-a-sample: push local indices/weights through the parent.
+    Both index arrays increase strictly, as every draw and composition
+    gives them, so the composed indices do too."""
     if local.parent_rows != len(parent):
         raise ValueError("local sample does not match parent length")
-    idx = parent.row_indices[local.row_indices]
-    w = parent.weights[local.row_indices] * local.weights
-    order = np.argsort(idx)
-    return WeightedRowSample(parent.parent_rows, idx[order], w[order])
+    return WeightedRowSample(parent.parent_rows, parent.row_indices[local.row_indices],
+                             parent.weights[local.row_indices] * local.weights)
 
 
 @dataclass
@@ -334,7 +334,7 @@ def input_sparsity_sketch(A: SparseRowMatrix, theta: float, epsilon: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     d = A.n_cols
-    theta_fine = 1.0 / log_dim(d)
+    theta_fine = _default_theta(d)
     run = _Run()
     s1 = _halve(A, np.arange(A.n_rows, dtype=np.int64), 0, cfg, theta_fine, theta,
                 cfg.epsilon ** -2, run, ("isparse",))
@@ -364,7 +364,7 @@ def final_refinement(A: SparseRowMatrix, sketch: SketchResult, epsilon: float,
     run = _Run()
     if d * log_dim(d) * epsilon ** -2 >= A.n_rows:
         return _finish(WeightedRowSample.identity(A.n_rows), run, cfg, 1.0, None)
-    S = _resample(A, None, materialize(A, sketch.sample), 1.0 / log_dim(d),
+    S = _resample(A, None, materialize(A, sketch.sample), _default_theta(d),
                   epsilon ** -2, cfg, (("final-refine",), ("final-refine", "draw")), run)
     run.levels += 1
     lam = (1.0 + epsilon) / (1.0 - epsilon) if epsilon < 1.0 else math.inf

@@ -249,7 +249,7 @@ class _ScoreState:
         if c.size >= self.A.n_cols:  # then dP = V diag(c) V' through its eigenpairs
             c, V = np.linalg.eigh((V * c) @ V.T)
         w2 = np.square(self.w)
-        for rows, Q in _block_products(self.A.row_offsets, self.A.col_indices, self.A.values, V):
+        for rows, Q in _block_products(self.A, V):
             np.square(Q, out=Q)
             t = Q @ c
             t *= w2[rows]
@@ -308,7 +308,7 @@ def compute_reweighting(A: SparseRowMatrix, u, tol: float = 1e-6,
             if not tau_i > bound[i]:  # exact scores from a refresh put it back
                 continue
             taken = True
-            if tau_i < 1.0 - _ZERO_BRANCH and u[i] < tau_i:
+            if tau_i < 1.0 - _ZERO_BRANCH:  # u_i < tau_i, since tau_i > u_i + tol
                 taken = state.downweight(s, gamma_for_target(tau_i, float(u[i])))
             else:
                 state.zero_row(s)

@@ -29,6 +29,12 @@ def log_dim(d: int) -> float:
     return math.log(max(int(d), 2))
 
 
+def _default_theta(d: int) -> float:
+    """The pipelines' default distortion exponent min(1, 1/log d): 1/ln d
+    from d = 3 on, and 1 below, where 1/ln 2 would leave (0, 1]."""
+    return min(1.0, 1.0 / log_dim(d))
+
+
 def _salt_ints(salt) -> tuple[int, ...]:
     out = []
     for item in salt:
@@ -52,8 +58,8 @@ class SketchConfig:
 
     ``seed`` fully determines all random draws downstream.  ``theta`` is the
     sketch-distortion exponent; None defers to each routine's per-matrix
-    default (1/log d for the pipelines).  ``c`` is the oversampling constant
-    in the row-keeping probabilities.  Two constants are not settable:
+    default (min(1, 1/log d) for the pipelines).  ``c`` is the oversampling
+    constant in the row-keeping probabilities.  Two constants are not settable:
     ``jl_rows_constant`` fixes the sketch height k = ceil(64 / theta), and
     so also picks the estimator's branch: a reference of rank at most k is
     scored exactly, without a draw, and only a larger rank is sketched.
@@ -77,7 +83,7 @@ class SketchConfig:
             raise ValueError("theta must lie in (0, 1]")
 
     def resolve_theta(self, n_cols: int) -> float:
-        return self.theta if self.theta is not None else 1.0 / log_dim(n_cols)
+        return self.theta if self.theta is not None else _default_theta(n_cols)
 
 
 def _finite_scores(u) -> np.ndarray:
@@ -143,21 +149,15 @@ def _undersample(u: np.ndarray, alpha: float, cfg: SketchConfig, n_cols: int,
 
 
 def _combine_uniform_estimates(A: SparseRowMatrix, S: WeightedRowSample) -> ScoreVector:
-    """Generalized scores of A w.r.t. the indicator sample S, with the
-    closed-form out-of-sample adjustment t -> t/(1+t)."""
-    B = materialize(A, S)
-    g = generalized_leverage_scores(A, B)
-    in_sample = np.zeros(A.n_rows, dtype=bool)
-    in_sample[S.row_indices] = True
-    vals = g.with_infinite_as(np.inf)
-    out = np.empty(A.n_rows)
-    ins = in_sample
-    out[ins] = np.minimum(vals[ins], 1.0)
-    t = vals[~ins]
-    with np.errstate(invalid="ignore"):
-        adjusted = np.where(np.isinf(t), 1.0, t / (1.0 + t))
-    out[~ins] = adjusted
-    return ScoreVector.from_finite(np.clip(out, 0.0, 1.0))
+    """The estimates from the generalized scores t of A w.r.t. the indicator
+    sample S: t/(1+t) off the sample, min(t, 1) on it, and 1 on rows that
+    lean into the sample's kernel."""
+    g = generalized_leverage_scores(A, materialize(A, S))
+    t = g.values
+    out = t / (1.0 + t)
+    out[S.row_indices] = np.minimum(t[S.row_indices], 1.0)
+    out[g.infinite] = 1.0
+    return ScoreVector.from_finite(out)
 
 
 def uniform_leverage_estimates(A: SparseRowMatrix, m: int, cfg: SketchConfig,

@@ -64,8 +64,7 @@ def _pencil_eigenvalues(fa: PseudoinverseFactor, Atilde: SparseRowMatrix) -> np.
     sketch within lambda, so T'T loses nothing; Atilde'Atilde would square
     Atilde's condition number.
     """
-    return np.linalg.eigvalsh(_whitened_gram(Atilde.row_offsets, Atilde.col_indices, Atilde.values,
-                                             fa.half_pinv()))
+    return np.linalg.eigvalsh(_whitened_gram(Atilde, fa.half_pinv()))
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,37 @@ class TestSolve:
         assert not x_p.exists()
 
 
+class TestOneColumn:
+    """Every command that estimates at the default theta runs on a
+    one-column file, where 1/ln d would leave (0, 1]."""
+
+    @pytest.fixture
+    def column_mtx(self, tmp_path):
+        p = tmp_path / "column.mtx"
+        write_matrix_market(p, gaussian_matrix(3000, 1, 29))
+        return str(p)
+
+    @pytest.mark.parametrize("method", ["halving", "input-sparsity"])
+    def test_sketch_and_verify(self, tmp_path, column_mtx, method):
+        sample_p, report_p = tmp_path / "s.tsv", tmp_path / "r.json"
+        assert main(["sketch", column_mtx, "--method", method, "-o", str(sample_p),
+                     "--report", str(report_p)]) == 0
+        lam = json.loads(report_p.read_text())["check_lambda"]
+        assert main(["verify", column_mtx, str(sample_p), "--lambda", str(lam),
+                     "--report", str(tmp_path / "v.json")]) == 0
+
+    def test_solve(self, tmp_path, column_mtx):
+        rhs = tmp_path / "b.tsv"
+        rhs.write_text("row_index\tvalue\n" + "".join(f"{i}\t{i % 7 - 3}\n" for i in range(3000)))
+        assert main(["solve", column_mtx, str(rhs), "-o", str(tmp_path / "x.tsv"),
+                     "--report", str(tmp_path / "r.json")]) == 0
+
+    def test_fast_scores(self, tmp_path, column_mtx):
+        out = tmp_path / "scores.tsv"
+        assert main(["scores", column_mtx, "--wrt", column_mtx, "--fast", "-o", str(out)]) == 0
+        assert len(read_scores(out)) == 3000
+
+
 class TestUsageErrors:
     def test_bad_counts_and_tolerances_exit_2_not_1(self, tmp_path, random_mtx, capsys):
         from rowsketch import WeightedRowSample, write_sample

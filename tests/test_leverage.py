@@ -107,7 +107,7 @@ def relative_sigma_error(f, dense):
     return float(np.max(np.abs(f.singular_values - s) / s))
 
 
-TSQR = leverage._tsqr
+TSQR = leverage._r_fold
 
 
 @pytest.fixture
@@ -117,14 +117,14 @@ def each_path(monkeypatch):
     def run(check):
         check()
         with monkeypatch.context() as m:
-            m.setattr(leverage, "_sample_whitened", lambda csr: None)
+            m.setattr(leverage, "_sample_whitened", lambda A: None)
             check()
     return run
 
 
 def tsqr_factor(A):
     """factor_gram's TSQR path, whatever the sample-whitened pass would do."""
-    _, s, vh = np.linalg.svd(TSQR(A.to_scipy()), full_matrices=False)
+    _, s, vh = np.linalg.svd(TSQR(A), full_matrices=False)
     r = int((s > leverage.RANK_RTOL * s.max(initial=0.0)).sum())
     return leverage.PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r])
 
@@ -140,14 +140,15 @@ TALL_CASES = dict(
 
 @pytest.fixture
 def tsqr_calls(monkeypatch):
-    """Counts factor_gram's fallbacks to TSQR."""
+    """Counts factor_gram's calls of TSQR, which for a tall A runs only as
+    the fallback."""
     calls = []
 
-    def counted(csr):
-        calls.append(csr.shape)
-        return TSQR(csr)
+    def counted(A):
+        calls.append(A.shape)
+        return TSQR(A)
 
-    monkeypatch.setattr(leverage, "_tsqr", counted)
+    monkeypatch.setattr(leverage, "_r_fold", counted)
     return calls
 
 
@@ -656,9 +657,9 @@ class TestRowBlocks:
         cfg = SketchConfig(seed=4)
         est = approx_generalized_leverage(A, B, theta, cfg, salt=salt)
         f = factor_gram(B)
-        R = np.linalg.qr(build_projector_sketch(f, theta, cfg, salt=salt), mode="r")
+        M = build_projector_sketch(f, theta, cfg, salt=salt)
         probes, source_norms = kernel_probe(f, cfg.kernel_probes, cfg, salt=salt)
-        sketched = A.dot_dense(R.T)
+        sketched = A.dot_dense(M.T)
         vals = d ** theta * np.einsum("ij,ij->i", sketched, sketched)
         dots = np.linalg.norm(A.dot_dense(probes.T / source_norms), axis=1)
         infinite = dots > leverage.KERNEL_TOL * np.linalg.norm(mixed, axis=1)

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rowsketch.pipelines as pl
 from rowsketch import (SketchConfig, SketchResult, SparseRowMatrix,
@@ -241,6 +243,65 @@ class TestFinalRefinement:
         for hi, lo in ((0.5, 1.0), (0.25, 0.5)):
             ratio = means[hi] / means[lo]
             assert 4.0 / 1.5 <= ratio <= 4.0 * 1.5
+
+
+# every pipeline that estimates at its default theta, as a function of (A, cfg)
+DEFAULT_THETA_PIPELINES = {
+    "halving": repeated_halving,
+    "refinement": refinement_sampling,
+    "input-sparsity": lambda A, cfg: input_sparsity_sketch(A, 0.5, cfg.epsilon, cfg),
+    "generic-tail": lambda A, cfg: generic_scheme(A, "tail", cfg),
+    "generic-sqrt": lambda A, cfg: generic_scheme(A, "sqrt", cfg),
+}
+
+
+def assert_sample_invariants(r, n):
+    """Strictly increasing indices within [0, n), finite positive weights,
+    and rows_kept counting them."""
+    idx, w = r.sample.row_indices, r.sample.weights
+    assert r.sample.parent_rows == n and r.rows_kept == len(r.sample) == idx.size == w.size
+    assert np.all(idx[1:] > idx[:-1]) and (not idx.size or (idx[0] >= 0 and idx[-1] < n))
+    assert np.all(np.isfinite(w)) and np.all(w > 0)
+
+
+class TestFewColumns:
+    """At d <= 2 the default theta is 1: 1/ln d would leave (0, 1]."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", sorted(DEFAULT_THETA_PIPELINES))
+    def test_pipelines_run_at_default_theta(self, name, d):
+        A = gaussian_matrix(4096, d, 40 + d)
+        r = DEFAULT_THETA_PIPELINES[name](A, SketchConfig(seed=1))
+        assert_sample_invariants(r, A.n_rows)
+        assert 0 < r.rows_kept < A.n_rows and r.levels_or_iterations > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_final_refinement_runs_at_default_theta(self, d):
+        A = gaussian_matrix(4096, d, 40 + d)
+        r = final_refinement(A, make_verified_sketch(A), 0.5, SketchConfig(seed=1))
+        assert_sample_invariants(r, A.n_rows)
+        assert 0 < r.rows_kept < A.n_rows and r.levels_or_iterations == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(DEFAULT_THETA_PIPELINES)), n=st.integers(0, 3000),
+       d=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+       zero_rows=st.sampled_from([0.0, 0.3, 0.9]), distinct=st.sampled_from([0, 1, 2, 7]))
+def test_sample_invariants_property(name, n, d, seed, zero_rows, distinct):
+    """Every sketcher on matrices of 0 to 6 columns, with zero rows and
+    (``distinct`` > 0) rows repeating ``distinct`` patterns: a valid sample
+    of A, and the same bytes on a rerun with the same seed."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((distinct or n, d))
+    dense = rows[np.arange(n) % distinct] if distinct else rows
+    dense[rng.random(n) < zero_rows] = 0.0
+    A = SparseRowMatrix.from_dense(dense)
+    cfg = SketchConfig(seed=seed % 1000)
+    first, again = (DEFAULT_THETA_PIPELINES[name](A, cfg) for _ in range(2))
+    assert_sample_invariants(first, n)
+    assert first.sample.row_indices.tobytes() == again.sample.row_indices.tobytes()
+    assert first.sample.weights.tobytes() == again.sample.weights.tobytes()
+    assert first.sum_estimates_history == again.sum_estimates_history
 
 
 class TestPreconditionSolve:

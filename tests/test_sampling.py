@@ -33,7 +33,7 @@ class TestSketchConfig:
     def test_theta_resolution(self):
         assert SketchConfig().resolve_theta(16) == pytest.approx(1 / np.log(16))
         assert SketchConfig(theta=0.5).resolve_theta(16) == 0.5
-        assert SketchConfig().resolve_theta(1) == pytest.approx(1 / np.log(2))
+        assert SketchConfig().resolve_theta(1) == 1.0
 
 
 class TestSample:
