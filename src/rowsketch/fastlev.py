@@ -56,8 +56,8 @@ def estimate_cost(theta: float, cfg: SketchConfig) -> int:
 
     It is a budget, not a count of the work done, and it is the same on
     both branches, so every run's ``solve_count`` stays as it was: it stands
-    for one Gram factorization (counted once per call, also where calls
-    share one), the k sketch rows, and the kernel flags, which take the
+    for one Gram factorization (counted once per call, also where B's kept
+    factor serves it), the k sketch rows, and the kernel flags, which take the
     exact basis of ker(B) and draw no probe.  An exact-branch call, k >=
     rank(B), solves against r <= k directions and draws nothing."""
     return 1 + sketch_rows(theta, cfg) + cfg.kernel_probes
@@ -104,8 +104,7 @@ def kernel_probe(f: PseudoinverseFactor, t_probes: int, cfg: SketchConfig,
 
 
 def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
-                                cfg: SketchConfig, salt=(),
-                                factor: PseudoinverseFactor | None = None) -> ScoreVector:
+                                cfg: SketchConfig, salt=()) -> ScoreVector:
     """Overestimates d^theta * tau^B(A), exact or sketched: see the module notes.
 
     With k = :func:`sketch_rows` (theta, cfg), which validates theta:
@@ -118,16 +117,13 @@ def approx_generalized_leverage(A: SparseRowMatrix, B: SparseRowMatrix, theta: f
     infinite when ||N'a_i|| exceeds KERNEL_TOL * ||a_i||, N the orthonormal
     basis of ker(B): the rule, and the flags, of
     :func:`generalized_leverage_scores`, for entries from about 1e-300 to
-    1e300.  A B of full column rank flags no row.  ``factor``, when given,
-    is the caller's ``factor_gram(B)``, so estimates against one B share one
-    factorization; without it the call factors B.  The solves charged are
-    :func:`estimate_cost` on every branch.
+    1e300.  A B of full column rank flags no row.  Estimates against one B
+    share its one factorization, which :func:`factor_gram` keeps on B.  The
+    solves charged are :func:`estimate_cost` on every branch.
     """
     if A.n_cols != B.n_cols:
         raise ValueError(f"column mismatch: {A.n_cols} vs {B.n_cols}")
-    if factor is not None and factor.n_cols != A.n_cols:
-        raise ValueError(f"factor column mismatch: {factor.n_cols} vs {A.n_cols}")
-    f = factor if factor is not None else factor_gram(B)
+    f = factor_gram(B)
     if sketch_rows(theta, cfg) >= f.rank:  # the sketch would not be smaller: score exactly
         row_space = f.half_pinv()
     else:

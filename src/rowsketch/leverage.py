@@ -15,14 +15,13 @@ scipy's bits and no pass builds a scipy object.  :func:`factor_gram` takes
 the SVD of a matrix M with M'M = A'A: for a tall A, a d x d M from the
 Gram of its rows whitened by a sample of its own rows; below 2d rows, A
 itself; otherwise the d x d triangular factor R that :func:`_r_fold`
-folds over A's row blocks.  A caller that scores several row sets
-against one reference factors it once and passes the factor on.  Rows
-that lean into a reference's kernel are flagged by one rule, through the
-exact basis of :func:`_kernel_basis`, for exact and sketched scores
-alike.  Every triangular factor R here comes from :func:`_r_factor`: the
-bits of ``np.linalg.qr(M, mode="r")``, through LAPACK's ``dgeqrf`` called
-directly, without numpy's copies of M, up to 128 columns and wherever
-scipy's LAPACK is seen to round as numpy's does.
+folds over A's row blocks; each matrix object is factored once and keeps
+the factor.  Rows that lean into a reference's kernel are flagged by one
+rule, through the exact basis of :func:`_kernel_basis`, for exact and
+sketched scores alike.  Every triangular factor R here comes from
+:func:`_r_factor`: the bits of ``np.linalg.qr(M, mode="r")``, through
+LAPACK's ``dgeqrf`` called directly, without numpy's copies of M, up to
+128 columns and wherever scipy's LAPACK is seen to round as numpy's does.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .matrix import (SparseRowMatrix, _csr_dense, _csr_gather, _csr_product, _IndexedTsv,
-                     write_indexed_column)
+from .matrix import (SparseRowMatrix, _csr_dense, _csr_gather, _csr_product, _frozen,
+                     _IndexedTsv, write_indexed_column)
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,17 @@ class PseudoinverseFactor:
     ``right_singular_vectors`` is d x r with orthonormal columns,
     ``singular_values`` the singular values of A above the rank cut (see
     :func:`factor_gram`).
-    (A'A)^+ acts as V diag(sigma^-2) V'.
+    (A'A)^+ acts as V diag(sigma^-2) V'.  Both arrays are read-only, since
+    one factor serves every caller of :func:`factor_gram` on its matrix.
     """
 
     right_singular_vectors: np.ndarray
     singular_values: np.ndarray
+
+    def __post_init__(self):
+        for name in ("right_singular_vectors", "singular_values"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def rank(self) -> int:
@@ -260,6 +265,10 @@ def _score_rows(A: SparseRowMatrix, W: np.ndarray, r: int) -> ScoreVector:
 def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     """Factor A'A with numerical rank cut at sigma > RANK_RTOL * sigma_max.
 
+    The factor is computed once per matrix object and kept in its instance
+    dict, to live as long as A and serve every later call on it: a
+    matrix's arrays must not change after it is built.
+
     The singular values come from an SVD of a matrix M with M'M = A'A rather
     than an eigendecomposition of the Gram matrix: squaring A would push the
     noise floor for sigma to ~1e-8 relative and defeat the 1e-10 cut.  Past
@@ -275,6 +284,14 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     condition number of A is never squared, and no more than one block of A
     is dense at a time.
     """
+    memo = vars(A)  # threads that race here compute equal factors, one of them kept
+    if "_gram_factor" not in memo:
+        memo["_gram_factor"] = _factor(A)
+    return memo["_gram_factor"]
+
+
+def _factor(A: SparseRowMatrix) -> PseudoinverseFactor:
+    """:func:`factor_gram` computed afresh."""
     n, d = A.shape
     M = None
     if n > _DENSE_MAX_ROWS:
@@ -285,7 +302,7 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
         M = _r_fold(A)
     _, s, vh = np.linalg.svd(M, full_matrices=False)
     r = int((s > RANK_RTOL * s.max(initial=0.0)).sum())
-    return PseudoinverseFactor(np.ascontiguousarray(vh[:r].T), s[:r].copy())
+    return PseudoinverseFactor(vh[:r].T, s[:r])
 
 
 def _r_fold(A: SparseRowMatrix) -> np.ndarray:
@@ -358,23 +375,17 @@ def _sample_whitened(A: SparseRowMatrix) -> np.ndarray | None:
     return (L.T * gain[live]) @ vh[live]
 
 
-def exact_leverage_scores(A: SparseRowMatrix,
-                          factor: PseudoinverseFactor | None = None) -> ScoreVector:
-    """tau_i = ||a_i' V diag(1/sigma)||^2, in [0, 1] and summing to rank(A).
-    ``factor``, when given, is the caller's ``factor_gram(A)``."""
-    f = factor if factor is not None else factor_gram(A)
+def exact_leverage_scores(A: SparseRowMatrix) -> ScoreVector:
+    """tau_i = ||a_i' V diag(1/sigma)||^2, in [0, 1] and summing to rank(A)."""
+    f = factor_gram(A)
     tau = _score_rows(A, f.half_pinv(), f.rank).values
     return ScoreVector.from_finite(np.clip(tau, 0.0, 1.0))
 
 
 def cross_leverage(A: SparseRowMatrix, i: int, j: int) -> float:
     """tau_ij = a_i' (A'A)^+ a_j; symmetric, with tau_ii = tau_i."""
-    for k in (i, j):
-        if not 0 <= k < A.n_rows:
-            raise IndexError(f"row {k} out of range for {A.n_rows} rows")
+    (ci, vi), (cj, vj) = A.row(i), A.row(j)
     M = factor_gram(A).half_pinv()
-    ci, vi = A.row(i)
-    cj, vj = A.row(j)
     return float((vi @ M[ci]) @ (vj @ M[cj]))
 
 
@@ -384,13 +395,8 @@ def min_norm_witness(A: SparseRowMatrix, i: int) -> np.ndarray:
     Satisfies ||x||^2 = tau_i and x[j] = tau_ij for every j; returns the
     zero vector when a_i = 0.
     """
-    if not 0 <= i < A.n_rows:
-        raise IndexError(f"row {i} out of range for {A.n_rows} rows")
-    f = factor_gram(A)
-    cols, vals = A.row(i)
-    a_i = np.zeros(A.n_cols)
-    a_i[cols] = vals
-    return A.dot_dense(f.pinv_apply(a_i))
+    a_i = A.row_dense(i)
+    return A.dot_dense(factor_gram(A).pinv_apply(a_i))
 
 
 def generalized_leverage_scores(A: SparseRowMatrix, B: SparseRowMatrix) -> ScoreVector:

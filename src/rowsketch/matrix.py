@@ -57,9 +57,11 @@ class SparseRowMatrix:
 
     Invariants (see :meth:`validate`): offsets nondecreasing and bracketing,
     column indices strictly increasing within each row and < n_cols, all
-    values finite.  Arrays are frozen after construction.  Index arrays are
-    int32 while n_rows, n_cols and nnz fit, else int64, as scipy would pick,
-    so :meth:`to_scipy` copies nothing.
+    values finite.  Arrays are frozen after construction and must not change
+    by any path: :func:`~rowsketch.leverage.factor_gram` keeps the factor it
+    computes once per matrix object on it.  Index arrays are int32 while
+    n_rows, n_cols and nnz fit, else int64, as scipy would pick, so
+    :meth:`to_scipy` copies nothing.
     """
 
     n_rows: int
@@ -280,6 +282,11 @@ def materialize(A: SparseRowMatrix, S: WeightedRowSample) -> SparseRowMatrix:
     if S.parent_rows != A.n_rows:
         raise ValueError(f"sample built for {S.parent_rows} rows, matrix has {A.n_rows}")
     S.validate()
+    return _take_rows(A, S)
+
+
+def _take_rows(A: SparseRowMatrix, S: WeightedRowSample) -> SparseRowMatrix:
+    """:func:`materialize` of a sample built valid for A, as the pipelines' are."""
     # rows copied whole, so still sorted, then weighted in place
     ptr, idx, vals = _csr_gather(A.row_offsets, A.col_indices, A.values, S.row_indices)
     vals *= np.repeat(S.weights, np.diff(ptr))
@@ -287,10 +294,13 @@ def materialize(A: SparseRowMatrix, S: WeightedRowSample) -> SparseRowMatrix:
 
 
 def scale_rows(A: SparseRowMatrix, w: np.ndarray) -> SparseRowMatrix:
-    """diag(w) @ A on A's own index arrays; a row of weight 0 keeps its entries, as zeros."""
+    """diag(w) @ A on A's own index arrays; a row of weight 0 keeps its
+    entries, as zeros.  Weights all 1 give A itself, with its kept factor."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (A.n_rows,):
         raise ValueError("weight vector length must equal n_rows")
+    if (w == 1.0).all():
+        return A
     vals = A.values * np.repeat(w, np.diff(A.row_offsets))
     return SparseRowMatrix(A.n_rows, A.n_cols, A.row_offsets, A.col_indices, vals)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .fastlev import approx_generalized_leverage, estimate_cost
 from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import (SparseRowMatrix, WeightedRowSample, _binade_shift, _binade_shifted,
-                     _transpose_dot, materialize)
+                     _take_rows, _transpose_dot, materialize)
 from .sampling import SketchConfig, _default_theta, _undersample, log_dim, rng_from, sample
 
 
@@ -79,24 +79,21 @@ class _Run:
     levels: int = 0
 
     def estimate(self, A: SparseRowMatrix, B: SparseRowMatrix, theta: float,
-                 cfg: SketchConfig, salt: tuple,
-                 factor: PseudoinverseFactor | None = None) -> ScoreVector:
-        u = approx_generalized_leverage(A, B, theta, cfg, salt=salt, factor=factor)
+                 cfg: SketchConfig, salt: tuple) -> ScoreVector:
+        u = approx_generalized_leverage(A, B, theta, cfg, salt=salt)
         self.solves += estimate_cost(theta, cfg)
         return u
 
 
 def _resample(A: SparseRowMatrix, target: WeightedRowSample | None,
               B: SparseRowMatrix, theta: float, rate, cfg: SketchConfig,
-              salts: tuple[tuple, tuple], run: _Run, record: bool = True,
-              factor: PseudoinverseFactor | None = None) -> WeightedRowSample:
+              salts: tuple[tuple, tuple], run: _Run, record: bool = True) -> WeightedRowSample:
     """Score the rows of ``target`` (None: all of A, in place) against B,
-    whose ``factor_gram`` is ``factor`` if given, record the estimate mass
-    in ``run`` (if ``record``), sample at ``rate`` (a number or a function
-    of the mass) with ``salts`` = (estimate salt, draw salt), and return the
-    kept rows as a sample of A."""
-    T = A if target is None else materialize(A, target)
-    u = run.estimate(T, B, theta, cfg, salts[0], factor).with_infinite_as(1.0)
+    record the estimate mass in ``run`` (if ``record``), sample at ``rate``
+    (a number or a function of the mass) with ``salts`` = (estimate salt,
+    draw salt), and return the kept rows as a sample of A."""
+    T = A if target is None else _take_rows(A, target)
+    u = run.estimate(T, B, theta, cfg, salts[0]).with_infinite_as(1.0)
     mass = float(u.sum())
     if record:
         run.history.append(mass)
@@ -109,14 +106,14 @@ def _coarse_fine(A: SparseRowMatrix, target: WeightedRowSample | None,
                  B: SparseRowMatrix, theta_coarse: float, theta_fine: float,
                  alpha: float, cfg: SketchConfig, salts: tuple[tuple, ...],
                  run: _Run, record_coarse: bool) -> WeightedRowSample:
-    """Factor B once; keep rows of ``target`` by cheap d^theta_coarse
-    estimates, then re-estimate the kept rows at theta_fine and cut again,
-    both at rate ``alpha``.  ``salts`` holds the coarse pass's pair, then
-    the fine pass's; the coarse mass is recorded if ``record_coarse``."""
-    f = factor_gram(B)
+    """Keep rows of ``target`` by cheap d^theta_coarse estimates against B,
+    then re-estimate the kept rows at theta_fine and cut again, both at
+    rate ``alpha`` and through B's one factor.  ``salts`` holds the coarse
+    pass's pair, then the fine pass's; the coarse mass is recorded if
+    ``record_coarse``."""
     big = _resample(A, target, B, theta_coarse, alpha, cfg, salts[:2], run,
-                    record=record_coarse, factor=f)
-    return _resample(A, big, B, theta_fine, alpha, cfg, salts[2:], run, factor=f)
+                    record=record_coarse)
+    return _resample(A, big, B, theta_fine, alpha, cfg, salts[2:], run)
 
 
 # Recursions pass operands of at most 20 d ln d rows through at weight 1;
@@ -167,7 +164,7 @@ def _halve(A: SparseRowMatrix, idx: np.ndarray, level: int, cfg: SketchConfig,
     draws = rng_from(cfg.seed, *salt, level, "uniform").random(m)
     sub = _halve(A, idx[draws < 0.5], level + 1, cfg, theta_fine, theta_coarse, alpha,
                  run, salt)
-    B = materialize(A, sub)
+    B = _take_rows(A, sub)
     target = None if m == A.n_rows else WeightedRowSample(A.n_rows, idx, np.ones(m))
     run.levels += 1
     if theta_coarse is None:
@@ -222,7 +219,7 @@ def refinement_sampling(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
                 f"refinement failed to reach {stop:g} within {cap} iterations", run.history)
         alpha = 6.0 * d / float(tau.sum())
         S = _undersample(tau, alpha, cfg, d, ("refine", run.levels, "draw"))
-        u = run.estimate(A, materialize(A, S), theta, cfg, ("refine", run.levels, "jl"))
+        u = run.estimate(A, _take_rows(A, S), theta, cfg, ("refine", run.levels, "jl"))
         tau = np.where(u.infinite, tau, np.minimum(tau, u.values))
         run.history.append(float(tau.sum()))
         run.levels += 1
@@ -279,7 +276,7 @@ def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
     # operand as long as A is A at weight 1: only a uniform cut that keeps
     # every row reaches that length, and cuts keep the weights
     whole = preset == "sqrt" or nhat == A.n_rows
-    a3 = _resample(A, None if whole else current, materialize(A, a2),
+    a3 = _resample(A, None if whole else current, _take_rows(A, a2),
                    cfg.resolve_theta(d),
                    lambda mass: n3 / max(cfg.c * log_dim(d) * mass, 1e-300), cfg,
                    (("generic", depth, "jl"), ("generic", depth, "sample")), run)
@@ -342,7 +339,7 @@ def input_sparsity_sketch(A: SparseRowMatrix, theta: float, epsilon: float,
     if run.levels == 0:
         # nothing to do at this size: the matrix is its own sketch
         return _finish(s1, run, cfg, lam, None)
-    final = _coarse_fine(A, None, materialize(A, s1), theta, theta_fine,
+    final = _coarse_fine(A, None, _take_rows(A, s1), theta, theta_fine,
                          (epsilon / 2.0) ** -2, cfg,
                          (("isparse", "s2a"), ("isparse", "s2a-draw"),
                           ("isparse", "s2b"), ("isparse", "s2b-draw")), run,

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leverage import ScoreVector, _block_products, exact_leverage_scores, factor_gram
+from .leverage import (ScoreVector, _block_products, _whitened_gram, exact_leverage_scores,
+                       factor_gram)
 from .matrix import (SparseRowMatrix, _csr_gather, _csr_product, _IndexedTsv, _binade_shifted,
                      scale_rows, write_indexed_column)
-from .verify import _pencil_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -183,10 +183,9 @@ class _ScoreState:
     def refresh(self) -> None:
         self.rescale()
         B = scale_rows(self.A, self.w)
-        f = factor_gram(B)
-        M = f.half_pinv()
+        M = factor_gram(B).half_pinv()
         self.P = M @ M.T
-        self.tau = exact_leverage_scores(B, factor=f).values.copy()
+        self.tau = exact_leverage_scores(B).values.copy()
         self.factorizations += 1
         self.stale = False
         self._track()
@@ -351,8 +350,8 @@ def compare_leverage_bound(A: SparseRowMatrix, W: Reweighting, Wbar: Reweighting
     lhs = tau_i under Wbar; rhs scales tau_i under W by
     (wbar_i/w_i)^2 (1 + sqrt(lmax(A (A'Wbar^2 A)^+ A')) * ||W - Wbar||_inf)^2.
     The inequality lhs <= rhs holds whenever both weights at i are nonzero.
-    lmax is ``spectral_check(Bbar, A, 1.0).lambda_high``, through the same
-    helper, and 0 when Bbar is all zero.
+    lmax is ``spectral_check(Bbar, A, 1.0).lambda_high``, by the same
+    whitened Gram, and 0 when Bbar is all zero.
     """
     if not 0 <= i < A.n_rows:
         raise IndexError(f"row {i} out of range")
@@ -361,10 +360,10 @@ def compare_leverage_bound(A: SparseRowMatrix, W: Reweighting, Wbar: Reweighting
         raise ValueError("both weightings must keep row i nonzero")
     Bbar = scale_rows(A, Wbar.weights)
     fbar = factor_gram(Bbar)
-    lhs = float(exact_leverage_scores(Bbar, factor=fbar).values[i])
+    lhs = float(exact_leverage_scores(Bbar).values[i])
     B = scale_rows(A, W.weights)
     tau_w = float(exact_leverage_scores(B).values[i])
-    lam_max = float(_pencil_eigenvalues(fbar, A)[-1]) if fbar.rank else 0.0
+    lam_max = float(np.linalg.eigvalsh(_whitened_gram(A, fbar.half_pinv()))[-1]) if fbar.rank else 0.0
     inf_norm = float(np.max(np.abs(W.weights - Wbar.weights)))
     rhs = (wbi / wi) ** 2 * (1.0 + math.sqrt(max(lam_max, 0.0)) * inf_norm) ** 2 * tau_w
     return lhs, rhs

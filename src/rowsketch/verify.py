@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .leverage import PseudoinverseFactor, _whitened_gram, factor_gram
+from .leverage import _whitened_gram, factor_gram
 from .matrix import SparseRowMatrix
 
 
@@ -50,21 +50,12 @@ def spectral_check(A: SparseRowMatrix, Atilde: SparseRowMatrix, lam: float,
     rank_match = rank_atilde == fa.rank
     if fa.rank == 0:
         return SpectralReport(1.0, 1.0, rank_match, rank_match, lam, tol, 0, rank_atilde)
-    eigs = _pencil_eigenvalues(fa, Atilde)
+    # T = Atilde W, W = fa.half_pinv(), has cond(T) <= sqrt(lambda) for a
+    # sketch within lambda, so T'T loses nothing
+    eigs = np.linalg.eigvalsh(_whitened_gram(Atilde, fa.half_pinv()))
     low, high = float(eigs[0]), float(eigs[-1])
     passes = bool(high <= 1.0 + tol and low >= 1.0 / lam - tol and rank_match)
     return SpectralReport(low, high, passes, rank_match, lam, tol, fa.rank, rank_atilde)
-
-
-def _pencil_eigenvalues(fa: PseudoinverseFactor, Atilde: SparseRowMatrix) -> np.ndarray:
-    """Ascending eigenvalues of the pencil (Atilde'Atilde, A'A) on A's row
-    space, given A's factor ``fa`` of nonzero rank.
-
-    T = Atilde W with W = fa.half_pinv() has cond(T) <= sqrt(lambda) for a
-    sketch within lambda, so T'T loses nothing; Atilde'Atilde would square
-    Atilde's condition number.
-    """
-    return np.linalg.eigvalsh(_whitened_gram(Atilde, fa.half_pinv()))
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,7 @@ class TestExactBranch:
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_equals_safety_times_exact_scores(self, monkeypatch, rng, scale):
         # a tall A of rows in a rank-5 subspace, rows off it and zero rows,
-        # against a full-rank, a rank-5 and a rank-0 B, with and without factor=
+        # against a full-rank, a rank-5 and a rank-0 B
         d, theta, cfg = 8, 0.5, SketchConfig(seed=5)
         basis = rng.standard_normal((d, 5))
         dense = rng.standard_normal((leverage._DENSE_MAX_ROWS + 3, 5)) @ basis.T
@@ -244,11 +244,10 @@ class TestExactBranch:
             assert sketch_rows(theta, cfg) >= f.rank, name
             exact = generalized_leverage_scores(A, B)
             want = max(d, 2) ** theta * exact.values
-            for factor in (None, f):
-                est = approx_generalized_leverage(A, B, theta, cfg, (name,), factor=factor)
-                assert est.values.tobytes() == want.tobytes(), name
-                assert est.infinite.tobytes() == exact.infinite.tobytes(), name
-                assert est.has_infinite == (name != "full rank"), name
+            est = approx_generalized_leverage(A, B, theta, cfg, (name,))
+            assert est.values.tobytes() == want.tobytes(), name
+            assert est.infinite.tobytes() == exact.infinite.tobytes(), name
+            assert est.has_infinite == (name != "full rank"), name
         assert shapes == []
 
     def test_one_draw_only_below_rank(self, monkeypatch):
@@ -270,45 +269,22 @@ class TestExactBranch:
 
 
 class TestFactorReuse:
-    """Estimates against one reference share its factor_gram: handing the
-    factor in moves no bit, and each pipeline reference is factored once."""
-
-    @pytest.mark.parametrize("case", ["full-rank", "rank-deficient"])
-    def test_given_factor_changes_no_bit(self, case, rng):
-        d, cfg = 8, SketchConfig(seed=4)
-        A = gaussian_matrix(300, d, 21)
-        B = A
-        if case == "rank-deficient":
-            # A's rows lean into ker(B), so the kernel flags are exercised too
-            B = SparseRowMatrix.from_dense(rng.standard_normal((40, d - 3))
-                                           @ rng.standard_normal((d - 3, d)))
-        for theta in (0.5, 1.0 / 3.0):
-            plain = approx_generalized_leverage(A, B, theta, cfg, ("s", theta))
-            given = approx_generalized_leverage(A, B, theta, cfg, ("s", theta),
-                                                factor=factor_gram(B))
-            assert given.values.tobytes() == plain.values.tobytes()
-            assert given.infinite.tobytes() == plain.infinite.tobytes()
-            assert plain.has_infinite == (case == "rank-deficient")
-
-    def test_factor_of_another_width_refused(self):
-        A = gaussian_matrix(20, 4, 0)
-        with pytest.raises(ValueError, match="factor column mismatch"):
-            approx_generalized_leverage(A, A, 0.5, SketchConfig(),
-                                        factor=factor_gram(gaussian_matrix(20, 5, 0)))
+    """Estimates against one reference share the factor that factor_gram
+    keeps on it: each pipeline reference is factored once."""
 
     def test_input_sparsity_factors_each_reference_once(self, monkeypatch):
         factored, estimates = [], []
+        compute = leverage._factor
 
-        def counting_factor_gram(B):
+        def counting_factor(B):
             factored.append(B)
-            return factor_gram(B)
+            return compute(B)
 
-        def recording_estimate(A, B, theta, cfg, salt=(), factor=None):
+        def recording_estimate(A, B, theta, cfg, salt=()):
             estimates.append((B, theta))
-            return approx_generalized_leverage(A, B, theta, cfg, salt=salt, factor=factor)
+            return approx_generalized_leverage(A, B, theta, cfg, salt=salt)
 
-        for mod in (fastlev, pl):
-            monkeypatch.setattr(mod, "factor_gram", counting_factor_gram)
+        monkeypatch.setattr(leverage, "_factor", counting_factor)
         monkeypatch.setattr(pl, "approx_generalized_leverage", recording_estimate)
         cfg = SketchConfig(seed=3)
         r = pl.input_sparsity_sketch(gaussian_matrix(8192, 8, 2), 0.5, 0.5, cfg)

@@ -1,7 +1,9 @@
 """Exact leverage machinery against dense pseudoinverse oracles, and the
 blocked walk over A's rows that every full pass takes."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from rowsketch import (ScoreVector, SketchConfig, SparseRowMatrix,
                        approx_generalized_leverage, build_projector_sketch,
-                       cross_leverage, exact_leverage_scores, factor_gram,
+                       compute_reweighting, cross_leverage, exact_leverage_scores, factor_gram,
                        generalized_leverage_scores, kernel_probe, leverage,
                        materialize, min_norm_witness, read_scores,
                        repeated_halving, scale_rows, spectral_check,
@@ -113,12 +115,17 @@ TSQR = leverage._r_fold
 @pytest.fixture
 def each_path(monkeypatch):
     """Runs a check twice: as factor_gram takes a tall A, then with the
-    sample-whitened pass refused, so that TSQR factors every tall A."""
+    sample-whitened pass refused, so that TSQR factors every tall A.  A
+    matrix keeps the factor it was given, so a check builds its matrices
+    itself, and the second pass must be seen to run TSQR."""
     def run(check):
         check()
+        folded = []
         with monkeypatch.context() as m:
             m.setattr(leverage, "_sample_whitened", lambda A: None)
+            m.setattr(leverage, "_r_fold", lambda A: folded.append(A.shape) or TSQR(A))
             check()
+        assert folded
     return run
 
 
@@ -297,9 +304,8 @@ class TestFactorGram:
 
     def test_tsqr_self_certifies_at_lambda_one(self, each_path):
         # cond 1e6: a squared Gram would lose the small singular values
-        A = conditioned_matrix(1e6, n=TALL_ROWS)
-
         def check():
+            A = conditioned_matrix(1e6, n=TALL_ROWS)
             rep = spectral_check(A, A, 1.0)
             assert rep.passes, rep
             assert rep.lambda_low == pytest.approx(1.0, abs=1e-6)
@@ -411,6 +417,73 @@ class TestFactorGram:
             unit = dense / top
             resid = np.linalg.norm(unit - (unit @ V) @ V.T, 2)
             assert resid <= s[f.rank:].max(initial=0.0) / top + 1e-12
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The shape of every matrix factor_gram factors afresh, not from the
+    factor a matrix keeps."""
+    shapes = []
+    compute = leverage._factor
+    monkeypatch.setattr(leverage, "_factor", lambda A: shapes.append(A.shape) or compute(A))
+    return shapes
+
+
+class TestFactorKept:
+    """factor_gram factors each matrix object once and keeps the factor on
+    it, for as long as the matrix lives."""
+
+    @pytest.mark.parametrize("n", [300, TALL_ROWS])
+    def test_same_factor_with_fresh_bytes(self, n, factorizations):
+        A = SparseRowMatrix.from_dense(sparse_gaussian(n, 6, n))
+        f = factor_gram(A)
+        exact_leverage_scores(A)
+        assert factor_gram(A) is f
+        assert factorizations == [(n, 6)]
+        fresh = factor_gram(SparseRowMatrix(n, 6, A.row_offsets, A.col_indices, A.values))
+        assert fresh is not f and len(factorizations) == 2
+        assert fresh.singular_values.tobytes() == f.singular_values.tobytes()
+        assert fresh.right_singular_vectors.tobytes() == f.right_singular_vectors.tobytes()
+
+    def test_arrays_read_only(self):
+        f = factor_gram(gaussian_matrix(30, 4, 1))
+        for arr in (f.singular_values, f.right_singular_vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_factor_dies_with_its_matrix(self):
+        # the factor is held by its matrix alone: no table in the process
+        A = gaussian_matrix(30, 4, 2)
+        kept = weakref.ref(factor_gram(A))
+        gc.collect()
+        assert kept() is not None
+        del A
+        gc.collect()
+        assert kept() is None
+
+    def test_check_and_reweighting_reuse_the_factor(self, factorizations):
+        # targets that move no weight: reweighting factors A'W^2A once,
+        # with W = I, and takes A's own factor for it
+        u = np.full(2048, 8.0 * 16 / 2048)
+        _, want = compute_reweighting(gaussian_matrix(2048, 16, 7), u)
+        A = gaussian_matrix(2048, 16, 7)
+        factor_gram(A)
+        factorizations.clear()
+        assert spectral_check(A, A, 1.0).passes
+        _, cert = compute_reweighting(A, u)
+        assert factorizations == []
+        assert cert.factorizations == want.factorizations == 1
+        assert cert.achieved.tobytes() == want.achieved.tobytes()
+
+    def test_unit_weights_keep_the_matrix(self):
+        A = gaussian_matrix(40, 5, 3)
+        assert scale_rows(A, np.ones(40)) is A
+        for w in (np.full(40, 2.0), np.where(np.arange(40) == 7, np.nextafter(1.0, 2.0), 1.0),
+                  np.zeros(40)):
+            B = scale_rows(A, w)
+            assert B is not A
+            assert B.values.tobytes() == (A.values * np.repeat(w, np.diff(A.row_offsets))).tobytes()
+
 
 class TestExactScores:
     def test_identity_all_ones(self):

@@ -845,10 +845,10 @@ class TestCsrKernels:
             matrix._transpose_dot(A, np.ones(3))
 
     def test_no_scipy_matrix_per_call(self, monkeypatch):
-        """A sketch, a spectral check and a preconditioned solve build at
-        most one scipy compressed matrix per Gram factorization (past 16384
-        rows, a CSR on A's own arrays for its sampled pass and TSQR);
-        materialize, the scoring passes and the CGLS iterations build none."""
+        """A sketch, a spectral check and a preconditioned solve build no
+        scipy compressed matrix, through their Gram factorizations (below
+        and past 16384 rows) or otherwise; materialize, the scoring passes
+        and the CGLS iterations build none either."""
         from scipy.sparse._compressed import _cs_matrix
 
         import rowsketch
@@ -856,6 +856,7 @@ class TestCsrKernels:
                                spectral_check)
 
         A = gaussian_matrix(2048, 16, 7)
+        tall = gaussian_matrix(leverage._DENSE_MAX_ROWS + 3, 4, 9)
         b = np.random.default_rng(8).standard_normal(2048)
         built, grams = [], []
         init = _cs_matrix.__init__
@@ -883,7 +884,8 @@ class TestCsrKernels:
         sketch = repeated_halving(A, SketchConfig(seed=3))
         spectral_check(A, materialize(A, sketch.sample), sketch.check_lambda)
         precondition_solve(A, b, sketch)
-        assert len(built) <= len(grams) and grams
+        factor_gram(tall)
+        assert built == [] and grams
         f = factor_gram(B)
         built.clear()
         pipelines.normal_equations_cg(A, b, preconditioner=f, max_iters=30)
