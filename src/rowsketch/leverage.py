@@ -8,7 +8,7 @@ of A.  A'A is never formed from A itself, and no n x d array of all of a
 tall A: every pass over A's rows goes 4096 at a time past 16384 rows.  A
 pass that scores rows reduces one sparse x dense product per block
 (:func:`_block_products`) into one reused buffer; only the R fold
-(:func:`_r_fold`, TSQR) densifies blocks.  Each pass takes the
+(:func:`_csr_r`, TSQR) densifies rows.  Each pass takes the
 ``SparseRowMatrix`` itself and hands its arrays, or slices of them, to
 scipy's own CSR kernels in :mod:`rowsketch.matrix`, so every result keeps
 scipy's bits and no pass builds a scipy object.  :func:`factor_gram` takes
@@ -18,10 +18,10 @@ itself; otherwise the d x d triangular factor R that :func:`_r_fold`
 folds over A's row blocks; each matrix object is factored once and keeps
 the factor.  Rows that lean into a reference's kernel are flagged by one
 rule, through the exact basis of :func:`_kernel_basis`, for exact and
-sketched scores alike.  Every triangular factor R here comes from
-:func:`_r_factor`: the bits of ``np.linalg.qr(M, mode="r")``, through
-LAPACK's ``dgeqrf`` called directly, without numpy's copies of M, up to
-128 columns and wherever scipy's LAPACK is seen to round as numpy's does.
+sketched scores alike.  Every triangular factor R here comes from one
+call of LAPACK's ``dgeqrf`` (:func:`_r_factor`) on a chunk of at most
+_QR_MAX_ENTRIES = 2^18 entries, R included, so a factor keeps its bits at
+any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -142,65 +142,35 @@ _EPS = np.finfo(np.float64).eps
 # relative accuracy of sigma that the sample-whitened factor must reach, or
 # hand A to the R fold: the dense oracles hold factor_gram to 1e-12
 _ORACLE_RTOL = 1e-12
-# The R fold's first block, with at most this share of its entries stored, is
+# No dgeqrf call factors more than _QR_MAX_ENTRIES entries, the stacked R
+# included: OpenBLAS splits the Householder updates of a larger block over its
+# threads, so R would round by the thread count (16384 x 32 and 8192 x 64
+# differed between one and two threads, 8192 x 32 matched).  A fold chunk has
+# at least d rows, so past 362 columns (2^18 / d < 2d) a call holds 2d x d.
+_QR_MAX_ENTRIES = 2 ** 18
+# The fold's first chunk, with at most this share of its entries stored, is
 # densified in Fortran order for its QR, which LAPACK then reads in place.
 # Densifying in Fortran order goes through a CSC copy of the stored entries,
-# which costs less than the transposing copy the QR takes of a C-ordered block
+# which costs less than the transposing copy the QR takes of a C-ordered chunk
 # only where few entries are stored (2-core Xeon, densify and QR: 8192 x 16,
 # all stored, C 0.85 ms, F 1.58 ms; 12000 x 32, 6% stored, C 5.0 ms, F 3.6 ms).
 _FORTRAN_MAX_DENSITY = 0.25
-# dgeqrf's crossover (LAPACK's ilaenv for xGEQRF): up to min(m, n) = 128 it
-# runs unblocked Householder steps, whose bits the OpenBLAS builds of numpy
-# and scipy share at any thread count where their kernels agree.  Past it
-# their threaded blocked updates round differently (4096 x 129 on 2
-# threads), so numpy factors those itself.
-_QR_UNBLOCKED_MAX = 128
 
 
-def _dgeqrf_r(M: np.ndarray) -> np.ndarray:
-    """R of the nonempty M through scipy's ``dgeqrf`` with numpy's workspace
-    size, so numpy's blocking; M may be overwritten."""
+def _r_factor(M: np.ndarray) -> np.ndarray:
+    """The min(m, n) x n triangular factor R of the float64 m x n ``M``, from
+    one call of LAPACK's ``dgeqrf`` through scipy with the workspace LAPACK
+    asks for: no copy of a Fortran-ordered M, one of a C-ordered one.  R
+    keeps its bits at any BLAS thread count where M holds at most
+    _QR_MAX_ENTRIES entries.  M may be overwritten."""
     m, n = M.shape
+    if min(m, n) == 0:
+        return np.zeros((0, n))
     lwork = max(1, n, int(lapack.dgeqrf_lwork(m, n)[0]))
     qr, _, _, info = lapack.dgeqrf(M, lwork=lwork, overwrite_a=True)
     if info:
         raise np.linalg.LinAlgError(f"dgeqrf refused argument {-info}")
     return np.triu(qr[:min(m, n)])
-
-
-def _dgeqrf_keeps_numpy_bits() -> bool:
-    """Whether scipy's ``dgeqrf`` gives the bits of ``np.linalg.qr`` here.
-
-    numpy and scipy link separate LAPACK builds, and the unblocked
-    Householder steps agree only where the two run the same BLAS kernels
-    (``dnrm2``, ``dgemv``, ``dger``) on this CPU.  So this factors a few
-    fixed matrices both ways, up to 128 columns and large enough for
-    threaded kernels, with rows at 1e-150 and 1e150."""
-    rng = np.random.default_rng(0)
-    for m, n in ((7, 3), (300, 33), (400, _QR_UNBLOCKED_MAX)):
-        M = rng.standard_normal((m, n)) * 10.0 ** rng.choice([-150.0, 0.0, 150.0], size=(m, 1))
-        if _dgeqrf_r(np.asfortranarray(M)).tobytes() != np.linalg.qr(M, mode="r").tobytes():
-            return False
-    return True
-
-
-# asked once, at import (3 ms on one BLAS thread)
-_DGEQRF_KEEPS_NUMPY_BITS = _dgeqrf_keeps_numpy_bits()
-
-
-def _r_factor(M: np.ndarray) -> np.ndarray:
-    """The min(m, n) x n triangular factor R of the float64 m x n ``M``,
-    bit for bit ``np.linalg.qr(M, mode="r")``.  Up to 128 columns, and where
-    :func:`_dgeqrf_keeps_numpy_bits` held at import, it calls the same ``dgeqrf`` through
-    scipy, with no copy of a Fortran-ordered M and one copy of a C-ordered
-    one, where numpy's wrapper takes three; otherwise it calls numpy.
-    M may be overwritten."""
-    m, n = M.shape
-    if min(m, n) == 0:
-        return np.zeros((0, n))
-    if min(m, n) > _QR_UNBLOCKED_MAX or not _DGEQRF_KEEPS_NUMPY_BITS:
-        return np.linalg.qr(M, mode="r")
-    return _dgeqrf_r(M)
 
 
 def _block_slices(n: int):
@@ -278,10 +248,9 @@ def factor_gram(A: SparseRowMatrix) -> PseudoinverseFactor:
     and where the sampled pass cannot reach the accuracy of the dense factor,
     M is the d x d triangular factor R of :func:`_r_fold`, A = QR, so the SVD
     never forms the n x d U it would throw away (Chan's R-SVD, ACM TOMS
-    8(1), 1982).  A of at most 16384 rows is one block there, and LAPACK's
-    ``gesdd`` QR-factors any input past about 11d/6 rows the same way first,
-    so sigma and V keep the bits of ``np.linalg.svd(A)``.  Either way the
-    condition number of A is never squared, and no more than one block of A
+    8(1), 1982); R is folded over chunks of at most 2^18 entries, so it
+    does not depend on the BLAS thread count.  Either way the condition
+    number of A is never squared, and no more than one chunk or block of A
     is dense at a time.
     """
     memo = vars(A)  # threads that race here compute equal factors, one of them kept
@@ -306,20 +275,30 @@ def _factor(A: SparseRowMatrix) -> PseudoinverseFactor:
 
 
 def _r_fold(A: SparseRowMatrix) -> np.ndarray:
-    """The triangular R with R'R = A'A, folded over the blocks of
-    :func:`_block_slices` (Demmel, Grigori, Hoemmen and Langou,
-    arXiv:0808.2664): the first block's R from :func:`_r_factor`, then each
-    later block stacked under the running R and factored again.  Blocks are
-    densified from A's own arrays, the first in Fortran order when it
-    stores at most a quarter of its entries; LAPACK reads the same values
-    either way, so R keeps its bits."""
-    off, col, val, d = A.row_offsets, A.col_indices, A.values, A.n_cols
-    first, *rest = _block_slices(A.n_rows)
-    stored = int(off[first.stop]) - int(off[first.start])
-    order = "F" if stored <= _FORTRAN_MAX_DENSITY * (first.stop - first.start) * d else "C"
-    R = _r_factor(_csr_dense(off[first.start:first.stop + 1], col, val, d, order))
-    for rows in rest:
-        R = _r_factor(np.vstack([R, _csr_dense(off[rows.start:rows.stop + 1], col, val, d)]))
+    """The triangular R with R'R = A'A, from :func:`_csr_r` on A's arrays."""
+    return _csr_r(A.row_offsets, A.col_indices, A.values, A.n_cols)
+
+
+def _csr_r(off, col, val, d: int) -> np.ndarray:
+    """The triangular R with R'R = S'S for the CSR rows S = ``(off, col,
+    val)`` of width d, folded over row chunks in order (TSQR: Demmel,
+    Grigori, Hoemmen and Langou, arXiv:0808.2664): each chunk is densified
+    and factored under the R so far, at most _QR_MAX_ENTRIES entries with
+    it and, past 16384 rows, at most 4096 rows.  The first chunk is
+    densified in Fortran order when it stores at most a quarter of its
+    entries; LAPACK reads the same values either way, so R keeps its bits."""
+    n = len(off) - 1
+    block = _BLOCK_ROWS if n > _DENSE_MAX_ROWS else n
+    R, lo = np.zeros((0, d)), 0
+    while lo < n:
+        hi = min(n, lo + min(block, max(d, _QR_MAX_ENTRIES // max(d, 1) - len(R))))
+        if lo:
+            R = _r_factor(np.vstack([R, _csr_dense(off[lo:hi + 1], col, val, d)]))
+        else:
+            stored = int(off[hi]) - int(off[0])
+            order = "F" if stored <= _FORTRAN_MAX_DENSITY * hi * d else "C"
+            R = _r_factor(_csr_dense(off[:hi + 1], col, val, d, order))
+        lo = hi
     return R
 
 
@@ -352,7 +331,7 @@ def _sample_whitened(A: SparseRowMatrix) -> np.ndarray | None:
     n, d = A.shape
     sample = _csr_gather(A.row_offsets, A.col_indices, A.values,
                          np.arange(0, n, -(-n // _BLOCK_ROWS)))
-    _, ss, vh = np.linalg.svd(_r_factor(_csr_dense(*sample, d)))
+    _, ss, vh = np.linalg.svd(_csr_r(*sample, d))
     if not ss.size or ss[0] == 0.0:
         return None
     scale = np.full(d, ss[0])

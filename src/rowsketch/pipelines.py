@@ -402,7 +402,9 @@ def normal_equations_cg(A: SparseRowMatrix, b: np.ndarray,
     iterations = 0
     for k in range(1, max_iters + 1):
         q = A.dot_dense(W @ p)
-        delta = float(q @ q)
+        # OpenBLAS splits a ddot past 10000 entries over its threads, so q'q
+        # is summed 8192 entries at a time, in order, at any thread count
+        delta = float(sum(q[i:i + 8192] @ q[i:i + 8192] for i in range(0, q.size, 8192)))
         if delta <= 0.0:
             break
         step = gamma / delta

@@ -1,6 +1,10 @@
 """Command-line surface: flag grammar, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +461,42 @@ class TestDeterminism:
             rep.pop("wall_time_s")
             reports.append(rep)
         assert reports[0] == reports[1]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def at_blas_threads(threads, *args):
+    """Standard output of ``python *args``, with rowsketch from this
+    checkout and every BLAS library held to ``threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True,
+                          timeout=600).stdout
+
+
+class TestBlasThreads:
+    """Outputs keep their bytes at one and at two BLAS threads, at sizes
+    where OpenBLAS splits one QR of all the rows over its threads."""
+
+    def test_halving_sample(self, tmp_path):
+        mtx = tmp_path / "gaussian.mtx"
+        write_matrix_market(mtx, gaussian_matrix(20000, 64, 1))
+        samples = []
+        for threads in (1, 2):
+            out = tmp_path / f"sample-{threads}.tsv"
+            at_blas_threads(threads, "-m", "rowsketch.cli", "sketch", str(mtx), "--method",
+                            "halving", "--seed", "1", "-o", str(out),
+                            "--report", str(tmp_path / "report.json"))
+            samples.append(out.read_bytes())
+        assert samples[0] == samples[1]
+
+    def test_factor_gram(self):
+        code = ("import sys, numpy as np\n"
+                "from rowsketch import SparseRowMatrix, factor_gram\n"
+                "dense = np.random.default_rng(7).standard_normal((12000, 100))\n"
+                "f = factor_gram(SparseRowMatrix.from_dense(dense))\n"
+                "sys.stdout.buffer.write(f.singular_values.tobytes()"
+                " + f.right_singular_vectors.tobytes())\n")
+        assert at_blas_threads(1, "-c", code) == at_blas_threads(2, "-c", code)

@@ -4,11 +4,13 @@ blocked walk over A's rows that every full pass takes."""
 import gc
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from rowsketch import (ScoreVector, SketchConfig, SparseRowMatrix,
                        approx_generalized_leverage, build_projector_sketch,
@@ -34,19 +36,6 @@ def sparse_gaussian(n, d, seed, density=0.3):
     return rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
 
 
-def assert_keeps_numpy_svd_bytes(dense):
-    """factor_gram of the one-block ``dense`` against numpy's SVD of all its
-    rows as the CSR densifies them (a -0.0 reads +0.0, which can move the
-    bits of an SVD), cut at the same rank: sigma and V byte for byte."""
-    A = SparseRowMatrix.from_dense(dense)
-    f = factor_gram(A)
-    _, s, vh = np.linalg.svd(A.to_dense(), full_matrices=False)
-    r = int((s > leverage.RANK_RTOL * s.max(initial=0.0)).sum())
-    assert f.rank == r
-    assert f.singular_values.tobytes() == s[:r].tobytes()
-    assert f.right_singular_vectors.tobytes() == np.ascontiguousarray(vh[:r].T).tobytes()
-
-
 def assert_matches_dense_svd(dense, rank):
     """factor_gram of ``dense`` against numpy's SVD of all its rows: the
     rank, sigma to 1e-12 relative, and the row-space projector V V'."""
@@ -56,6 +45,51 @@ def assert_matches_dense_svd(dense, rank):
     np.testing.assert_allclose(f.singular_values, s[:rank], rtol=1e-12, atol=0)
     V = f.right_singular_vectors
     np.testing.assert_allclose(V @ V.T, vh[:rank].T @ vh[:rank], rtol=0, atol=1e-12)
+
+
+def assert_one_chunk_factor(dense):
+    """factor_gram of ``dense``, at most 2^18 entries, against numpy's SVD of
+    all its rows (:func:`assert_matches_dense_svd`, at numpy's rank cut),
+    and byte for byte against the SVD of M cut at that rank: from 2d rows on
+    M is the R of one dgeqrf call over all the rows as the CSR densifies
+    them (a -0.0 reads +0.0), which the fold returns unchanged; below 2d
+    rows M is those rows."""
+    assert dense.size <= leverage._QR_MAX_ENTRIES
+    s = np.linalg.svd(dense, compute_uv=False)
+    r = int((s > leverage.RANK_RTOL * s.max(initial=0.0)).sum())
+    assert_matches_dense_svd(dense, r)
+    A = SparseRowMatrix.from_dense(dense)
+    M = A.to_dense()
+    if M.shape[0] >= 2 * M.shape[1]:
+        M = leverage._r_factor(M)
+        assert leverage._r_fold(A).tobytes() == M.tobytes()
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    f = factor_gram(A)
+    assert f.singular_values.tobytes() == s[:r].tobytes()
+    assert f.right_singular_vectors.tobytes() == np.ascontiguousarray(vh[:r].T).tobytes()
+
+
+def assert_dense_svd_property(dense):
+    """factor_gram of ``dense`` against numpy's SVD of all its rows: the rank
+    away from the cut, sigma to 1e-12 relative and 1e-12 of sigma_max,
+    orthonormal V, and A within its cut singular values of V's span."""
+    f = factor_gram(SparseRowMatrix.from_dense(dense))
+    _, s, vh = np.linalg.svd(dense, full_matrices=False)
+    top = s.max(initial=0.0)
+    cut = leverage.RANK_RTOL * top
+    rank = int((s > cut).sum())
+    # a sigma within 1e-3 of the cut is placed by rounding: 1e-13 of
+    # sigma_max moves it across, so the rank is not pinned there
+    if not np.any(np.abs(s - cut) <= 1e-3 * cut):
+        assert f.rank == rank
+    r = min(f.rank, rank)
+    np.testing.assert_allclose(f.singular_values[:r], s[:r], rtol=1e-12, atol=1e-12 * top)
+    V = f.right_singular_vectors
+    np.testing.assert_allclose(V.T @ V, np.eye(f.rank), rtol=0, atol=1e-12)
+    if top > 0:  # A leaves V's span by no more than its cut singular values
+        unit = dense / top
+        resid = np.linalg.norm(unit - (unit @ V) @ V.T, 2)
+        assert resid <= s[f.rank:].max(initial=0.0) / top + 1e-12
 
 
 def stride(n):
@@ -160,15 +194,22 @@ def tsqr_calls(monkeypatch):
 
 
 class TestRFactor:
-    """leverage._r_factor against np.linalg.qr(mode="r"), byte for byte."""
+    """leverage._r_factor against oracles that hold on any LAPACK build: R is
+    upper triangular, R'R = M'M, |diag R| is that of np.linalg.qr, and C-
+    and Fortran-ordered inputs give the same bytes."""
 
     @staticmethod
-    def assert_numpy_bytes(M):
+    def assert_r_oracles(M):
         want = np.linalg.qr(M, mode="r")
-        for order in "CF":
-            got = leverage._r_factor(np.array(M, order=order))  # may overwrite its input
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        R, fortran = (leverage._r_factor(np.array(M, order=order)) for order in "CF")  # may overwrite
+        assert R.shape == want.shape and R.dtype == want.dtype
+        assert R.tobytes() == fortran.tobytes()
+        assert not np.tril(R, -1).any()
+        # at a power-of-two scale, so that rows of 1e150 do not overflow M'M
+        t = 2.0 ** -np.frexp(np.abs(M).max(initial=0.0))[1]
+        Mt, Rt = M * t, R * t
+        np.testing.assert_allclose(Rt.T @ Rt, Mt.T @ Mt, rtol=0, atol=1e-13 * np.sum(Mt ** 2))
+        np.testing.assert_allclose(np.abs(np.diag(R)), np.abs(np.diag(want)), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("d", [1, 8, 32, 33, 64, 129])
     @pytest.mark.parametrize("rows", ["0", "1", "d-1", "d", "d+1", "2d", "5d+3", "4096"])
@@ -182,31 +223,18 @@ class TestRFactor:
             M[:, ::3] = 0.0
         elif kind == "scaled":  # rows at 1e-150 and 1e150
             M *= 10.0 ** rng.choice([-150.0, 150.0], size=(m, 1))
-        self.assert_numpy_bytes(M)
+        self.assert_r_oracles(M)
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (3, 7), (1, 40), (100, 200)])
     def test_empty_and_wide_shapes(self, shape):
-        self.assert_numpy_bytes(np.random.default_rng(7).standard_normal(shape))
+        self.assert_r_oracles(np.random.default_rng(7).standard_normal(shape))
 
     def test_non_finite_entries_propagate_as_numpy_does(self):
         M = np.random.default_rng(3).standard_normal((50, 6))
         M[4, 2], M[9, 5] = np.nan, np.inf
-        self.assert_numpy_bytes(M)
-
-    def test_numpy_factors_where_lapack_rounds_otherwise(self, monkeypatch):
-        # a scipy LAPACK that misses numpy's bits on the fixed matrices is
-        # never used, and R keeps numpy's bits
-        lapack_r = leverage._dgeqrf_r
-        monkeypatch.setattr(leverage, "_dgeqrf_r", lambda M: np.nextafter(lapack_r(M), np.inf))
-        assert not leverage._dgeqrf_keeps_numpy_bits()
-        monkeypatch.setattr(leverage, "_DGEQRF_KEEPS_NUMPY_BITS", False)
-        self.assert_numpy_bytes(np.random.default_rng(9).standard_normal((200, 16)))
-
-    def test_tall_unblocked_limit(self):
-        # the widest input LAPACK factors unblocked, tall enough that the
-        # Householder updates are threaded at default BLAS threads
-        d = leverage._QR_UNBLOCKED_MAX
-        self.assert_numpy_bytes(np.random.default_rng(5).standard_normal((8 * d, d)))
+        for order in "CF":
+            R = leverage._r_factor(np.array(M, order=order))
+            assert R.shape == (6, 6) and not np.isfinite(R).all()
 
 
 class TestFactorGram:
@@ -240,30 +268,30 @@ class TestFactorGram:
             assert factor_gram(A).rank == 0
 
     def test_dense_limit_keeps_numpy_svd_bytes(self):
-        dense = sparse_gaussian(leverage._DENSE_MAX_ROWS, 6, 11)
-        f = factor_gram(SparseRowMatrix.from_dense(dense))
-        _, s, vh = np.linalg.svd(dense, full_matrices=False)
-        assert f.rank == 6
-        assert f.singular_values.tobytes() == s.tobytes()
-        assert f.right_singular_vectors.tobytes() == np.ascontiguousarray(vh.T).tobytes()
+        assert_one_chunk_factor(sparse_gaussian(leverage._DENSE_MAX_ROWS, 6, 11))
 
     @pytest.mark.parametrize("m, d", [(8192, 16), (12000, 32), (16384, 8)])
-    def test_fortran_densified_block_keeps_numpy_svd_bytes(self, m, d):
-        # a one-block A that stores few of its entries is densified in
-        # Fortran order
+    def test_fortran_densified_block_keeps_numpy_svd_bytes(self, m, d, monkeypatch):
+        # the fold's first chunk, storing few of its entries, is densified in
+        # Fortran order; in C order it gives the same R bytes
         dense = sparse_gaussian(m, d, m + d, density=0.1)
         assert np.count_nonzero(dense) <= leverage._FORTRAN_MAX_DENSITY * m * d
-        assert_keeps_numpy_svd_bytes(dense)
+        assert_matches_dense_svd(dense, d)
+        A = SparseRowMatrix.from_dense(dense)
+        orders, densify = [], leverage._csr_dense
+        monkeypatch.setattr(leverage, "_csr_dense",
+                            lambda *a: orders.append((a + ("C",))[4]) or densify(*a))
+        fortran = leverage._r_fold(A)
+        monkeypatch.setattr(leverage, "_FORTRAN_MAX_DENSITY", -1.0)
+        assert leverage._r_fold(A).tobytes() == fortran.tobytes()
+        assert orders[0] == "F" and orders.count("F") == 1
 
     @pytest.mark.parametrize("d", [1, 3, 8, 16, 32])
     @pytest.mark.parametrize("rows", ["d+1", "2d-1", "2d", "2d+1", "3d", "4096"])
     def test_qr_switch_keeps_numpy_svd_bytes(self, d, rows):
-        # from 2d rows on, sigma and V come from the SVD of A's R factor;
-        # they must keep the bits of numpy's SVD of all of A's rows.  Up to
-        # about 11d/6 rows numpy's SVD takes no R factor of its own, so
-        # there (d + 1) the factor of A's R would move bits
+        # from 2d rows on, sigma and V come from the SVD of A's R factor
         m = {"d+1": d + 1, "2d-1": 2 * d - 1, "2d": 2 * d, "2d+1": 2 * d + 1, "3d": 3 * d, "4096": 4096}[rows]
-        assert_keeps_numpy_svd_bytes(sparse_gaussian(m, d, 100 * d + m, density=0.7))
+        assert_one_chunk_factor(sparse_gaussian(m, d, 100 * d + m, density=0.7))
 
     @pytest.mark.parametrize("m", [31, 32, 33, 4096])
     def test_qr_switch_keeps_numpy_svd_bytes_at_rank_deficiency(self, m):
@@ -272,7 +300,7 @@ class TestFactorGram:
         dense = rng.standard_normal((m, 9)) @ rng.standard_normal((9, 16))
         dense[:, 5] = 0.0
         assert factor_gram(SparseRowMatrix.from_dense(dense)).rank == 9
-        assert_keeps_numpy_svd_bytes(dense)
+        assert_one_chunk_factor(dense)
 
     # The test_tsqr_* checks run on both paths for a tall A (each_path).
 
@@ -400,23 +428,38 @@ class TestFactorGram:
             dense[row, col] = rng.standard_normal()
         dense *= 10.0 ** rng.uniform(-spread, spread, n)[:, None]
         dense = np.clip(dense * 10.0 ** exponent, -1e150, 1e150)
-        f = factor_gram(SparseRowMatrix.from_dense(dense))
-        _, s, vh = np.linalg.svd(dense, full_matrices=False)
-        top = s.max(initial=0.0)
-        cut = leverage.RANK_RTOL * top
-        rank = int((s > cut).sum())
-        # a sigma within 1e-3 of the cut is placed by rounding: 1e-13 of
-        # sigma_max moves it across, so the rank is not pinned there
-        if not np.any(np.abs(s - cut) <= 1e-3 * cut):
-            assert f.rank == rank
-        r = min(f.rank, rank)
-        np.testing.assert_allclose(f.singular_values[:r], s[:r], rtol=1e-12, atol=1e-12 * top)
-        V = f.right_singular_vectors
-        np.testing.assert_allclose(V.T @ V, np.eye(f.rank), rtol=0, atol=1e-12)
-        if top > 0:  # A leaves V's span by no more than its cut singular values
-            unit = dense / top
-            resid = np.linalg.norm(unit - (unit @ V) @ V.T, 2)
-            assert resid <= s[f.rank:].max(initial=0.0) / top + 1e-12
+        assert_dense_svd_property(dense)
+
+    @pytest.mark.parametrize("tall", [False, True], ids=["one-block", "tall"])
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(17, 130), offset=st.integers(-3, 3),
+           seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.2, 1.0]),
+           exponent=st.integers(-150, 150))
+    def test_bounded_qr_calls_property(self, tall, d, offset, seed, density, exponent):
+        """One-block shapes whose n d lies within a few rows of 2^18, and tall
+        shapes whose 4096-row blocks with the R above them pass 2^18 entries
+        (d >= 64), on the sampled pass and on the fallback: the dense-SVD
+        oracles hold, and no dgeqrf call sees more than 2^18 entries."""
+        if tall:
+            d = max(d, 64)
+            n = 5 * leverage._BLOCK_ROWS + offset
+        else:
+            n = leverage._QR_MAX_ENTRIES // d + offset
+        dense = np.clip(sparse_gaussian(n, d, seed, density) * 10.0 ** exponent, -1e150, 1e150)
+        calls = []
+
+        def dgeqrf(M, **kwargs):
+            calls.append(M.size)
+            return lapack.dgeqrf(M, **kwargs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(leverage, "lapack",
+                      SimpleNamespace(dgeqrf=dgeqrf, dgeqrf_lwork=lapack.dgeqrf_lwork))
+            assert_dense_svd_property(dense)
+            if tall:
+                m.setattr(leverage, "_sample_whitened", lambda A: None)
+                assert_dense_svd_property(dense)
+        assert calls and max(calls) <= leverage._QR_MAX_ENTRIES
 
 
 @pytest.fixture
