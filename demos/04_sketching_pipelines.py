@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 
-from rowsketch import (SketchConfig, SparseRowMatrix, generic_scheme,
-                       input_sparsity_sketch, materialize, refinement_sampling,
-                       repeated_halving, spectral_check)
+from rowsketch import (SketchConfig, SparseRowMatrix, input_sparsity_sketch,
+                       materialize, refinement_sampling, repeated_halving,
+                       spectral_check)
 
 rng = np.random.default_rng(3)
 n, d = 8192, 16
@@ -39,10 +39,3 @@ for name, run in (
 print("\nrefinement's estimate mass per round (starts at n, halts near 20*d):")
 r = refinement_sampling(A, cfg)
 print("  " + " -> ".join(f"{h:.0f}" for h in r.sum_estimates_history))
-
-print("\ngeneric-scheme presets around the same skeleton:")
-for preset in ("head", "tail", "refinement", "sqrt"):
-    r = generic_scheme(A, preset, cfg)
-    rep = spectral_check(A, materialize(A, r.sample), r.check_lambda)
-    print(f"  {preset:<12} rows={r.rows_kept:<6} grade={r.check_lambda:.2f} "
-          f"pass={rep.passes}")

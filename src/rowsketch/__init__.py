@@ -18,10 +18,9 @@ from .matrix import (MatrixFormatError, SparseRowMatrix, WeightedRowSample,
                      materialize, read_matrix_market, read_sample,
                      scale_rows, write_matrix_market, write_sample)
 from .pipelines import (NonConvergenceError, PipelineError, SketchResult,
-                        SolveResult, final_refinement, generic_scheme,
-                        input_sparsity_sketch, normal_equations_cg,
-                        precondition_solve, refinement_sampling,
-                        repeated_halving)
+                        SolveResult, final_refinement, input_sparsity_sketch,
+                        normal_equations_cg, precondition_solve,
+                        refinement_sampling, repeated_halving)
 from .reweight import (Reweighting, ReweightCertificate,
                        compare_leverage_bound, compute_reweighting,
                        gamma_for_target, rank_one_update, read_weights,
@@ -43,7 +42,7 @@ __all__ = [
     "compare_leverage_bound", "compute_reweighting", "cross_leverage",
     "exact_leverage_scores", "factor_gram", "final_refinement",
     "gamma_for_target", "gaussian_sketch", "generalized_leverage_scores",
-    "generic_scheme", "input_sparsity_sketch", "kernel_probe",
+    "input_sparsity_sketch", "kernel_probe",
     "materialize", "min_norm_witness", "monte_carlo", "normal_equations_cg",
     "precondition_solve", "rank_one_update", "read_matrix_market",
     "read_sample", "read_scores", "read_weights", "refinement_sampling",

@@ -22,9 +22,8 @@ from .leverage import (SCORE_HEADER, exact_leverage_scores, generalized_leverage
 from .matrix import (MatrixFormatError, SparseRowMatrix, _IndexedTsv, materialize,
                      read_indexed_column, read_matrix_market, read_sample,
                      write_indexed_column, write_sample)
-from .pipelines import (PRESETS, NonConvergenceError, PipelineError, SketchResult,
-                        generic_scheme, input_sparsity_sketch, precondition_solve,
-                        refinement_sampling, repeated_halving)
+from .pipelines import (NonConvergenceError, PipelineError, SketchResult, input_sparsity_sketch,
+                        precondition_solve, refinement_sampling, repeated_halving)
 from .reweight import compute_reweighting, write_weights
 from .sampling import SketchConfig
 from .verify import spectral_check
@@ -73,33 +72,25 @@ def cmd_scores(args) -> int:
     return _EXIT_OK
 
 
-_METHODS = ("halving", "refinement", "generic", "input-sparsity")
+_METHODS = ("halving", "refinement", "input-sparsity")
 
 
-def _sketch(method: str, A: SparseRowMatrix, cfg: SketchConfig, preset: str | None = None,
+def _sketch(method: str, A: SparseRowMatrix, cfg: SketchConfig,
             theta: float | None = None) -> SketchResult:
-    """Run one of :data:`_METHODS`; generic defaults to preset head and
-    input-sparsity to theta 0.5."""
+    """Run one of :data:`_METHODS`; input-sparsity defaults to theta 0.5."""
     if method == "halving":
         return repeated_halving(A, cfg)
     if method == "refinement":
         return refinement_sampling(A, cfg)
-    if method == "generic":
-        return generic_scheme(A, preset or "head", cfg)
     return input_sparsity_sketch(A, theta if theta is not None else 0.5, cfg.epsilon, cfg)
 
 
 def cmd_sketch(args) -> int:
-    if args.preset is not None and args.method != "generic":
-        raise MatrixFormatError("--preset requires --method generic")
-    if args.epsilon is not None and args.preset in ("tail", "sqrt"):
-        raise MatrixFormatError(f"--epsilon does not apply to --preset {args.preset}, "
-                                "which grades at a fixed epsilon")
     A = read_matrix_market(args.matrix)
     cfg = _config(args)
     start = time.perf_counter()
     try:
-        result = _sketch(args.method, A, cfg, args.preset, args.theta)
+        result = _sketch(args.method, A, cfg, args.theta)
     except NonConvergenceError as exc:
         _emit({"error": str(exc), "history": exc.history, "seed": args.seed},
               args.report)
@@ -251,10 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sketch", help="run a sketching pipeline")
     p.add_argument("matrix")
     p.add_argument("--method", choices=_METHODS, default="halving")
-    p.add_argument("--preset", choices=PRESETS,
-                   help="generic-scheme preset (default head; requires --method generic)")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="target distortion (not with --preset tail or sqrt)")
+    p.add_argument("--epsilon", type=float, default=None, help="target distortion")
     p.add_argument("--c", type=float, default=None, help="oversampling constant")
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("-o", "--output", required=True, help="sample TSV path")

@@ -23,7 +23,8 @@ from .fastlev import approx_generalized_leverage, estimate_cost
 from .leverage import PseudoinverseFactor, ScoreVector, factor_gram
 from .matrix import (SparseRowMatrix, WeightedRowSample, _binade_shift, _binade_shifted,
                      _take_rows, _transpose_dot, materialize)
-from .sampling import SketchConfig, _default_theta, _undersample, log_dim, rng_from, sample
+from .sampling import (SketchConfig, _default_theta, _draw, _undersample, log_dim, rng_from,
+                       sample, sampling_probabilities)
 
 
 class PipelineError(RuntimeError):
@@ -86,19 +87,21 @@ class _Run:
 
 
 def _resample(A: SparseRowMatrix, target: WeightedRowSample | None,
-              B: SparseRowMatrix, theta: float, rate, cfg: SketchConfig,
+              B: SparseRowMatrix, theta: float, rate: float, cfg: SketchConfig,
               salts: tuple[tuple, tuple], run: _Run, record: bool = True) -> WeightedRowSample:
     """Score the rows of ``target`` (None: all of A, in place) against B,
     record the estimate mass in ``run`` (if ``record``), sample at ``rate``
-    (a number or a function of the mass) with ``salts`` = (estimate salt,
-    draw salt), and return the kept rows as a sample of A."""
+    with ``salts`` = (estimate salt, draw salt), and return the kept rows
+    as a sample of A.  A row that leans into ker(B) counts 1 in the mass
+    and is kept with p = 1, whatever the rate."""
     T = A if target is None else _take_rows(A, target)
-    u = run.estimate(T, B, theta, cfg, salts[0]).with_infinite_as(1.0)
-    mass = float(u.sum())
+    u = run.estimate(T, B, theta, cfg, salts[0])
+    capped = u.with_infinite_as(1.0)
     if record:
-        run.history.append(mass)
-    alpha = rate(mass) if callable(rate) else rate
-    local = sample(u, alpha, cfg, A.n_cols, salt=salts[1])
+        run.history.append(float(capped.sum()))
+    p = sampling_probabilities(capped, rate, cfg.c, A.n_cols)
+    p[u.infinite] = 1.0
+    local = _draw(p, cfg, salts[1])
     return local if target is None else _compose(target, local)
 
 
@@ -226,89 +229,6 @@ def refinement_sampling(A: SparseRowMatrix, cfg: SketchConfig) -> SketchResult:
     final = sample(tau, cfg.epsilon ** -2, cfg, d, salt=("refine", "final"))
     lam = (1.0 + cfg.epsilon) / (1.0 - cfg.epsilon)
     return _finish(final, run, cfg, lam, cfg.epsilon)
-
-
-# ---------------------------------------------------------------------------
-# Generic row sampling scheme (uniform -> recurse -> estimate+sample -> recurse)
-# ---------------------------------------------------------------------------
-
-PRESETS = ("head", "tail", "refinement", "sqrt")
-
-# Count-driven presets sample at rates too weak for the per-level matrix
-# Chernoff bound to bite, so their output fluctuation budget is pinned
-# empirically at desk scale and absorbed into the output normalization.
-_COUNT_DRIVEN_OUTPUT_EPS = 0.6
-
-
-def _preset_sizes(preset: str, n: int, d: int) -> tuple[int, int]:
-    """``(n1, n3)`` of the tail or sqrt preset for an n-row operand: n1
-    sizes the uniform cut, n3 is the expected row count of the
-    estimate-driven cut."""
-    if preset == "tail":
-        return max(int(math.ceil(d * log_dim(d))), 1), max(n // 2, 1)
-    n13 = max(int(math.ceil(math.sqrt(n * d * log_dim(d)))), 1)
-    return n13, n13
-
-
-def _generic(A: SparseRowMatrix, current: WeightedRowSample, depth: int,
-             preset: str, cfg: SketchConfig, run: _Run) -> WeightedRowSample:
-    """One level of the generic scheme on ``current`` at recursion depth
-    ``depth``; returns a sample of A and counts each level in ``run``."""
-    d = A.n_cols
-    cap = _depth_cap(A.n_rows, d)
-    if depth >= cap:
-        raise PipelineError(f"generic scheme exceeded depth cap {cap}")
-    run.levels += 1
-    nhat = len(current)
-    base_rows = _base_rows(d)
-    n1, n3 = _preset_sizes(preset, nhat, d)
-
-    # line 1: uniform cut of the current rows
-    rate = min(n1 / max(nhat, 1), 1.0)
-    draws = rng_from(cfg.seed, "generic", depth, "uniform").random(nhat)
-    a1 = WeightedRowSample(A.n_rows, current.row_indices[draws < rate],
-                           current.weights[draws < rate])
-    # line 2: approximate the cut recursively when it is still large
-    a2 = a1 if len(a1) <= base_rows else _generic(A, a1, depth + 1, preset, cfg, run)
-
-    # line 3: estimate scores against the approximation, sample n3 rows.
-    # tail draws from the current operand, sqrt from all of A.  A current
-    # operand as long as A is A at weight 1: only a uniform cut that keeps
-    # every row reaches that length, and cuts keep the weights
-    whole = preset == "sqrt" or nhat == A.n_rows
-    a3 = _resample(A, None if whole else current, _take_rows(A, a2),
-                   cfg.resolve_theta(d),
-                   lambda mass: n3 / max(cfg.c * log_dim(d) * mass, 1e-300), cfg,
-                   (("generic", depth, "jl"), ("generic", depth, "sample")), run)
-    # line 4: recurse when the result is still large and actually shrank
-    if len(a3) <= base_rows or len(a3) >= nhat:
-        return a3
-    return _generic(A, a3, depth + 1, preset, cfg, run)
-
-
-def generic_scheme(A: SparseRowMatrix, preset: str, cfg: SketchConfig) -> SketchResult:
-    """The generic scheme's named instance ``preset``, one of :data:`PRESETS`.
-
-    ``head`` and ``refinement`` are exactly :func:`repeated_halving` and
-    :func:`refinement_sampling` and return their results unchanged.
-    ``tail`` and ``sqrt`` run the four-line scheme (uniform cut, recursive
-    approximation, estimate-driven resampling, recursion), re-deriving
-    their sample sizes from the operand at each level: tail cuts to
-    d log d rows and then to half the operand, sqrt to sqrt(n d log d)
-    rows twice.  Their counts are too small for a per-level Chernoff bound,
-    so the output is scaled by 1/sqrt(1.6) and graded at
-    (1 + 0.6)/(1 - 0.6) = 4 whatever ``cfg.epsilon`` is.
-    """
-    if preset == "head":
-        return repeated_halving(A, cfg)
-    if preset == "refinement":
-        return refinement_sampling(A, cfg)
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r} ({', '.join(PRESETS)})")
-    run = _Run()
-    out = _generic(A, WeightedRowSample.identity(A.n_rows), 0, preset, cfg, run)
-    eps = _COUNT_DRIVEN_OUTPUT_EPS
-    return _finish(out, run, cfg, (1.0 + eps) / (1.0 - eps), eps)
 
 
 # ---------------------------------------------------------------------------

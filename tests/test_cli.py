@@ -161,36 +161,14 @@ class TestSketchAndVerify:
         assert capsys.readouterr().err == (
             f"rowsketch: {sample_p}:1: sample built for 5 rows, matrix has 512\n")
 
-    def test_generic_presets_run(self, tmp_path, random_mtx):
-        for preset in ("head", "tail", "refinement", "sqrt"):
-            out = tmp_path / f"{preset}.tsv"
-            assert main(["sketch", random_mtx, "--method", "generic",
-                         "--preset", preset, "-o", str(out)]) == 0
-
-    def test_preset_requires_generic_which_defaults_to_head(self, tmp_path, random_mtx, capsys):
+    @pytest.mark.parametrize("flags", [["--method", "generic"], ["--preset", "sqrt"]])
+    def test_generic_scheme_flags_are_usage_errors(self, tmp_path, random_mtx, capsys, flags):
         out = tmp_path / "s.tsv"
-        assert main(["sketch", random_mtx, "--method", "halving", "--preset", "sqrt",
-                     "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "rowsketch: --preset requires --method generic\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["sketch", random_mtx, *flags, "-o", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ")
         assert not out.exists()
-        plain, head = tmp_path / "plain.tsv", tmp_path / "head.tsv"
-        assert main(["sketch", random_mtx, "--method", "generic", "-o", str(plain)]) == 0
-        assert main(["sketch", random_mtx, "--method", "generic", "--preset", "head",
-                     "-o", str(head)]) == 0
-        assert plain.read_bytes() == head.read_bytes()
-
-    def test_epsilon_with_fixed_grade_preset_exits_2(self, tmp_path, random_mtx, capsys):
-        out = tmp_path / "s.tsv"
-        for preset in ("tail", "sqrt"):
-            assert main(["sketch", random_mtx, "--method", "generic", "--preset", preset,
-                         "--epsilon", "0.3", "-o", str(out)]) == 2
-            assert capsys.readouterr().err == (
-                f"rowsketch: --epsilon does not apply to --preset {preset}, "
-                "which grades at a fixed epsilon\n")
-            assert not out.exists()
-        for preset in ("head", "refinement"):
-            assert main(["sketch", random_mtx, "--method", "generic", "--preset", preset,
-                         "--epsilon", "0.3", "-o", str(out)]) == 0
 
     def test_depth_cap_exits_2_naming_the_matrix(self, tmp_path, random_mtx, capsys,
                                                  monkeypatch):

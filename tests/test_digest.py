@@ -14,7 +14,7 @@ _spec = importlib.util.spec_from_file_location(
 digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(digest)
 
-CHEAP = ("presets", "reweighting")
+CHEAP = ("final-refinement", "reweighting")
 
 
 def with_one_weight_nudged():
@@ -51,4 +51,4 @@ def test_against_names_the_groups_that_differ(cheap_groups, tmp_path, monkeypatc
     assert digest.main(["--against", str(saved)]) == 1
     out = capsys.readouterr()
     assert json.loads(out.out) == {"reweighting": base["reweighting"]}
-    assert out.err == f"digest: group presets differs from {saved}\n"
+    assert out.err == f"digest: group final-refinement differs from {saved}\n"

@@ -1,5 +1,5 @@
-"""End-to-end sketchers: spectral grades, row budgets, determinism, presets,
-and the preconditioned solver."""
+"""End-to-end sketchers: spectral grades, row budgets, determinism, rows
+that lean into a reference's kernel, and the preconditioned solver."""
 
 import hashlib
 import sys
@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 import rowsketch.pipelines as pl
 from rowsketch import (SketchConfig, SketchResult, SparseRowMatrix,
-                       exact_leverage_scores, final_refinement,
-                       generic_scheme, input_sparsity_sketch, materialize,
+                       WeightedRowSample, exact_leverage_scores,
+                       final_refinement, input_sparsity_sketch, materialize,
                        normal_equations_cg, precondition_solve,
                        refinement_sampling, repeated_halving, sample,
                        spectral_check)
-from rowsketch.fastlev import sketch_rows
 from rowsketch.pipelines import normal_equations_gradient_descent
 from rowsketch.sampling import log_dim
 
@@ -122,53 +121,6 @@ class TestRefinementSampling:
         assert passes >= 27
 
 
-class TestGenericScheme:
-    def test_head_preset_is_repeated_halving(self):
-        A = gaussian_matrix(2048, 8, 8)
-        cfg = SketchConfig(seed=11)
-        a = generic_scheme(A, "head", cfg)
-        b = repeated_halving(A, cfg)
-        np.testing.assert_array_equal(a.sample.row_indices, b.sample.row_indices)
-        np.testing.assert_array_equal(a.sample.weights, b.sample.weights)
-
-    def test_refinement_preset_is_refinement_sampling(self):
-        A = gaussian_matrix(1024, 8, 9)
-        cfg = SketchConfig(seed=12)
-        a = generic_scheme(A, "refinement", cfg)
-        b = refinement_sampling(A, cfg)
-        np.testing.assert_array_equal(a.sample.row_indices, b.sample.row_indices)
-
-    def test_sqrt_preset_runs_without_recursion(self):
-        n, d = 4096, 16
-        A = gaussian_matrix(n, d, 10)
-        cfg = SketchConfig(seed=13)
-        n1, _ = pl._preset_sizes("sqrt", n, d)
-        assert n1 <= pl._base_rows(d)  # no-recursion regime at this size
-        r = generic_scheme(A, "sqrt", cfg)
-        # one estimation call: 1 factorization + k sketch solves + probes
-        expected = 1 + sketch_rows(cfg.resolve_theta(d), cfg) + cfg.kernel_probes
-        assert r.solve_count == expected
-        assert r.levels_or_iterations == 1
-
-    def test_all_presets_pass_configured_lambda(self):
-        n, d = 4096, 16
-        A = gaussian_matrix(n, d, 14)
-        for preset in ("head", "tail", "refinement", "sqrt"):
-            passes = 0
-            for seed in range(30):
-                cfg = SketchConfig(seed=seed)
-                r = generic_scheme(A, preset, cfg)
-                rep = spectral_check(A, materialize(A, r.sample), r.check_lambda)
-                passes += rep.passes
-                r.sample.validate()
-                assert r.sample.parent_rows == n
-            assert passes >= 27, preset
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError):
-            generic_scheme(gaussian_matrix(100, 4, 0), "sideways", SketchConfig())
-
-
 class TestInputSparsity:
     def test_theta_collapse_matches_halving_row_order(self):
         n, d = 4096, 16
@@ -245,13 +197,33 @@ class TestFinalRefinement:
             assert 4.0 / 1.5 <= ratio <= 4.0 * 1.5
 
 
+class TestFlaggedRows:
+    """A row that leans into ker(B) is kept with p = 1, whatever the rate."""
+
+    def test_isolated_direction_kept_at_a_low_rate(self):
+        # criterion 09's matrix at alpha c ln d = 0.51 < 1.  Its isolated
+        # row 2047 lies in ker(B) whenever the half it is scored against
+        # lacks it, and always against ``hole``, which is A without it
+        A = isolated_direction_matrix(2048, 8, 99)
+        hole = SketchResult(WeightedRowSample(2048, np.arange(2047), np.ones(2047)),
+                            2047, (), 1, 0, 0, 3.0)
+        kept = {"halving": 0, "input-sparsity": 0, "final-refinement": 0, "flagged": 0}
+        for seed in range(100):
+            cfg = SketchConfig(c=0.2, epsilon=0.9, seed=seed)
+            halving = repeated_halving(A, cfg)
+            for name, r in (("halving", halving),
+                            ("input-sparsity", input_sparsity_sketch(A, 0.5, cfg.epsilon, cfg)),
+                            ("final-refinement", final_refinement(A, halving, cfg.epsilon, cfg))):
+                kept[name] += spectral_check(A, materialize(A, r.sample), r.check_lambda).rank_match
+            kept["flagged"] += 2047 in final_refinement(A, hole, cfg.epsilon, cfg).sample.row_indices
+        assert kept == dict.fromkeys(kept, 100)
+
+
 # every pipeline that estimates at its default theta, as a function of (A, cfg)
 DEFAULT_THETA_PIPELINES = {
     "halving": repeated_halving,
     "refinement": refinement_sampling,
     "input-sparsity": lambda A, cfg: input_sparsity_sketch(A, 0.5, cfg.epsilon, cfg),
-    "generic-tail": lambda A, cfg: generic_scheme(A, "tail", cfg),
-    "generic-sqrt": lambda A, cfg: generic_scheme(A, "sqrt", cfg),
 }
 
 
@@ -485,9 +457,7 @@ GOLDEN_MATRICES = {
     "power-law": lambda: power_law_matrix(4096, 16, 55),
     "isolated": lambda: isolated_direction_matrix(2048, 8, 99),
 }
-GOLDEN_RUNS = ("halving", "refinement", "input-sparsity", "generic-head",
-               "generic-tail", "generic-refinement", "generic-sqrt",
-               "final-refinement")
+GOLDEN_RUNS = ("halving", "refinement", "input-sparsity", "final-refinement")
 GOLDEN_SEEDS = range(4)
 
 
@@ -499,10 +469,7 @@ def golden_run(A, run, seed):
         return refinement_sampling(A, cfg)
     if run == "input-sparsity":
         return input_sparsity_sketch(A, 0.5, cfg.epsilon, cfg)
-    if run == "final-refinement":
-        return final_refinement(A, repeated_halving(A, cfg), 0.5, cfg)
-    preset = run.split("-", 1)[1]
-    return generic_scheme(A, preset, cfg)
+    return final_refinement(A, repeated_halving(A, cfg), 0.5, cfg)
 
 
 def golden_summary(r):
@@ -521,14 +488,6 @@ GOLDEN = {
         (8192, 3001.384817931, 1098.90660639, 404.5359314426, 148.1096028833)),
     ("gaussian", 0, "input-sparsity"): ("3496cc26912a440a", 4070, 6, 1570, 5077.600859974,
         (89.27375133592, 91.02314957676, 87.5687784427, 82.50787550685, 67.72212191249, 46.14476764575)),
-    ("gaussian", 0, "generic-head"): ("f24f159a16ada20e", 1915, 4, 728, 3157.912195095,
-        (87.17292438399, 88.7808222436, 86.49077844491, 87.67054947203)),
-    ("gaussian", 0, "generic-tail"): ("afb97c5546b12446", 456, 4, 728, 1415.506245219,
-        (10020.39396514, 4827.515753399, 2526.186130512, 1900.731299168)),
-    ("gaussian", 0, "generic-refinement"): ("20e82e097d201025", 3281, 4, 1436, 4180.342245411,
-        (8192, 3001.384817931, 1098.90660639, 404.5359314426, 148.1096028833)),
-    ("gaussian", 0, "generic-sqrt"): ("608420dd0f3abd11", 588, 1, 182, 1691.962962289,
-        (619.1891436665,)),
     ("gaussian", 0, "final-refinement"): ("473ab57502ac7438", 1478, 1, 182, 2787.167727869,
         (66.5741969807,)),
     ("gaussian", 1, "halving"): ("3034e5e1bc487805", 1971, 4, 728, 3270.067261368,
@@ -537,14 +496,6 @@ GOLDEN = {
         (8192, 2956.902747562, 1073.548326145, 390.6170263429, 144.5560209218)),
     ("gaussian", 1, "input-sparsity"): ("560ad730167e140e", 3773, 6, 1570, 4884.214974318,
         (91.88126120419, 83.98077479473, 85.98251657825, 90.59692714325, 63.15970469906, 42.61507270171)),
-    ("gaussian", 1, "generic-head"): ("3034e5e1bc487805", 1971, 4, 728, 3270.067261368,
-        (89.04636799097, 84.97701642157, 86.50930144914, 87.51795863475)),
-    ("gaussian", 1, "generic-tail"): ("dd19273a5aa76227", 524, 4, 728, 1636.421970769,
-        (10089.20680396, 4400.296868582, 2599.816124822, 1737.271006088)),
-    ("gaussian", 1, "generic-refinement"): ("bf127b498fe7cbf6", 3232, 4, 1436, 4142.178524113,
-        (8192, 2956.902747562, 1073.548326145, 390.6170263429, 144.5560209218)),
-    ("gaussian", 1, "generic-sqrt"): ("b89396466d17d221", 608, 1, 182, 1748.139889506,
-        (596.7408315975,)),
     ("gaussian", 1, "final-refinement"): ("794d8b9c570ac14c", 1491, 1, 182, 2849.652834259,
         (64.61216808104,)),
     ("gaussian", 2, "halving"): ("e2d56b072554ffb4", 2002, 4, 728, 3318.15246735,
@@ -553,14 +504,6 @@ GOLDEN = {
         (8192, 3023.333631815, 1118.928215572, 416.6038332259, 154.43885394)),
     ("gaussian", 2, "input-sparsity"): ("4d8c51ff2fc501bc", 3719, 6, 1570, 4787.178239951,
         (89.78994830551, 88.52463574838, 87.99284661019, 89.24821869868, 62.99321643041, 42.2292933814)),
-    ("gaussian", 2, "generic-head"): ("e2d56b072554ffb4", 2002, 4, 728, 3318.15246735,
-        (86.75127253884, 86.67720639181, 87.76393526485, 86.76617761422)),
-    ("gaussian", 2, "generic-tail"): ("27f9120097de540d", 503, 4, 728, 1588.832433897,
-        (22266.22793721, 5408.790824599, 4251.086847361, 1443.075225897)),
-    ("gaussian", 2, "generic-refinement"): ("1d2f0807e74f9660", 3507, 4, 1436, 4361.588588358,
-        (8192, 3023.333631815, 1118.928215572, 416.6038332259, 154.43885394)),
-    ("gaussian", 2, "generic-sqrt"): ("5742ba4ab52c38d4", 590, 1, 182, 1680.241328538,
-        (623.4315400144,)),
     ("gaussian", 2, "final-refinement"): ("4f542a71f465e831", 1333, 1, 182, 2597.691744036,
         (62.99022946132,)),
     ("gaussian", 3, "halving"): ("948d63860ba77672", 1964, 4, 728, 3277.412698871,
@@ -569,14 +512,6 @@ GOLDEN = {
         (8192, 3033.133552933, 1111.131933106, 407.0572149205, 150.8959539016)),
     ("gaussian", 3, "input-sparsity"): ("4513ab5c2638c1ce", 3877, 6, 1570, 4933.211488615,
         (84.4479067366, 87.55300272477, 90.6754632127, 85.48034342402, 64.97007980267, 43.97661287974)),
-    ("gaussian", 3, "generic-head"): ("948d63860ba77672", 1964, 4, 728, 3277.412698871,
-        (84.36791115205, 84.73845309749, 85.46355906095, 86.62185612134)),
-    ("gaussian", 3, "generic-tail"): ("483ebd9959fdcddd", 513, 4, 728, 1590.172542036,
-        (12426.10166197, 4644.211549864, 2486.628558946, 1507.642317618)),
-    ("gaussian", 3, "generic-refinement"): ("e67b2846d9a37774", 3338, 4, 1436, 4184.002613137,
-        (8192, 3033.133552933, 1111.131933106, 407.0572149205, 150.8959539016)),
-    ("gaussian", 3, "generic-sqrt"): ("42addcbc8f13581d", 588, 1, 182, 1697.583289895,
-        (599.3287061677,)),
     ("gaussian", 3, "final-refinement"): ("ab5f2f033a7f57c6", 1387, 1, 182, 2673.927961998,
         (64.17842890375,)),
     ("isolated", 0, "halving"): ("7821b397bad76fc6", 604, 3, 414, 868.8562331837,
@@ -585,14 +520,6 @@ GOLDEN = {
         (2048, 647.3853533643, 207.3559250587, 68.5521308394)),
     ("isolated", 0, "input-sparsity"): ("2d1ae68b1cf88b3f", 1227, 5, 1080, 1373.496832912,
         (41.06395837922, 38.12516884167, 38.12107995527, 23.67102325704, 22.57766376857)),
-    ("isolated", 0, "generic-head"): ("7821b397bad76fc6", 604, 3, 414, 868.8562331837,
-        (37.62767107416, 35.19770824654, 37.77018110857)),
-    ("isolated", 0, "generic-tail"): ("61bd2c4dd0e60f14", 204, 3, 414, 486.5198118418,
-        (5614.882309015, 3936.896153548, 1700.332082778)),
-    ("isolated", 0, "generic-refinement"): ("733c6ffdb9f90f7e", 1117, 3, 813, 1229.286819044,
-        (2048, 647.3853533643, 207.3559250587, 68.5521308394)),
-    ("isolated", 0, "generic-sqrt"): ("c51f0af571fbee48", 186, 1, 138, 465.7427923632,
-        (245.8981507387,)),
     ("isolated", 0, "final-refinement"): ("a3a6c132600dad1b", 470, 1, 138, 758.0917593065,
         (33.15660774171,)),
     ("isolated", 1, "halving"): ("860d4a7c7324ad77", 603, 3, 414, 849.9287421214,
@@ -601,14 +528,6 @@ GOLDEN = {
         (2048, 657.5090418786, 209.9976831687, 68.71217893729)),
     ("isolated", 1, "input-sparsity"): ("f2b1c6daffefc15d", 1169, 5, 1080, 1346.664009216,
         (38.51835853581, 45.54704085972, 41.37531374797, 22.25751886089, 21.28204471986)),
-    ("isolated", 1, "generic-head"): ("860d4a7c7324ad77", 603, 3, 414, 849.9287421214,
-        (39.35633541891, 37.93757831713, 40.2357785576)),
-    ("isolated", 1, "generic-tail"): ("0365433e464d821f", 232, 3, 414, 550.4572702701,
-        (6086.101874824, 1109.990467548, 606.4969937946)),
-    ("isolated", 1, "generic-refinement"): ("4af20532042da327", 1064, 3, 813, 1153.985780944,
-        (2048, 657.5090418786, 209.9976831687, 68.71217893729)),
-    ("isolated", 1, "generic-sqrt"): ("7918674676acf15c", 209, 1, 138, 533.2938853126,
-        (188.0339113635,)),
     ("isolated", 1, "final-refinement"): ("0ee86ce6ee5a57df", 557, 1, 138, 896.7834479727,
         (33.80249292025,)),
     ("isolated", 2, "halving"): ("46ae29d9c4369dd2", 664, 3, 414, 944.6584733304,
@@ -617,14 +536,6 @@ GOLDEN = {
         (2048, 659.0683822774, 211.6416873196, 69.65116714559)),
     ("isolated", 2, "input-sparsity"): ("4f9e12c942bfe583", 1140, 5, 1080, 1310.241772693,
         (41.622832452, 40.09651747785, 39.3680426354, 22.22311992998, 20.83475006753)),
-    ("isolated", 2, "generic-head"): ("46ae29d9c4369dd2", 664, 3, 414, 944.6584733304,
-        (38.22928711188, 37.69124729176, 38.55276310192)),
-    ("isolated", 2, "generic-tail"): ("2e91e8bc42ee4a4d", 204, 3, 414, 492.1389504436,
-        (8073.571577702, 1867.47086349, 568.6960099986)),
-    ("isolated", 2, "generic-refinement"): ("9c900d36d73cfd81", 1109, 3, 813, 1205.124034001,
-        (2048, 659.0683822774, 211.6416873196, 69.65116714559)),
-    ("isolated", 2, "generic-sqrt"): ("d2a8106699374b79", 209, 1, 138, 526.6653897179,
-        (215.2131863819,)),
     ("isolated", 2, "final-refinement"): ("4378b49eea87d1c7", 442, 1, 138, 732.5206430295,
         (31.16034227451,)),
     ("isolated", 3, "halving"): ("7adcf55f02305d4e", 637, 3, 414, 906.331717146,
@@ -633,14 +544,6 @@ GOLDEN = {
         (2048, 656.9953735592, 210.0707091757, 67.72115115395)),
     ("isolated", 3, "input-sparsity"): ("f5f3eddf33fa9b03", 1179, 5, 1080, 1301.756631254,
         (41.30251109253, 39.2503664668, 40.3595102312, 23.68126815373, 21.95609157407)),
-    ("isolated", 3, "generic-head"): ("7adcf55f02305d4e", 637, 3, 414, 906.331717146,
-        (35.82094321983, 39.61981701324, 40.57173266308)),
-    ("isolated", 3, "generic-tail"): ("b212d3344b258984", 244, 3, 414, 550.3065825971,
-        (2628.038883008, 1343.534974405, 782.5548000153)),
-    ("isolated", 3, "generic-refinement"): ("2a86ee2cbb49d7a0", 1096, 3, 813, 1199.617168019,
-        (2048, 656.9953735592, 210.0707091757, 67.72115115395)),
-    ("isolated", 3, "generic-sqrt"): ("8f823db10297e0d9", 156, 1, 138, 390.5496700542,
-        (217.2219292284,)),
     ("isolated", 3, "final-refinement"): ("8a166f5131d50f28", 480, 1, 138, 783.6758731237,
         (32.40648001506,)),
     ("power-law", 0, "halving"): ("043e1ac986f453c7", 581, 3, 546, 943.683861789,
@@ -649,14 +552,6 @@ GOLDEN = {
         (4096, 328.13245308, 67.7655632779)),
     ("power-law", 0, "input-sparsity"): ("ac130b55dd32d47f", 584, 5, 1256, 1080.07568408,
         (451.7026350025, 626.0390111609, 92.56254325493, 64.66610822743, 43.99515241418)),
-    ("power-law", 0, "generic-head"): ("043e1ac986f453c7", 581, 3, 546, 943.683861789,
-        (456.1487908236, 106.5005483701, 672.5774712328)),
-    ("power-law", 0, "generic-tail"): ("ed5ef0720a7b36a2", 192, 1, 182, 437.15374627,
-        (145527.6529762,)),
-    ("power-law", 0, "generic-refinement"): ("4bb62265dc2b87ba", 481, 2, 718, 829.5529982509,
-        (4096, 328.13245308, 67.7655632779)),
-    ("power-law", 0, "generic-sqrt"): ("f205932a7eb6f0df", 88, 1, 182, 260.5604125318,
-        (3290.006154408,)),
     ("power-law", 0, "final-refinement"): ("9b5eb0e74f6f31a9", 311, 1, 182, 571.286810645,
         (65.14855081036,)),
     ("power-law", 1, "halving"): ("7ff56cf0d6a6f2b3", 469, 3, 546, 793.9270752865,
@@ -665,14 +560,6 @@ GOLDEN = {
         (4096, 328.13245308, 67.93805120635)),
     ("power-law", 1, "input-sparsity"): ("006223570a5cfc25", 548, 5, 1256, 979.4801252004,
         (426.1259444891, 617.2566700083, 604.652376109, 63.43941210211, 43.05034268778)),
-    ("power-law", 1, "generic-head"): ("7ff56cf0d6a6f2b3", 469, 3, 546, 793.9270752865,
-        (170.8263016976, 476.4672997921, 637.2730808788)),
-    ("power-law", 1, "generic-tail"): ("b5984bb0f4f7ebf3", 149, 1, 182, 381.035422746,
-        (420268.200442,)),
-    ("power-law", 1, "generic-refinement"): ("0fbbbc58548a852e", 450, 2, 718, 741.6918339621,
-        (4096, 328.13245308, 67.93805120635)),
-    ("power-law", 1, "generic-sqrt"): ("c1e4eafb1c03f8f4", 80, 1, 182, 219.7088947282,
-        (4584.791773689,)),
     ("power-law", 1, "final-refinement"): ("7e92c21db747c064", 333, 1, 182, 660.9259245476,
         (65.6003304633,)),
     ("power-law", 2, "halving"): ("4dce11f88b25f004", 472, 3, 546, 848.7146945369,
@@ -681,14 +568,6 @@ GOLDEN = {
         (4096, 328.13245308, 67.80796598511)),
     ("power-law", 2, "input-sparsity"): ("09edc833dafde84c", 555, 5, 1256, 970.6223043155,
         (888.3245860815, 231.7388353517, 427.0425149534, 64.10452988694, 43.37099259242)),
-    ("power-law", 2, "generic-head"): ("4dce11f88b25f004", 472, 3, 546, 848.7146945369,
-        (481.2822171059, 337.3035459082, 378.0420882574)),
-    ("power-law", 2, "generic-tail"): ("69cb748e630bad13", 159, 1, 182, 335.9928385399,
-        (543774.753448,)),
-    ("power-law", 2, "generic-refinement"): ("4112a896824587d9", 460, 2, 718, 791.8338362493,
-        (4096, 328.13245308, 67.80796598511)),
-    ("power-law", 2, "generic-sqrt"): ("9e56400f6fc5ac16", 45, 1, 182, 103.4816994589,
-        (10837.6937852,)),
     ("power-law", 2, "final-refinement"): ("ae57c0f65f160af0", 307, 1, 182, 585.5454219661,
         (64.90174931543,)),
     ("power-law", 3, "halving"): ("f364b85b8d7e44d0", 454, 3, 546, 854.622017787,
@@ -697,14 +576,6 @@ GOLDEN = {
         (4096, 328.13245308, 67.83309956097)),
     ("power-law", 3, "input-sparsity"): ("27a22c4ea679d706", 545, 5, 1256, 969.7367876269,
         (1143.990274985, 100.5938487471, 591.0295833057, 63.90536031503, 43.25187280802)),
-    ("power-law", 3, "generic-head"): ("f364b85b8d7e44d0", 454, 3, 546, 854.622017787,
-        (307.4114125701, 305.1480786262, 378.9371873595)),
-    ("power-law", 3, "generic-tail"): ("201c4df5d5ef9691", 128, 1, 182, 310.1484613972,
-        (436430.1756684,)),
-    ("power-law", 3, "generic-refinement"): ("5923210694016b23", 481, 2, 718, 852.4448552537,
-        (4096, 328.13245308, 67.83309956097)),
-    ("power-law", 3, "generic-sqrt"): ("7415cd0192a5f097", 49, 1, 182, 108.7703058411,
-        (8839.300300421,)),
     ("power-law", 3, "final-refinement"): ("c2ac14bd7a20f9f2", 338, 1, 182, 677.0863919273,
         (65.23901218562,)),
 }

@@ -17,8 +17,8 @@ number's exact value:
 - ``criterion``: halving, refinement and input-sparsity on the three
   criterion matrices (Gaussian 8192 x 16, power-law 4096 x 16, isolated
   2048 x 8), seeds 0-99;
-- ``presets``: the generic presets and ``final_refinement`` on the same
-  matrices, seeds 0-9;
+- ``final-refinement``: ``final_refinement`` of each halving sketch on the
+  same matrices, seeds 0-9;
 - ``small-sweep`` and ``tall-sparse``: every library operation of one round
   of each benchmark workload (``perfbench/workloads.py``), seeds 1-2;
 - ``cli-files``: each operation's exit status and check, and every file
@@ -52,8 +52,6 @@ import rowsketch as rs  # noqa: E402
 from rowsketch import leverage  # noqa: E402
 
 CRITERION_RUNS = ("halving", "refinement", "input-sparsity")
-PRESET_RUNS = ("generic-head", "generic-tail", "generic-refinement", "generic-sqrt",
-               "final-refinement")
 WORKLOAD_SEEDS = (1, 2)
 
 
@@ -151,7 +149,7 @@ def reweightings():
 
 GROUPS = {
     "criterion": lambda: golden_runs(CRITERION_RUNS, range(100)),
-    "presets": lambda: golden_runs(PRESET_RUNS, range(10)),
+    "final-refinement": lambda: golden_runs(("final-refinement",), range(10)),
     "small-sweep": lambda: workload_ops("small-sweep"),
     "tall-sparse": lambda: workload_ops("tall-sparse"),
     "cli-files": cli_files,
